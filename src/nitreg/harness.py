@@ -5,8 +5,9 @@ from __future__ import annotations
 
 import configparser
 import os
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -19,179 +20,170 @@ from .spaces import GridFn, GridSpace, norm, primal, read_csv
 
 OUT_DIR_ENV = "NITREG_OUT_DIR"
 
-# Config schema: section -> {key: (type, default)}.  Unknown keys are rejected.
-_SCHEMA = {
-    "problem": {
-        "kind": (str, "integral_1d"),  # integral_1d | elliptic_2d
-        "n": (int, 400),
-        "nx": (int, 40),
-        "ny": (int, 40),
-    },
-    "exact": {
-        "selector": (str, "spikes_1d"),  # spikes_1d | two_inclusions_2d | zero | file
-        "path": (str, ""),
-    },
-    "noise": {
-        "delta": (float, 5e-4),
-        "seed": (int, 1),
-    },
-    "method": {
-        "r": (float, 2.0),
-    },
-    "schedule": {
-        "kind": (str, "geometric"),
-        "alpha1": (float, 0.5),
-        "q": (float, 0.5),
-    },
-    "stopping": {
-        "kind": (str, "discrepancy"),
-        "tau": (float, 1.02),
-        "max_outer": (int, 200),
-        "atol_zero": (float, 1e-10),
-    },
-    "penalty": {
-        "kind": (str, "quadratic"),
-        "mu": (float, 1.0),
-        "a": (float, 0.0),
-        "b": (float, 0.0),
-        "eps": (float, 1e-6),
-    },
-    "inner": {
-        "grad_tol_rel": (float, 1e-8),
-        "max_iters": (int, 2000),
-        "restart_period": (int, 0),  # 0: problem dimension
-        "armijo": (float, 1e-4),
-        "backtrack": (float, 0.5),
-        "max_backtracks": (int, 50),
-    },
-    "output": {
-        "dir": (str, "."),
-        "name": (str, "run"),
-    },
-    "study": {
-        "deltas": (str, ""),
-    },
-}
-
 
 class ConfigError(ValueError):
     pass
 
 
 @dataclass(frozen=True)
+class Problem:
+    kind: str = "integral_1d"
+    n: int = 400  # 1-D grid intervals
+    nx: int = 40  # 2-D grid intervals
+    ny: int = 40
+
+    def __post_init__(self):
+        if self.kind not in ("integral_1d", "elliptic_2d"):
+            raise ValueError(f"unknown problem kind {self.kind!r}")
+        if self.n < 1:
+            raise ValueError("n must be >= 1")
+        if self.nx < 2 or self.ny < 2:
+            raise ValueError("nx and ny must be >= 2")
+
+
+@dataclass(frozen=True)
+class Exact:
+    selector: str = "spikes_1d"
+    path: str = ""  # CSV path when selector = file
+
+    def __post_init__(self):
+        if self.selector not in ("spikes_1d", "two_inclusions_2d", "zero", "file"):
+            raise ValueError(f"unknown exact-solution selector {self.selector!r}")
+        if self.selector == "file" and not self.path:
+            raise ValueError("selector = file needs a path")
+
+
+@dataclass(frozen=True)
+class Noise:
+    delta: float = 5e-4  # exact perturbation magnitude ||y - y^d||
+    seed: int = 1
+
+    def __post_init__(self):
+        if self.delta < 0.0:
+            raise ValueError("delta must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+
+
+@dataclass(frozen=True)
+class Method:
+    r: float = 2.0  # data-fit exponent
+
+    def __post_init__(self):
+        if self.r <= 1.0:
+            raise ValueError("r must be > 1")
+
+
+@dataclass(frozen=True)
+class Output:
+    dir: str = "."
+    name: str = "run"
+
+
+@dataclass(frozen=True)
+class Study:
+    deltas: tuple[float, ...] = ()  # noise levels of `nitreg study`
+
+
+def _section(name: str):
+    """Field for an INI section whose name a method of the config already uses."""
+    return field(metadata={"section": name})
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
-    problem_kind: str
-    n: int
-    nx: int
-    ny: int
-    exact_selector: str
-    exact_path: str
-    delta: float
-    seed: int
-    r: float
-    schedule_kind: str
-    alpha1: float
-    q: float
-    stopping_kind: str
-    tau: float
-    max_outer: int
-    atol_zero: float
-    penalty_kind: str
-    mu: float
-    a: float
-    b: float
-    eps: float
-    grad_tol_rel: float
-    max_iters: int
-    restart_period: int
-    armijo: float
-    backtrack: float
-    max_backtracks: int
-    out_dir: str
-    name: str
-    study_deltas: tuple[float, ...] = ()
+    """A parsed experiment config: one frozen object per INI section.
+
+    A field's name is its section's name unless its metadata says otherwise;
+    the field order is the order of `echo()`.
+    """
+
+    problem: Problem
+    exact: Exact
+    noise: Noise
+    method: Method
+    alpha_schedule: AlphaSchedule = _section("schedule")
+    stopping_rule: StoppingRule = _section("stopping")
+    theta: Penalty = _section("penalty")
+    inner: InnerSettings
+    output: Output
+    study: Study
+
+    @property
+    def delta(self) -> float:
+        return self.noise.delta
+
+    @property
+    def seed(self) -> int:
+        return self.noise.seed
+
+    @property
+    def r(self) -> float:
+        return self.method.r
 
     def echo(self) -> dict:
-        return asdict(self)
+        """Every setting, keyed `section.key` by its INI name."""
+        return {
+            f"{section}.{key}": value
+            for attr, section in _section_names()
+            for key, value in asdict(getattr(self, attr)).items()
+        }
 
     def penalty(self) -> Penalty:
-        return Penalty(self.penalty_kind, mu=self.mu, a=self.a, b=self.b, eps=self.eps)
+        return self.theta
 
     def schedule(self) -> AlphaSchedule:
-        return AlphaSchedule(self.schedule_kind, self.alpha1, self.q)
+        return self.alpha_schedule
 
     def stopping(self) -> StoppingRule:
-        return StoppingRule(self.stopping_kind, self.tau, self.max_outer, self.atol_zero)
+        return self.stopping_rule
 
     def inner_settings(self) -> InnerSettings:
-        return InnerSettings(
-            grad_tol_rel=self.grad_tol_rel,
-            max_iters=self.max_iters,
-            restart_period=self.restart_period or None,
-            armijo=self.armijo,
-            backtrack=self.backtrack,
-            max_backtracks=self.max_backtracks,
-        )
+        return self.inner
 
 
-def _config_from_mapping(raw: dict) -> ExperimentConfig:
-    values = {}
-    for section, keys in _SCHEMA.items():
-        got = raw.get(section, {})
-        for key in got:
-            if key not in keys:
-                raise ConfigError(f"unknown key [{section}] {key}")
-        for key, (typ, default) in keys.items():
-            text = got.get(key)
-            try:
-                values[(section, key)] = default if text is None else typ(text)
-            except ValueError as exc:
-                raise ConfigError(f"bad value for [{section}] {key}: {text!r}") from exc
-    for section in raw:
-        if section not in _SCHEMA:
-            raise ConfigError(f"unknown config section [{section}]")
+def _section_names() -> list[tuple[str, str]]:
+    """(field name, INI section name) of each config section, in field order."""
+    return [(f.name, f.metadata.get("section", f.name)) for f in fields(ExperimentConfig)]
 
-    deltas_text = values[("study", "deltas")]
-    study_deltas = tuple(
-        float(tok) for tok in deltas_text.replace(",", " ").split()
-    )
-    cfg = ExperimentConfig(
-        problem_kind=values[("problem", "kind")],
-        n=values[("problem", "n")],
-        nx=values[("problem", "nx")],
-        ny=values[("problem", "ny")],
-        exact_selector=values[("exact", "selector")],
-        exact_path=values[("exact", "path")],
-        delta=values[("noise", "delta")],
-        seed=values[("noise", "seed")],
-        r=values[("method", "r")],
-        schedule_kind=values[("schedule", "kind")],
-        alpha1=values[("schedule", "alpha1")],
-        q=values[("schedule", "q")],
-        stopping_kind=values[("stopping", "kind")],
-        tau=values[("stopping", "tau")],
-        max_outer=values[("stopping", "max_outer")],
-        atol_zero=values[("stopping", "atol_zero")],
-        penalty_kind=values[("penalty", "kind")],
-        mu=values[("penalty", "mu")],
-        a=values[("penalty", "a")],
-        b=values[("penalty", "b")],
-        eps=values[("penalty", "eps")],
-        grad_tol_rel=values[("inner", "grad_tol_rel")],
-        max_iters=values[("inner", "max_iters")],
-        restart_period=values[("inner", "restart_period")],
-        armijo=values[("inner", "armijo")],
-        backtrack=values[("inner", "backtrack")],
-        max_backtracks=values[("inner", "max_backtracks")],
-        out_dir=values[("output", "dir")],
-        name=values[("output", "name")],
-        study_deltas=study_deltas,
-    )
-    if cfg.delta < 0.0:
-        raise ConfigError("[noise] delta must be >= 0")
-    if cfg.problem_kind not in ("integral_1d", "elliptic_2d"):
-        raise ConfigError(f"unknown problem kind {cfg.problem_kind!r}")
-    return cfg
+
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(tok) for tok in text.replace(",", " ").split())
+
+
+def _parse_section(section: str, cls, got: dict):
+    """Build one section object from its `key: text` pairs; unset keys keep
+    the dataclass defaults, and the dataclass validates the result."""
+    types = get_type_hints(cls)
+    kwargs = {}
+    for key, text in got.items():
+        if key not in types:
+            raise ConfigError(f"unknown key [{section}] {key}")
+        parse = types[key] if types[key] in (str, int, float) else _floats
+        try:
+            kwargs[key] = parse(text)
+        except ValueError as exc:
+            raise ConfigError(f"bad value for [{section}] {key}: {text!r}") from exc
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {exc}") from exc
+
+
+def config_from_dict(raw: dict, overrides: dict | None = None) -> ExperimentConfig:
+    """Build a config from `{section: {key: value}}`; values may be text or
+    numbers, and `overrides` maps `(section, key)` to a replacement value."""
+    raw = {s: {k: str(v) for k, v in kv.items()} for s, kv in raw.items()}
+    for (section, key), val in (overrides or {}).items():
+        raw.setdefault(section, {})[key] = str(val)
+    types = get_type_hints(ExperimentConfig)
+    sections = {
+        attr: _parse_section(section, types[attr], raw.pop(section, {}))
+        for attr, section in _section_names()
+    }
+    if raw:
+        raise ConfigError(f"unknown config section [{next(iter(raw))}]")
+    return ExperimentConfig(**sections)
 
 
 def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
@@ -201,14 +193,7 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
     if not read:
         raise ConfigError(f"config file not found: {path}")
     raw = {section: dict(parser[section]) for section in parser.sections()}
-    for (section, key), val in (overrides or {}).items():
-        raw.setdefault(section, {})[key] = str(val)
-    return _config_from_mapping(raw)
-
-
-def config_from_dict(raw: dict) -> ExperimentConfig:
-    return _config_from_mapping({s: {k: str(v) for k, v in kv.items()}
-                                 for s, kv in raw.items()})
+    return config_from_dict(raw, overrides)
 
 
 def spikes_1d(space: GridSpace) -> GridFn:
@@ -231,35 +216,34 @@ def two_inclusions_2d(space: GridSpace) -> GridFn:
     return primal(space, v)
 
 
-def exact_solution(cfg: ExperimentConfig, space: GridSpace) -> GridFn:
-    sel = cfg.exact_selector
+def exact_solution(exact: Exact, space: GridSpace) -> GridFn:
+    sel = exact.selector
     if sel == "spikes_1d":
         return spikes_1d(space)
     if sel == "two_inclusions_2d":
         return two_inclusions_2d(space)
     if sel == "zero":
         return primal(space, np.zeros(space.size))
-    if sel == "file":
-        fn = read_csv(cfg.exact_path)
-        if fn.space != space:
-            raise ConfigError("custom exact solution lives on a different grid")
-        return fn
-    raise ConfigError(f"unknown exact-solution selector {sel!r}")
+    fn = read_csv(exact.path)
+    if fn.space != space:
+        raise ConfigError("custom exact solution lives on a different grid")
+    return fn
 
 
 def make_problem(cfg: ExperimentConfig) -> tuple[ForwardOp, GridFn, GridFn]:
     """Construct (operator, exact solution, exact data y = F(x_dagger))."""
-    if cfg.problem_kind == "integral_1d":
-        op = IntegralOp(cfg.n)
-        x_dag = exact_solution(cfg, op.domain_space)
+    prob = cfg.problem
+    if prob.kind == "integral_1d":
+        op = IntegralOp(prob.n)
+        x_dag = exact_solution(cfg.exact, op.domain_space)
         return op, x_dag, op.apply(x_dag)
     # elliptic_2d: state u = x + y is harmonic, so the consistent source for
     # -Lap(u) + c u = f with u = x + y is f = c_dagger * (x + y), g = x + y.
-    space = GridSpace.rectangle(cfg.nx, cfg.ny)
-    c_dag = exact_solution(cfg, space)
+    space = GridSpace.rectangle(prob.nx, prob.ny)
+    c_dag = exact_solution(cfg.exact, space)
     x, y = space.coords()
     u_exact = x + y
-    op = EllipticOp(cfg.nx, cfg.ny, f=c_dag.values * u_exact, g=u_exact)
+    op = EllipticOp(prob.nx, prob.ny, f=c_dag.values * u_exact, g=u_exact)
     return op, c_dag, op.apply(c_dag)
 
 
@@ -331,7 +315,7 @@ def write_summary_csv(path, report: RunReport, theta: Penalty,
 
 
 def resolve_out_dir(cfg: ExperimentConfig, out_dir: str | None = None) -> Path:
-    d = out_dir or os.environ.get(OUT_DIR_ENV) or cfg.out_dir
+    d = out_dir or os.environ.get(OUT_DIR_ENV) or cfg.output.dir
     path = Path(d)
     path.mkdir(parents=True, exist_ok=True)
     return path
@@ -348,13 +332,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
         cfg.inner_settings(), r=cfg.r, config=cfg.echo(),
     )
     directory = resolve_out_dir(cfg, out_dir)
-    base = directory / cfg.name
+    base = directory / cfg.output.name
     write_iteration_csv(f"{base}_iterations.csv", report, theta, x_dag)
     write_reconstruction_csv(f"{base}_reconstruction.csv", report.x_out)
     write_summary_csv(f"{base}_summary.csv", report, theta, x_dag)
     if not quiet:
         final = report.states[report.n_delta]
-        print(f"{cfg.name}: n_delta={report.n_delta} "
+        print(f"{cfg.output.name}: n_delta={report.n_delta} "
               f"terminated_by={report.terminated_by} "
               f"residual={final.residual:.6g} "
               f"l2_error={norm(report.x_out - x_dag):.6g}")
@@ -364,16 +348,16 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
 def run_study(cfg: ExperimentConfig, out_dir: str | None = None,
               quiet: bool = False) -> list[dict]:
     """Noise-level sweep: one full run per delta, one CSV table out."""
-    if not cfg.study_deltas:
+    if not cfg.study.deltas:
         raise ConfigError("[study] deltas is empty; nothing to sweep")
     op, x_dag, y_exact = make_problem(cfg)
     rows = solver.convergence_study(
         lambda d: add_noise(y_exact, d, cfg.seed),
-        cfg.study_deltas, op, cfg.penalty(), x_dag,
+        cfg.study.deltas, op, cfg.penalty(), x_dag,
         cfg.schedule(), cfg.stopping(), cfg.inner_settings(), r=cfg.r,
     )
     directory = resolve_out_dir(cfg, out_dir)
-    path = directory / f"{cfg.name}_study.csv"
+    path = directory / f"{cfg.output.name}_study.csv"
     cols = ["delta", "n_delta", "terminated_by", "residual", "error",
             "theta_value", "bregman_to_ref", "error_message"]
     with open(path, "w") as fh:
@@ -389,49 +373,37 @@ def run_study(cfg: ExperimentConfig, out_dir: str | None = None,
 def example51_config(penalty: str = "l2_l1",
                      overrides: dict | None = None) -> ExperimentConfig:
     """Built-in config for the 1-D integral-equation experiment."""
+    if penalty == "l2_l1":
+        theta = {"kind": "l2_l1", "mu": 0.01, "a": 1.0}
+    elif penalty == "quadratic":
+        theta = {}
+    else:
+        raise ConfigError(f"unsupported example51 penalty {penalty!r}")
     raw = {
-        "problem": {"kind": "integral_1d", "n": 400},
-        "exact": {"selector": "spikes_1d"},
-        "noise": {"delta": 5e-4, "seed": 1},
-        "schedule": {"kind": "geometric", "alpha1": 0.5, "q": 0.5},
-        "stopping": {"kind": "discrepancy", "tau": 1.02, "max_outer": 200},
-        "method": {"r": 2.0},
-        "inner": {"grad_tol_rel": 1e-8, "max_iters": 2000},
+        "penalty": theta,
         "output": {"name": f"example51_{penalty}"},
         "study": {"deltas": "4e-3 2e-3 1e-3 5e-4"},
     }
-    if penalty == "l2_l1":
-        raw["penalty"] = {"kind": "l2_l1", "mu": 0.01, "a": 1.0, "eps": 1e-6}
-    elif penalty == "quadratic":
-        raw["penalty"] = {"kind": "quadratic", "mu": 1.0}
-    else:
-        raise ConfigError(f"unsupported example51 penalty {penalty!r}")
-    for (section, key), val in (overrides or {}).items():
-        raw.setdefault(section, {})[key] = val
-    return config_from_dict(raw)
+    return config_from_dict(raw, overrides)
 
 
 def example52_config(penalty: str = "l2_tv", mu: float = 0.01,
                      overrides: dict | None = None) -> ExperimentConfig:
     """Built-in config for the 2-D elliptic parameter-identification experiment."""
-    raw = {
-        "problem": {"kind": "elliptic_2d", "nx": 40, "ny": 40},
-        "exact": {"selector": "two_inclusions_2d"},
-        "noise": {"delta": 1e-4, "seed": 1},
-        "schedule": {"kind": "geometric", "alpha1": 0.5, "q": 0.5},
-        "stopping": {"kind": "discrepancy", "tau": 1.05, "max_outer": 200},
-        "method": {"r": 2.0},
-        "inner": {"grad_tol_rel": 1e-8, "max_iters": 300},
-        "study": {"deltas": "1e-3 3e-4 1e-4"},
-    }
     if penalty == "l2_tv":
-        raw["penalty"] = {"kind": "l2_tv", "mu": mu, "b": 1.0, "eps": 1e-6}
-        raw["output"] = {"name": f"example52_l2_tv_mu{mu:g}"}
+        theta, name = {"kind": "l2_tv", "mu": mu, "b": 1.0}, f"example52_l2_tv_mu{mu:g}"
     elif penalty == "quadratic":
-        raw["penalty"] = {"kind": "quadratic", "mu": 1.0}
-        raw["output"] = {"name": "example52_quadratic"}
+        theta, name = {}, "example52_quadratic"
     else:
         raise ConfigError(f"unsupported example52 penalty {penalty!r}")
-    for (section, key), val in (overrides or {}).items():
-        raw.setdefault(section, {})[key] = val
-    return config_from_dict(raw)
+    raw = {
+        "problem": {"kind": "elliptic_2d"},
+        "exact": {"selector": "two_inclusions_2d"},
+        "noise": {"delta": 1e-4},
+        "stopping": {"tau": 1.05},
+        "inner": {"max_iters": 300},
+        "penalty": theta,
+        "output": {"name": name},
+        "study": {"deltas": "1e-3 3e-4 1e-4"},
+    }
+    return config_from_dict(raw, overrides)

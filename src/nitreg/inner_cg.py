@@ -46,11 +46,10 @@ class InnerProblem:
 class InnerSettings:
     grad_tol_rel: float = 1e-8
     max_iters: int = 2000
-    restart_period: int | None = None  # None: problem dimension
+    restart_period: int = 0  # 0: problem dimension
     armijo: float = 1e-4
     backtrack: float = 0.5
     max_backtracks: int = 50
-    track_history: bool = False
 
     def __post_init__(self):
         if not (0.0 < self.armijo < 0.5):
@@ -71,8 +70,7 @@ class InnerStats:
     backtracks: int = 0
     objective: float = np.nan
     initial_objective: float = np.nan
-    objective_history: list = field(default_factory=list)
-    iterate_history: list = field(default_factory=list)
+    objective_history: list = field(default_factory=list)  # per iterate of `minimize`
 
 
 def objective(p: InnerProblem, x: GridFn) -> float:
@@ -116,9 +114,7 @@ def minimize(
     stats.initial_objective = f_cur
     stats.initial_grad_norm = gn
     tol = s.grad_tol_rel * max(1.0, gn)
-    if s.track_history:
-        stats.objective_history.append(f_cur)
-        stats.iterate_history.append(x.values.copy())
+    stats.objective_history.append(f_cur)
 
     d = None
     gg_prev = None
@@ -164,9 +160,7 @@ def minimize(
         slope_prev = slope
         t_prev = t
         stats.iterations = k + 1
-        if s.track_history:
-            stats.objective_history.append(f_cur)
-            stats.iterate_history.append(x.values.copy())
+        stats.objective_history.append(f_cur)
     else:
         stats.converged = gn <= tol
     if gn <= tol:

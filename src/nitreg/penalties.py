@@ -19,7 +19,7 @@ KINDS = ("quadratic", "l2_l1", "l2_tv")
 
 @dataclass(frozen=True)
 class Penalty:
-    kind: str
+    kind: str = "quadratic"
     mu: float = 1.0
     a: float = 0.0
     b: float = 0.0
@@ -36,15 +36,15 @@ class Penalty:
             raise ValueError("a and b must be nonnegative")
 
 
-def quadratic(mu: float = 1.0) -> Penalty:
+def quadratic(mu: float = Penalty.mu) -> Penalty:
     return Penalty("quadratic", mu=mu)
 
 
-def l2_l1(mu: float, a: float = 1.0, eps: float = 1e-6) -> Penalty:
+def l2_l1(mu: float, a: float = 1.0, eps: float = Penalty.eps) -> Penalty:
     return Penalty("l2_l1", mu=mu, a=a, eps=eps)
 
 
-def l2_tv(mu: float, b: float = 1.0, eps: float = 1e-6) -> Penalty:
+def l2_tv(mu: float, b: float = 1.0, eps: float = Penalty.eps) -> Penalty:
     return Penalty("l2_tv", mu=mu, b=b, eps=eps)
 
 

@@ -3,6 +3,7 @@ discrepancy-principle stopping (plain and max-index variant), diagnostics."""
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,9 +20,9 @@ class AlphaSchedule:
     """Regularization-parameter sequence; all kinds satisfy
     sum(1/alpha_n) = inf and the bounded-ratio condition alpha_n <= c0 * alpha_{n+1}."""
 
-    kind: str  # geometric | constant | harmonic
-    alpha1: float
-    q: float = 1.0  # geometric ratio, in (0, 1]
+    kind: str = "geometric"  # geometric | constant | harmonic
+    alpha1: float = 0.5
+    q: float = 0.5  # geometric ratio, in (0, 1]; alpha_n = alpha1 * q^(n-1)
 
     def __post_init__(self):
         if self.kind not in ("geometric", "constant", "harmonic"):
@@ -166,38 +167,24 @@ def run(
     threshold = stop.tau * delta if delta > 0.0 else stop.atol_zero
     states = [_initial_state(op, theta, ydelta, x0, xi0)]
 
+    rule41 = stop.kind == "rule41"
+    crossed = operator.lt if rule41 else operator.le
     terminated_by = "max_outer"
     n_delta = 0
-    if stop.kind == "discrepancy":
-        if states[0].residual <= threshold:
-            terminated_by = "discrepancy"
+    if states[0].residual <= threshold:
+        terminated_by = stop.kind
+    else:
+        for n in range(1, stop.max_outer + 1):
+            states.append(
+                step(op, theta, ydelta, schedule.alpha(n), states[-1],
+                     settings, r, exact_linear)
+            )
+            if crossed(states[-1].residual, threshold):
+                terminated_by = stop.kind
+                n_delta = n - 1 if rule41 else n
+                break
         else:
-            for n in range(1, stop.max_outer + 1):
-                states.append(
-                    step(op, theta, ydelta, schedule.alpha(n), states[-1],
-                         settings, r, exact_linear)
-                )
-                if states[-1].residual <= threshold:
-                    terminated_by = "discrepancy"
-                    n_delta = n
-                    break
-            else:
-                n_delta = int(np.argmin([s.residual for s in states]))
-    else:  # rule41
-        if states[0].residual <= threshold:
-            terminated_by = "rule41"
-        else:
-            for n in range(1, stop.max_outer + 1):
-                states.append(
-                    step(op, theta, ydelta, schedule.alpha(n), states[-1],
-                         settings, r, exact_linear)
-                )
-                if states[-1].residual < threshold:
-                    terminated_by = "rule41"
-                    n_delta = n - 1
-                    break
-            else:
-                n_delta = int(np.argmin([s.residual for s in states]))
+            n_delta = int(np.argmin([s.residual for s in states]))
 
     report = RunReport(
         states=states,

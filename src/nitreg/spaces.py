@@ -217,10 +217,6 @@ def scale(c: float, f: GridFn) -> GridFn:
     return c * f
 
 
-def axpy(a: float, x: GridFn, y: GridFn) -> GridFn:
-    return lincomb([a, 1.0], [x, y])
-
-
 def write_csv(f: GridFn, path) -> None:
     """Serialize a grid function: header with space metadata, one value per line."""
     dims = ",".join(str(d) for d in f.space.dims)

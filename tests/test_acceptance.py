@@ -44,7 +44,7 @@ def _run_from_config(cfg):
 @pytest.fixture(scope="module")
 def ex51_runs():
     return {
-        penalty: _run_from_config(example51_config(penalty))
+        f"ex51_{penalty}": _run_from_config(example51_config(penalty))
         for penalty in ("quadratic", "l2_l1")
     }
 
@@ -55,7 +55,7 @@ def ex51_sweep():
     op, x_dag, y_exact = make_problem(cfg)
     return solver.convergence_study(
         lambda d: add_noise(y_exact, d, cfg.seed),
-        cfg.study_deltas, op, cfg.penalty(), x_dag,
+        cfg.study.deltas, op, cfg.penalty(), x_dag,
         cfg.schedule(), cfg.stopping(), cfg.inner_settings(),
     )
 
@@ -63,9 +63,9 @@ def ex51_sweep():
 @pytest.fixture(scope="module")
 def ex52_runs():
     runs = {}
-    runs["quadratic"] = _run_from_config(example52_config("quadratic"))
-    runs["l2_tv_mu0.01"] = _run_from_config(example52_config("l2_tv", mu=0.01))
-    runs["l2_tv_mu1"] = _run_from_config(example52_config("l2_tv", mu=1.0))
+    runs["ex52_quadratic"] = _run_from_config(example52_config("quadratic"))
+    runs["ex52_l2_tv_mu0.01"] = _run_from_config(example52_config("l2_tv", mu=0.01))
+    runs["ex52_l2_tv_mu1"] = _run_from_config(example52_config("l2_tv", mu=1.0))
     return runs
 
 
@@ -199,11 +199,11 @@ def test_08_penalty_ordering(capsys, ex51_runs, ex52_runs):
         report, x_dag, _theta, _op = entry
         return norm(report.x_out - x_dag)
 
-    e51_quad = err(ex51_runs["quadratic"])
-    e51_l1 = err(ex51_runs["l2_l1"])
-    e52_quad = err(ex52_runs["quadratic"])
-    e52_tv_small = err(ex52_runs["l2_tv_mu0.01"])
-    e52_tv_one = err(ex52_runs["l2_tv_mu1"])
+    e51_quad = err(ex51_runs["ex51_quadratic"])
+    e51_l1 = err(ex51_runs["ex51_l2_l1"])
+    e52_quad = err(ex52_runs["ex52_quadratic"])
+    e52_tv_small = err(ex52_runs["ex52_l2_tv_mu0.01"])
+    e52_tv_one = err(ex52_runs["ex52_l2_tv_mu1"])
     ok = e51_l1 < e51_quad and e52_tv_small < e52_quad and e52_tv_one < e52_quad
     _verdict(
         capsys, 8,
@@ -218,17 +218,18 @@ def test_09_stopping_rule_offset(capsys):
     op, x_dag, y_exact = make_problem(cfg)
     theta = cfg.penalty()
     schedule = cfg.schedule()
+    stop = cfg.stopping()
     ok = True
     for seed in range(1, 11):
         ydelta = add_noise(y_exact, cfg.delta, seed)
         dp = solver.run(
             op, theta, ydelta, cfg.delta, schedule,
-            StoppingRule("discrepancy", cfg.tau, cfg.max_outer),
+            StoppingRule("discrepancy", stop.tau, stop.max_outer),
             exact_linear=True,
         )
         r41 = solver.run(
             op, theta, ydelta, cfg.delta, schedule,
-            StoppingRule("rule41", cfg.tau, cfg.max_outer),
+            StoppingRule("rule41", stop.tau, stop.max_outer),
             exact_linear=True,
         )
         # deterministic trajectories agree where both exist
@@ -252,7 +253,7 @@ def test_10_reproducibility(capsys, tmp_path):
     harness.run_experiment(cfg, out_dir=str(tmp_path / "b"), quiet=True)
     ok = True
     for suffix in ("iterations", "reconstruction", "summary"):
-        fa = (tmp_path / "a" / f"{cfg.name}_{suffix}.csv").read_bytes()
-        fb = (tmp_path / "b" / f"{cfg.name}_{suffix}.csv").read_bytes()
+        fa = (tmp_path / "a" / f"{cfg.output.name}_{suffix}.csv").read_bytes()
+        fb = (tmp_path / "b" / f"{cfg.output.name}_{suffix}.csv").read_bytes()
         ok &= fa == fb
     _verdict(capsys, 10, "identical config and seed give byte-identical CSVs", ok)

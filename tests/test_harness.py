@@ -1,3 +1,7 @@
+import configparser
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,8 +17,13 @@ from nitreg.harness import (
     spikes_1d,
     two_inclusions_2d,
 )
+from nitreg.inner_cg import InnerSettings
 from nitreg.operators import EllipticOp, IntegralOp
+from nitreg.penalties import Penalty
+from nitreg.solver import AlphaSchedule, StoppingRule
 from nitreg.spaces import GridFn, GridSpace, norm
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 SMALL_CONFIG = """\
@@ -55,13 +64,13 @@ def config_file(tmp_path):
 class TestConfigParsing:
     def test_load_and_defaults(self, config_file):
         cfg = load_config(config_file)
-        assert cfg.problem_kind == "integral_1d"
-        assert cfg.n == 60
+        assert cfg.problem.kind == "integral_1d"
+        assert cfg.problem.n == 60
         assert cfg.delta == 1e-3
-        assert cfg.schedule_kind == "geometric"  # default
-        assert cfg.alpha1 == 0.5
-        assert cfg.tau == 1.05
-        assert cfg.study_deltas == (4e-3, 1e-3)
+        assert cfg.schedule().kind == "geometric"  # default
+        assert cfg.schedule().alpha1 == 0.5
+        assert cfg.stopping().tau == 1.05
+        assert cfg.study.deltas == (4e-3, 1e-3)
 
     def test_overrides(self, config_file):
         cfg = load_config(config_file, {("noise", "seed"): 9})
@@ -88,6 +97,27 @@ class TestConfigParsing:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "nope.ini")
+
+    def test_defaults_defined_once(self):
+        cfg = config_from_dict({})
+        assert cfg.penalty() == Penalty()
+        assert cfg.schedule() == AlphaSchedule()
+        assert cfg.stopping() == StoppingRule()
+        assert cfg.inner_settings() == InnerSettings()
+
+    def test_smallest_grids_accepted(self):
+        cfg = config_from_dict({"problem": {"n": 1, "nx": 2, "ny": 2}})
+        assert (cfg.problem.n, cfg.problem.nx, cfg.problem.ny) == (1, 2, 2)
+
+    def test_readme_config_block_matches_parser(self):
+        block = re.search(r"```ini\n(.*?)```", README.read_text(), re.S).group(1)
+        parser = configparser.ConfigParser()
+        parser.read_string(block)
+        raw = {s: dict(parser[s]) for s in parser.sections()}
+        documented = {f"{s}.{k}" for s, kv in raw.items() for k in kv}
+        defaults = config_from_dict({})
+        assert documented == set(defaults.echo())
+        assert config_from_dict(raw) == defaults
 
     def test_factory_methods_round_trip(self, config_file):
         cfg = load_config(config_file)
@@ -183,7 +213,7 @@ class TestRunExperiment:
             assert (tmp_path / f"tiny_{suffix}.csv").exists()
         text = (tmp_path / "tiny_summary.csv").read_text()
         assert f"n_delta,{report.n_delta}" in text
-        assert "config.delta,0.001" in text
+        assert "config.noise.delta,0.001" in text
 
     def test_byte_identical_reruns(self, tmp_path, config_file):
         cfg = load_config(config_file)
@@ -226,19 +256,19 @@ class TestRunStudy:
 class TestBuiltinConfigs:
     def test_example51_defaults(self):
         cfg = example51_config("l2_l1")
-        assert cfg.n == 400
+        assert cfg.problem.n == 400
         assert cfg.delta == 5e-4
-        assert cfg.tau == 1.02
-        assert cfg.penalty_kind == "l2_l1"
-        assert cfg.mu == 0.01
-        assert cfg.study_deltas == (4e-3, 2e-3, 1e-3, 5e-4)
+        assert cfg.stopping().tau == 1.02
+        assert cfg.penalty().kind == "l2_l1"
+        assert cfg.penalty().mu == 0.01
+        assert cfg.study.deltas == (4e-3, 2e-3, 1e-3, 5e-4)
 
     def test_example52_defaults(self):
         cfg = example52_config("l2_tv", mu=1.0)
-        assert (cfg.nx, cfg.ny) == (40, 40)
+        assert (cfg.problem.nx, cfg.problem.ny) == (40, 40)
         assert cfg.delta == 1e-4
-        assert cfg.tau == 1.05
-        assert cfg.name == "example52_l2_tv_mu1"
+        assert cfg.stopping().tau == 1.05
+        assert cfg.output.name == "example52_l2_tv_mu1"
 
     def test_unknown_penalty_rejected(self):
         with pytest.raises(ConfigError):
@@ -274,6 +304,24 @@ class TestCli:
         path.write_text("[noise]\nwobble = 1\n")
         rc = cli.main(["run", str(path)])
         assert rc == 2
+
+    @pytest.mark.parametrize("ini", [
+        "[penalty]\nmu = -1\n",
+        "[schedule]\nkind = cubic\n",
+        "[stopping]\ntau = 0.5\n",
+        "[inner]\narmijo = 0.9\n",
+        "[method]\nr = 1\n",
+        "[problem]\nn = 0\n",
+        "[problem]\nkind = elliptic_2d\nnx = 1\n",
+        "[noise]\nseed = -1\n",
+        "[exact]\nselector = file\n",
+    ])
+    def test_invalid_value_exit_code(self, tmp_path, capsys, ini):
+        path = tmp_path / "bad.ini"
+        path.write_text(ini)
+        rc = cli.main(["run", str(path), "--out-dir", str(tmp_path), "--quiet"])
+        assert rc == 2
+        assert "error: [" in capsys.readouterr().err
 
     def test_check_subcommand(self, capsys):
         rc = cli.main(["check"])

@@ -160,9 +160,7 @@ class TestMinimize:
             p.x_prev,
             penalties.gradient(l2_l1(mu=1.0, a=0.5, eps=1e-3), p.x_prev),
         )
-        _x, stats = minimize(
-            p, InnerSettings(max_iters=60, track_history=True)
-        )
+        _x, stats = minimize(p, InnerSettings(max_iters=60))
         hist = np.array(stats.objective_history)
         assert np.all(np.diff(hist) <= 1e-12)
         assert hist[-1] < hist[0]

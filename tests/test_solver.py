@@ -203,11 +203,24 @@ class TestRun:
         assert r41.states[r41.n_delta].residual >= r41.threshold
         assert r41.states[r41.n_delta + 1].residual < r41.threshold
 
-    def test_max_outer_fallback_returns_best_residual(self):
+    @pytest.mark.parametrize("kind", ["discrepancy", "rule41"])
+    def test_already_below_threshold_at_start(self, kind):
+        # x_0 = 0 has residual ||ydelta||, below tau * delta for delta = ||ydelta||
+        op, _xd, _y, ydelta = small_problem()
+        report = run(
+            op, quadratic(mu=1.0), ydelta, norm(ydelta), GEOM,
+            StoppingRule(kind, tau=1.05, max_outer=5), exact_linear=True,
+        )
+        assert report.terminated_by == kind
+        assert report.n_delta == 0
+        assert len(report.states) == 1
+
+    @pytest.mark.parametrize("kind", ["discrepancy", "rule41"])
+    def test_max_outer_fallback_returns_best_residual(self, kind):
         op, _xd, _y, ydelta = small_problem()
         report = run(
             op, quadratic(mu=1.0), ydelta, 1e-12, GEOM,
-            StoppingRule(tau=1.05, max_outer=5), exact_linear=True,
+            StoppingRule(kind, tau=1.05, max_outer=5), exact_linear=True,
         )
         assert report.terminated_by == "max_outer"
         assert report.n_delta == int(np.argmin(report.residuals))
