@@ -101,6 +101,13 @@ def cmd_check(args) -> int:
 
     check("tangential cone of the linear operator", estimate_eta(op, h, 0.1, 3) == 0.0)
 
+    l1 = penalties.l2_l1(mu=0.01, a=1.0, eps=1e-6)
+    x0 = spaces.zeros(op.domain_space)
+    ydelta = harness.add_noise(op.apply(harness.spikes_1d(op.domain_space)), 5e-4, 1)
+    sub = inner_cg.InnerProblem(op, ydelta, l1, 0.05, x0, penalties.gradient(l1, x0))
+    check("inner solver converges on a smoothed-L1 subproblem",
+          inner_cg.minimize(sub)[1].converged)
+
     return 0 if not failures else 1
 
 

@@ -53,6 +53,10 @@ class Exact:
             raise ValueError("selector = file needs a path")
 
 
+# Problem kind each built-in exact solution is defined on.
+SELECTOR_KINDS = {"spikes_1d": "integral_1d", "two_inclusions_2d": "elliptic_2d"}
+
+
 @dataclass(frozen=True)
 class Noise:
     delta: float = 5e-4  # exact perturbation magnitude ||y - y^d||
@@ -83,6 +87,10 @@ class Output:
 @dataclass(frozen=True)
 class Study:
     deltas: tuple[float, ...] = ()  # noise levels of `nitreg study`
+
+    def __post_init__(self):
+        if any(d < 0.0 for d in self.deltas):
+            raise ValueError("deltas must be >= 0")
 
 
 def _section(name: str):
@@ -183,6 +191,10 @@ def config_from_dict(raw: dict, overrides: dict | None = None) -> ExperimentConf
     }
     if raw:
         raise ConfigError(f"unknown config section [{next(iter(raw))}]")
+    selector, kind = sections["exact"].selector, sections["problem"].kind
+    if SELECTOR_KINDS.get(selector, kind) != kind:
+        raise ConfigError(f"[exact] selector = {selector} needs [problem] kind = "
+                          f"{SELECTOR_KINDS[selector]}, not {kind}")
     return ExperimentConfig(**sections)
 
 

@@ -1,22 +1,29 @@
 """Inner minimization of the per-step Tikhonov functional.
 
 Each outer step minimizes ``(1/r) ||F(x) - y||^r + alpha * D_xi Theta(x, x_prev)``
-with a Fletcher-Reeves nonlinear CG using Armijo backtracking, a
-sufficient-descent safeguard and periodic restarts.  For a linear operator
-with quadratic penalty and r = 2 an exact linear CG on the normal equations
-is available.
+by L-BFGS (limited-memory BFGS directions from the two-loop recursion in the
+quadrature-weighted inner product) with Armijo backtracking.  A trial point
+where the operator fails, or where the objective is not finite, is rejected
+like any other trial.  For a linear operator with quadratic penalty and r = 2
+an exact linear CG on the normal equations is available.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import penalties
-from .operators import ForwardOp
+from .operators import ForwardOp, OperatorError
 from .penalties import Penalty
 from .spaces import DUAL, PRIMAL, GridFn, duality_map, norm
+
+MEMORY = 10  # stored (s, y) pairs
+ARMIJO = 1e-4  # sufficient-decrease constant
+BACKTRACK = 0.5  # step-length factor per rejected trial
+MAX_BACKTRACKS = 50
 
 
 @dataclass(frozen=True)
@@ -46,18 +53,10 @@ class InnerProblem:
 class InnerSettings:
     grad_tol_rel: float = 1e-8
     max_iters: int = 2000
-    restart_period: int = 0  # 0: problem dimension
-    armijo: float = 1e-4
-    backtrack: float = 0.5
-    max_backtracks: int = 50
 
     def __post_init__(self):
-        if not (0.0 < self.armijo < 0.5):
-            raise ValueError("armijo constant must be in (0, 1/2)")
-        if not (0.0 < self.backtrack < 1.0):
-            raise ValueError("backtrack factor must be in (0, 1)")
-        if self.grad_tol_rel <= 0 or self.max_iters <= 0 or self.max_backtracks <= 0:
-            raise ValueError("tolerances and iteration caps must be positive")
+        if self.grad_tol_rel <= 0 or self.max_iters <= 0:
+            raise ValueError("grad_tol_rel and max_iters must be positive")
 
 
 @dataclass
@@ -69,7 +68,6 @@ class InnerStats:
     initial_grad_norm: float = np.nan
     backtracks: int = 0
     objective: float = np.nan
-    initial_objective: float = np.nan
     objective_history: list = field(default_factory=list)  # per iterate of `minimize`
 
 
@@ -92,7 +90,7 @@ def minimize(
     s: InnerSettings | None = None,
     x_start: GridFn | None = None,
 ) -> tuple[GridFn, InnerStats]:
-    """Fletcher-Reeves CG with Armijo backtracking; monotone in the objective.
+    """L-BFGS with Armijo backtracking; monotone in the objective.
 
     Stops once the dual norm of the gradient drops below
     ``grad_tol_rel * max(1, initial gradient norm)`` or the iteration cap is
@@ -102,7 +100,6 @@ def minimize(
         s = InnerSettings()
     x = p.x_prev if x_start is None else x_start
     w = x.space.weights
-    restart_every = s.restart_period or x.space.size
 
     def ip(avals, bvals):
         return float(np.sum(w * avals * bvals))
@@ -111,60 +108,54 @@ def minimize(
     f_cur = objective(p, x)
     g = grad_objective(p, x)
     gn = norm(g)
-    stats.initial_objective = f_cur
     stats.initial_grad_norm = gn
     tol = s.grad_tol_rel * max(1.0, gn)
     stats.objective_history.append(f_cur)
 
-    d = None
-    gg_prev = None
-    slope_prev = None
-    t_prev = None
+    pairs = deque(maxlen=MEMORY)  # (s_k, y_k, 1 / <s_k, y_k>), oldest first
     for k in range(s.max_iters):
         if gn <= tol:
-            stats.converged = True
             break
-        gg = ip(g.values, g.values)
-        if d is None or k % restart_every == 0:
-            d = -g.values
+        # two-loop recursion: d = -H g, with H0 = <s, y> / <y, y> of the newest pair
+        q = g.values.copy()
+        coeffs = []
+        for sk, yk, rho in reversed(pairs):
+            a = rho * ip(sk, q)
+            q -= a * yk
+            coeffs.append(a)
+        if pairs:
+            sk, yk, rho = pairs[-1]
+            q *= 1.0 / (rho * ip(yk, yk))
+            t = 1.0
         else:
-            beta = gg / gg_prev
-            d = -g.values + beta * d
-            # sufficient-descent safeguard: fall back to steepest descent
-            if ip(g.values, d) >= -1e-10 * np.sqrt(gg * ip(d, d)):
-                d = -g.values
+            t = 1.0 / np.sqrt(ip(q, q))
+        for (sk, yk, rho), a in zip(pairs, reversed(coeffs)):
+            q += (a - rho * ip(yk, q)) * sk
+        d = -q
         slope = ip(g.values, d)
-        if t_prev is None:
-            t = 1.0 / np.sqrt(gg)
-        else:
-            t = 2.0 * t_prev * slope_prev / slope
-            if not np.isfinite(t) or t <= 0.0:
-                t = 1.0 / np.sqrt(gg)
-        accepted = False
-        for _bt in range(s.max_backtracks):
+        for _bt in range(MAX_BACKTRACKS):
             trial = GridFn(x.space, x.values + t * d, PRIMAL)
-            f_trial = objective(p, trial)
-            if f_trial <= f_cur + s.armijo * t * slope:
-                accepted = True
+            try:
+                f_trial = objective(p, trial)
+            except OperatorError:
+                f_trial = np.nan
+            if np.isfinite(f_trial) and f_trial <= f_cur + ARMIJO * t * slope:
                 break
-            t *= s.backtrack
+            t *= BACKTRACK
             stats.backtracks += 1
-        if not accepted:
+        else:
             stats.line_search_failed = True
             break
-        x = trial
-        f_cur = f_trial
-        g = grad_objective(p, x)
+        g_trial = grad_objective(p, trial)
+        sk, yk = trial.values - x.values, g_trial.values - g.values
+        sy = ip(sk, yk)
+        if sy > 0.0:
+            pairs.append((sk, yk, 1.0 / sy))
+        x, f_cur, g = trial, f_trial, g_trial
         gn = norm(g)
-        gg_prev = gg
-        slope_prev = slope
-        t_prev = t
         stats.iterations = k + 1
         stats.objective_history.append(f_cur)
-    else:
-        stats.converged = gn <= tol
-    if gn <= tol:
-        stats.converged = True
+    stats.converged = gn <= tol
     stats.grad_norm = gn
     stats.objective = f_cur
     return x, stats

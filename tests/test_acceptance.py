@@ -164,18 +164,28 @@ def test_05_monotonicity(capsys, ex51_runs):
     )
 
 
+# Runs whose every inner solve must converge: the quadratic penalty is smooth.
+ALWAYS_CONVERGED = ("ex51_quadratic", "ex52_quadratic")
+
+
 def test_06_termination(capsys, ex51_runs, ex52_runs):
     ok = True
     details = []
     for name, (report, _x, _t, _op) in {**ex51_runs, **ex52_runs}.items():
         final = report.states[report.n_delta]
+        stats = [s.inner_stats for s in report.states[1:]]
+        converged = sum(bool(s.converged) for s in stats)
         ok &= report.terminated_by == "discrepancy"
         ok &= report.n_delta <= 40
         ok &= final.residual <= report.threshold
-        details.append(f"{name}:n={report.n_delta}")
+        ok &= not any(s.line_search_failed for s in stats)
+        if name in ALWAYS_CONVERGED:
+            ok &= converged == len(stats)
+        details.append(f"{name}:n={report.n_delta},converged={converged}/{len(stats)}")
     _verdict(
         capsys, 6,
-        "discrepancy termination with n_delta <= 40 (" + ", ".join(details) + ")", ok,
+        "discrepancy termination with n_delta <= 40, no line-search failure, "
+        "every quadratic inner solve converged (" + ", ".join(details) + ")", ok,
     )
 
 

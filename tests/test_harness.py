@@ -309,12 +309,15 @@ class TestCli:
         "[penalty]\nmu = -1\n",
         "[schedule]\nkind = cubic\n",
         "[stopping]\ntau = 0.5\n",
-        "[inner]\narmijo = 0.9\n",
+        "[inner]\nmax_iters = 0\n",
         "[method]\nr = 1\n",
         "[problem]\nn = 0\n",
         "[problem]\nkind = elliptic_2d\nnx = 1\n",
         "[noise]\nseed = -1\n",
         "[exact]\nselector = file\n",
+        "[problem]\nkind = elliptic_2d\nnx = 4\nny = 4\n",
+        "[problem]\nkind = integral_1d\n[exact]\nselector = two_inclusions_2d\n",
+        "[study]\ndeltas = -1e-3 1e-3\n",
     ])
     def test_invalid_value_exit_code(self, tmp_path, capsys, ini):
         path = tmp_path / "bad.ini"
@@ -327,7 +330,7 @@ class TestCli:
         rc = cli.main(["check"])
         out = capsys.readouterr().out
         assert rc == 0
-        assert "ok" in out
+        assert "ok   inner solver converges on a smoothed-L1 subproblem" in out
         assert "FAIL" not in out
 
     def test_seed_override(self, tmp_path, config_file):

@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from nitreg import inner_cg, penalties, spaces
+from nitreg.harness import add_noise, spikes_1d
 from nitreg.inner_cg import (
     InnerProblem,
     InnerSettings,
@@ -9,7 +12,7 @@ from nitreg.inner_cg import (
     minimize,
     minimize_linear_quadratic,
 )
-from nitreg.operators import ForwardOp, IntegralOp
+from nitreg.operators import ForwardOp, IntegralOp, OperatorError
 from nitreg.penalties import l2_l1, quadratic
 from nitreg.spaces import DUAL, PRIMAL, GridFn, GridSpace, norm
 
@@ -35,6 +38,31 @@ class DiagOp(ForwardOp):
     def adjoint(self, x, w):
         self._check_range_dual(w)
         return GridFn(self.domain_space, self.diag * w.values, DUAL)
+
+
+class CappedIntegralOp(IntegralOp):
+    """Integral operator that fails, like a singular elliptic solve would,
+    wherever max(x) exceeds `cap`; counts its failures."""
+
+    def __init__(self, n, cap):
+        super().__init__(n)
+        self.cap = cap
+        self.failures = 0
+
+    def apply(self, x):
+        if x.values.max() > self.cap:
+            self.failures += 1
+            raise OperatorError("max(x) above the cap", x)
+        return super().apply(x)
+
+
+def spikes_l1_problem():
+    """First outer step of a smoothed-L1 reconstruction of the spikes."""
+    op = IntegralOp(80)
+    theta = l2_l1(mu=0.01, a=1.0, eps=1e-6)
+    x_prev = spaces.zeros(op.domain_space)
+    ydelta = add_noise(op.apply(spikes_1d(op.domain_space)), 5e-4, 1)
+    return InnerProblem(op, ydelta, theta, 0.05, x_prev, penalties.gradient(theta, x_prev))
 
 
 def quadratic_problem(n=60, alpha=0.1, mu=1.0, seed=0):
@@ -65,9 +93,7 @@ class TestValidation:
 
     def test_settings_validation(self):
         with pytest.raises(ValueError):
-            InnerSettings(armijo=0.7)
-        with pytest.raises(ValueError):
-            InnerSettings(backtrack=1.0)
+            InnerSettings(grad_tol_rel=0)
         with pytest.raises(ValueError):
             InnerSettings(max_iters=0)
 
@@ -177,6 +203,30 @@ class TestMinimize:
         _x, stats = minimize(p, InnerSettings(grad_tol_rel=1e-4), x_start=x_star)
         assert stats.converged
         assert stats.iterations <= 2
+
+    def test_smoothed_l1_subproblem_converges(self):
+        _x, stats = minimize(spikes_l1_problem())
+        assert stats.converged
+        assert not stats.line_search_failed
+        assert stats.grad_norm <= 1e-8 * max(1.0, stats.initial_grad_norm)
+
+    def test_operator_failure_at_trial_point_backtracks(self):
+        # the minimizer peaks at 0.18, but early trial steps go above the cap
+        op = CappedIntegralOp(80, cap=0.2)
+        p = replace(spikes_l1_problem(), op=op)
+        x, stats = minimize(p)
+        assert op.failures > 0
+        assert stats.backtracks >= op.failures
+        assert stats.converged
+        assert x.values.max() <= op.cap
+
+    def test_operator_failing_at_every_trial_flags_line_search(self):
+        op = CappedIntegralOp(80, cap=0.1)
+        p = replace(spikes_l1_problem(), op=op)
+        x, stats = minimize(p)
+        assert stats.line_search_failed
+        assert not stats.converged
+        assert x.values.max() <= op.cap
 
     def test_deterministic(self):
         p = quadratic_problem(n=40)
