@@ -6,7 +6,6 @@ from .spaces import (
     GridSpace,
     bregman_norm,
     duality_map,
-    lincomb,
     norm,
     pairing,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "GridSpace",
     "bregman_norm",
     "duality_map",
-    "lincomb",
     "norm",
     "pairing",
     "Penalty",

@@ -386,7 +386,7 @@ def example51_config(penalty: str = "l2_l1",
                      overrides: dict | None = None) -> ExperimentConfig:
     """Built-in config for the 1-D integral-equation experiment."""
     if penalty == "l2_l1":
-        theta = {"kind": "l2_l1", "mu": 0.01, "a": 1.0}
+        theta = {"mu": 0.01, "a": 1.0}
     elif penalty == "quadratic":
         theta = {}
     else:
@@ -403,7 +403,7 @@ def example52_config(penalty: str = "l2_tv", mu: float = 0.01,
                      overrides: dict | None = None) -> ExperimentConfig:
     """Built-in config for the 2-D elliptic parameter-identification experiment."""
     if penalty == "l2_tv":
-        theta, name = {"kind": "l2_tv", "mu": mu, "b": 1.0}, f"example52_l2_tv_mu{mu:g}"
+        theta, name = {"mu": mu, "b": 1.0}, f"example52_l2_tv_mu{mu:g}"
     elif penalty == "quadratic":
         theta, name = {}, "example52_quadratic"
     else:

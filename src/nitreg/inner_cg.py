@@ -4,8 +4,11 @@ Each outer step minimizes ``(1/r) ||F(x) - y||^r + alpha * D_xi Theta(x, x_prev)
 by L-BFGS (limited-memory BFGS directions from the two-loop recursion in the
 quadrature-weighted inner product) with Armijo backtracking.  A trial point
 where the operator fails, or where the objective is not finite, is rejected
-like any other trial.  For a linear operator with quadratic penalty and r = 2
-an exact linear CG on the normal equations is available.
+like any other trial.
+
+`solver.step` uses L-BFGS unless the subproblem is linear-quadratic: F linear,
+penalty weights a = b = 0, r = 2 and p = 2.  Then the subproblem is a linear
+system, solved exactly by CG on the normal equations.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse.linalg as spla
 
 from . import penalties
 from .operators import ForwardOp, OperatorError
@@ -164,20 +168,21 @@ def minimize(
 def is_linear_quadratic(p: InnerProblem) -> bool:
     return (
         p.op.is_linear
-        and p.theta.kind == "quadratic"
+        and p.theta.a == 0.0
+        and p.theta.b == 0.0
         and p.r == 2.0
         and p.x_prev.space.exponent == 2.0
         and p.ydelta.space.exponent == 2.0
     )
 
 
-def minimize_linear_quadratic(
-    p: InnerProblem, tol: float = 1e-13, max_iters: int | None = None
-) -> tuple[GridFn, InnerStats]:
+def minimize_linear_quadratic(p: InnerProblem) -> tuple[GridFn, InnerStats]:
     """Exact route for linear F, quadratic penalty, r = 2.
 
-    Solves the optimality system (A*A + 2 mu alpha I) x = A* y + alpha xi_prev
-    by linear CG in the quadrature-weighted inner product.
+    Solves the optimality system M x = A* y + alpha xi_prev with
+    M = A*A + 2 mu alpha I, which is self-adjoint in the quadrature-weighted
+    inner product: scipy's CG on W M x = W (A* y + alpha xi_prev), W the
+    quadrature weights, preconditioned by W^-1, is CG in that inner product.
     """
     if not is_linear_quadratic(p):
         raise ValueError("exact route needs a linear operator, quadratic penalty, r=2")
@@ -194,29 +199,23 @@ def minimize_linear_quadratic(
         p.op.adjoint(p.x_prev, GridFn(p.ydelta.space, p.ydelta.values, DUAL)).values
         + p.alpha * p.xi_prev.values
     )
-    v = p.x_prev.values.copy()
-    res = rhs - hess(v)
-    d = res.copy()
-    rr = float(np.sum(w * res * res))
-    rr0 = max(rr, 1e-300)
-    stats = InnerStats(initial_grad_norm=np.sqrt(rr))
-    if max_iters is None:
-        max_iters = 10 * space.size
-    for k in range(max_iters):
-        if rr <= tol * tol * rr0:
-            stats.converged = True
-            break
-        hd = hess(d)
-        step = rr / float(np.sum(w * d * hd))
-        v = v + step * d
-        res = res - step * hd
-        rr_new = float(np.sum(w * res * res))
-        d = res + (rr_new / rr) * d
-        rr = rr_new
-        stats.iterations = k + 1
-    else:
-        stats.converged = rr <= tol * tol * rr0
+
+    def grad_norm(v: np.ndarray) -> float:
+        return norm(GridFn(space, hess(v) - rhs, DUAL))
+
+    stats = InnerStats(initial_grad_norm=grad_norm(p.x_prev.values))
+
+    def count(_v):
+        stats.iterations += 1
+
+    n = space.size
+    v, info = spla.cg(
+        spla.LinearOperator((n, n), matvec=lambda u: w * hess(u)), w * rhs,
+        x0=p.x_prev.values, rtol=1e-13,
+        M=spla.LinearOperator((n, n), matvec=lambda u: u / w), callback=count,
+    )
     x = GridFn(space, v, PRIMAL)
-    stats.grad_norm = np.sqrt(rr)
+    stats.converged = info == 0
+    stats.grad_norm = grad_norm(v)
     stats.objective = objective(p, x)
     return x, stats

@@ -55,7 +55,7 @@ class IntegralOp(ForwardOp):
 
     is_linear = True
 
-    def __init__(self, n: int = 400, p: float = 2.0):
+    def __init__(self, n: int, p: float = 2.0):
         self.domain_space = GridSpace.interval(n, p)
         self.range_space = GridSpace.interval(n, p)
         t = self.domain_space.axis_nodes(0)
@@ -88,7 +88,7 @@ class EllipticOp(ForwardOp):
 
     is_linear = False
 
-    def __init__(self, nx: int = 40, ny: int = 40, f=None, g=None, p: float = 2.0):
+    def __init__(self, nx: int, ny: int, f=None, g=None, p: float = 2.0):
         self.domain_space = GridSpace.rectangle(nx, ny, p)
         self.range_space = GridSpace.rectangle(nx, ny, p)
         self.nx, self.ny = nx, ny

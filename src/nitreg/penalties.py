@@ -14,20 +14,17 @@ import numpy as np
 
 from .spaces import DUAL, GridFn, GridSpace, pairing
 
-KINDS = ("quadratic", "l2_l1", "l2_tv")
-
 
 @dataclass(frozen=True)
 class Penalty:
-    kind: str = "quadratic"
+    """The weights of the penalty; a = b = 0 is the quadratic penalty."""
+
     mu: float = 1.0
     a: float = 0.0
     b: float = 0.0
     eps: float = 1e-6
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown penalty kind {self.kind!r}")
         if self.mu <= 0.0:
             raise ValueError("mu must be > 0 (uniform convexity)")
         if (self.a > 0.0 or self.b > 0.0) and self.eps <= 0.0:
@@ -37,15 +34,15 @@ class Penalty:
 
 
 def quadratic(mu: float = Penalty.mu) -> Penalty:
-    return Penalty("quadratic", mu=mu)
+    return Penalty(mu=mu)
 
 
 def l2_l1(mu: float, a: float = 1.0, eps: float = Penalty.eps) -> Penalty:
-    return Penalty("l2_l1", mu=mu, a=a, eps=eps)
+    return Penalty(mu=mu, a=a, eps=eps)
 
 
 def l2_tv(mu: float, b: float = 1.0, eps: float = Penalty.eps) -> Penalty:
-    return Penalty("l2_tv", mu=mu, b=b, eps=eps)
+    return Penalty(mu=mu, b=b, eps=eps)
 
 
 def _forward_diffs(space: GridSpace, vals: np.ndarray):

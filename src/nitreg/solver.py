@@ -102,12 +102,14 @@ def step(
     prev: NitState,
     settings: InnerSettings | None = None,
     r: float = 2.0,
-    exact_linear: bool = False,
 ) -> NitState:
-    """One outer step: warm-started inner minimization plus the dual update
-    xi_n = xi_{n-1} - (1/alpha_n) F'(x_n)* J_r(F(x_n) - ydelta)."""
+    """One outer step: inner minimization plus the dual update
+    xi_n = xi_{n-1} - (1/alpha_n) F'(x_n)* J_r(F(x_n) - ydelta).
+
+    A linear-quadratic subproblem is solved exactly, any other by L-BFGS
+    warm-started at x_{n-1}."""
     problem = InnerProblem(op, ydelta, theta, alpha_n, prev.x, prev.xi, r)
-    if exact_linear and inner_cg.is_linear_quadratic(problem):
+    if inner_cg.is_linear_quadratic(problem):
         x_n, stats = inner_cg.minimize_linear_quadratic(problem)
     else:
         x_n, stats = inner_cg.minimize(problem, settings, x_start=prev.x)
@@ -151,7 +153,6 @@ def run(
     x0: GridFn | None = None,
     xi0: GridFn | None = None,
     r: float = 2.0,
-    exact_linear: bool = False,
     config: dict | None = None,
 ) -> RunReport:
     """Run the outer iteration until the stopping rule fires.
@@ -176,8 +177,7 @@ def run(
     else:
         for n in range(1, stop.max_outer + 1):
             states.append(
-                step(op, theta, ydelta, schedule.alpha(n), states[-1],
-                     settings, r, exact_linear)
+                step(op, theta, ydelta, schedule.alpha(n), states[-1], settings, r)
             )
             if crossed(states[-1].residual, threshold):
                 terminated_by = stop.kind
@@ -216,7 +216,6 @@ def convergence_study(
     stop: StoppingRule,
     settings: InnerSettings | None = None,
     r: float = 2.0,
-    exact_linear: bool = False,
 ) -> list[dict]:
     """Run the method for each noise level; returns one row per delta, sorted
     by delta descending.  `make_noisy(delta)` must return the noisy data.
@@ -226,8 +225,7 @@ def convergence_study(
         row = {"delta": delta}
         try:
             ydelta = make_noisy(delta)
-            report = run(op, theta, ydelta, delta, schedule, stop, settings,
-                         r=r, exact_linear=exact_linear)
+            report = run(op, theta, ydelta, delta, schedule, stop, settings, r=r)
             final = report.states[report.n_delta]
             row.update(
                 n_delta=report.n_delta,

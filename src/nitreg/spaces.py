@@ -39,6 +39,7 @@ class GridSpace:
     domain: tuple[tuple[float, float], ...]
     exponent: float = 2.0
     weights: np.ndarray = field(init=False, repr=False, compare=False)
+    size: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.exponent <= 1.0:
@@ -53,6 +54,7 @@ class GridSpace:
         for aw in axis_w[1:]:
             w = np.multiply.outer(w, aw)
         object.__setattr__(self, "weights", w.ravel())
+        object.__setattr__(self, "size", int(np.prod(self.dims)))
 
     @classmethod
     def interval(cls, n: int, p: float = 2.0, domain=(0.0, 1.0)) -> "GridSpace":
@@ -66,10 +68,6 @@ class GridSpace:
     ) -> "GridSpace":
         """Space on a rectangle with nx-by-ny subintervals."""
         return cls((nx + 1, ny + 1), (tuple(domain[0]), tuple(domain[1])), p)
-
-    @property
-    def size(self) -> int:
-        return int(np.prod(self.dims))
 
     @property
     def conjugate_exponent(self) -> float:
@@ -197,20 +195,6 @@ def bregman_norm(fbar: GridFn, f: GridFn, r: float) -> float:
         raise ValueError(f"r must be > 1, got {r}")
     jf = duality_map(f, r)
     return norm(fbar) ** r / r - norm(f) ** r / r - pairing(jf, fbar - f)
-
-
-def lincomb(coeffs, fns) -> GridFn:
-    """Linear combination preserving the variance tag; errors on mixed tags."""
-    fns = list(fns)
-    if not fns:
-        raise ValueError("lincomb needs at least one function")
-    first = fns[0]
-    for g in fns[1:]:
-        first._compatible(g)
-    vals = np.zeros(first.space.size)
-    for c, g in zip(coeffs, fns, strict=True):
-        vals += c * g.values
-    return GridFn(first.space, vals, first.variance)
 
 
 def scale(c: float, f: GridFn) -> GridFn:

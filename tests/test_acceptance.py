@@ -235,12 +235,10 @@ def test_09_stopping_rule_offset(capsys):
         dp = solver.run(
             op, theta, ydelta, cfg.delta, schedule,
             StoppingRule("discrepancy", stop.tau, stop.max_outer),
-            exact_linear=True,
         )
         r41 = solver.run(
             op, theta, ydelta, cfg.delta, schedule,
             StoppingRule("rule41", stop.tau, stop.max_outer),
-            exact_linear=True,
         )
         # deterministic trajectories agree where both exist
         for a, b in zip(dp.states, r41.states):

@@ -39,7 +39,6 @@ delta = 1e-3
 seed = 3
 
 [penalty]
-kind = quadratic
 mu = 1.0
 
 [stopping]
@@ -121,7 +120,7 @@ class TestConfigParsing:
 
     def test_factory_methods_round_trip(self, config_file):
         cfg = load_config(config_file)
-        assert cfg.penalty().kind == "quadratic"
+        assert (cfg.penalty().a, cfg.penalty().b) == (0.0, 0.0)
         assert cfg.schedule().alpha(2) == pytest.approx(0.25)
         assert cfg.stopping().tau == 1.05
         assert cfg.inner_settings().max_iters == 2000
@@ -259,7 +258,7 @@ class TestBuiltinConfigs:
         assert cfg.problem.n == 400
         assert cfg.delta == 5e-4
         assert cfg.stopping().tau == 1.02
-        assert cfg.penalty().kind == "l2_l1"
+        assert (cfg.penalty().a, cfg.penalty().b) == (1.0, 0.0)
         assert cfg.penalty().mu == 0.01
         assert cfg.study.deltas == (4e-3, 2e-3, 1e-3, 5e-4)
 
@@ -305,6 +304,14 @@ class TestCli:
         rc = cli.main(["run", str(path)])
         assert rc == 2
 
+    def test_penalty_kind_key_rejected(self, tmp_path, capsys):
+        # the weights define the penalty; a `kind` label could contradict them
+        path = tmp_path / "bad.ini"
+        path.write_text("[penalty]\nkind = l2_l1\n")
+        rc = cli.main(["run", str(path), "--out-dir", str(tmp_path), "--quiet"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: unknown key")
+
     @pytest.mark.parametrize("ini", [
         "[penalty]\nmu = -1\n",
         "[schedule]\nkind = cubic\n",
@@ -332,6 +339,13 @@ class TestCli:
         assert rc == 0
         assert "ok   inner solver converges on a smoothed-L1 subproblem" in out
         assert "FAIL" not in out
+
+    def test_check_catches_wrong_elliptic_adjoint(self, capsys, monkeypatch):
+        adjoint = EllipticOp.adjoint
+        monkeypatch.setattr(EllipticOp, "adjoint", lambda self, c, w: -adjoint(self, c, w))
+        rc = cli.main(["check"])
+        assert rc == 1
+        assert "FAIL elliptic adjoint consistency" in capsys.readouterr().out
 
     def test_seed_override(self, tmp_path, config_file):
         rc = cli.main(["run", str(config_file), "--out-dir", str(tmp_path / "s3"),

@@ -13,7 +13,7 @@ from nitreg.inner_cg import (
     minimize_linear_quadratic,
 )
 from nitreg.operators import ForwardOp, IntegralOp, OperatorError
-from nitreg.penalties import l2_l1, quadratic
+from nitreg.penalties import Penalty, l2_l1, quadratic
 from nitreg.spaces import DUAL, PRIMAL, GridFn, GridSpace, norm
 
 
@@ -248,6 +248,8 @@ class TestExactRoute:
             p.xi_prev,
         )
         assert not is_linear_quadratic(p_l1)
+        # the weights, not the constructor, make a penalty quadratic
+        assert not is_linear_quadratic(replace(p, theta=Penalty(mu=1.0, a=1.0)))
         p_r3 = InnerProblem(p.op, p.ydelta, p.theta, p.alpha, p.x_prev, p.xi_prev, r=3.0)
         assert not is_linear_quadratic(p_r3)
 

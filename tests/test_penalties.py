@@ -35,15 +35,11 @@ def fd_gradient_check(theta, x, rng, h=1e-6):
 class TestValidation:
     def test_requires_positive_mu(self):
         with pytest.raises(ValueError):
-            Penalty(kind="quadratic", mu=0.0)
+            Penalty(mu=0.0)
 
     def test_requires_eps_with_l1_term(self):
         with pytest.raises(ValueError):
-            Penalty(kind="l2_l1", mu=1.0, a=1.0, eps=0.0)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            Penalty(kind="l3")
+            Penalty(mu=1.0, a=1.0, eps=0.0)
 
 
 class TestQuadratic:

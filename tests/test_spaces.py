@@ -7,7 +7,6 @@ from nitreg.spaces import (
     GridSpace,
     bregman_norm,
     duality_map,
-    lincomb,
     norm,
     pairing,
 )
@@ -197,27 +196,10 @@ class TestBregmanNorm:
 
 
 class TestLincomb:
-    def test_identity(self, interval):
-        rng = np.random.default_rng(9)
-        f, g = random_fn(interval, rng), random_fn(interval, rng)
-        out = lincomb([1.0, 0.0], [f, g])
-        assert np.array_equal(out.values, f.values)
-
     def test_zero_scale(self, interval):
         rng = np.random.default_rng(10)
         f = random_fn(interval, rng)
         assert np.all(spaces.scale(0.0, f).values == 0.0)
-
-    def test_associativity(self, interval):
-        rng = np.random.default_rng(11)
-        f, g, h = (random_fn(interval, rng) for _ in range(3))
-        left = lincomb([1.0, 1.0], [lincomb([1.0, 1.0], [f, g]), h])
-        right = lincomb([1.0, 1.0], [f, lincomb([1.0, 1.0], [g, h])])
-        assert np.allclose(left.values, right.values, atol=1e-13)
-
-    def test_mixed_tags_rejected(self, interval):
-        with pytest.raises(ValueError):
-            lincomb([1, 1], [spaces.zeros(interval), spaces.zeros(interval, spaces.DUAL)])
 
 
 class TestCsvRoundTrip:
