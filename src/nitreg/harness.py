@@ -12,7 +12,7 @@ from typing import get_type_hints
 import numpy as np
 
 from . import penalties, solver
-from .inner_cg import InnerSettings
+from .inner_cg import InnerProblem, InnerSettings
 from .operators import EllipticOp, ForwardOp, IntegralOp
 from .penalties import Penalty
 from .solver import AlphaSchedule, RunReport, StoppingRule
@@ -71,7 +71,7 @@ class Noise:
 
 @dataclass(frozen=True)
 class Method:
-    r: float = 2.0  # data-fit exponent
+    r: float = InnerProblem.r  # data-fit exponent
 
     def __post_init__(self):
         if self.r <= 1.0:

@@ -2,9 +2,12 @@
 
 Each outer step minimizes ``(1/r) ||F(x) - y||^r + alpha * D_xi Theta(x, x_prev)``
 by L-BFGS (limited-memory BFGS directions from the two-loop recursion in the
-quadrature-weighted inner product) with Armijo backtracking.  A trial point
-where the operator fails, or where the objective is not finite, is rejected
-like any other trial.
+quadrature-weighted inner product) with Armijo backtracking.  F is applied
+once per point: the residual F(x) - y computed with the objective value is
+reused for the gradient.  A trial point where the operator fails, or where the
+objective is not finite, is rejected like any other trial.  A solve stops when
+an accepted step no longer moves x, since every later iteration would repeat
+that step.
 
 `solver.step` uses L-BFGS unless the subproblem is linear-quadratic: F linear,
 penalty weights a = b = 0, r = 2 and p = 2.  Then the subproblem is a linear
@@ -75,16 +78,16 @@ class InnerStats:
     objective_history: list = field(default_factory=list)  # per iterate of `minimize`
 
 
-def objective(p: InnerProblem, x: GridFn) -> float:
+def objective(p: InnerProblem, x: GridFn) -> tuple[float, GridFn]:
+    """The subproblem functional at x, and the residual res = F(x) - y."""
     res = p.op.apply(x) - p.ydelta
     fit = norm(res) ** p.r / p.r
-    return fit + p.alpha * penalties.bregman(p.theta, x, p.x_prev, p.xi_prev)
+    return fit + p.alpha * penalties.bregman(p.theta, x, p.x_prev, p.xi_prev), res
 
 
-def grad_objective(p: InnerProblem, x: GridFn) -> GridFn:
-    """Gradient in the dual representation:
-    F'(x)* J_r(F(x) - y) + alpha * (grad Theta(x) - xi_prev)."""
-    res = p.op.apply(x) - p.ydelta
+def grad_objective(p: InnerProblem, x: GridFn, res: GridFn) -> GridFn:
+    """Gradient in the dual representation, given res = F(x) - y:
+    F'(x)* J_r(res) + alpha * (grad Theta(x) - xi_prev)."""
     adj = p.op.adjoint(x, duality_map(res, p.r))
     return adj + p.alpha * (penalties.gradient(p.theta, x) - p.xi_prev)
 
@@ -98,7 +101,8 @@ def minimize(
 
     Stops once the dual norm of the gradient drops below
     ``grad_tol_rel * max(1, initial gradient norm)`` or the iteration cap is
-    reached.  A failed line search returns the best iterate with a flag.
+    reached, or an accepted step leaves x unchanged.  A failed line search
+    returns the best iterate with a flag.
     """
     if s is None:
         s = InnerSettings()
@@ -109,8 +113,8 @@ def minimize(
         return float(np.sum(w * avals * bvals))
 
     stats = InnerStats()
-    f_cur = objective(p, x)
-    g = grad_objective(p, x)
+    f_cur, res = objective(p, x)
+    g = grad_objective(p, x, res)
     gn = norm(g)
     stats.initial_grad_norm = gn
     tol = s.grad_tol_rel * max(1.0, gn)
@@ -140,7 +144,7 @@ def minimize(
         for _bt in range(MAX_BACKTRACKS):
             trial = GridFn(x.space, x.values + t * d, PRIMAL)
             try:
-                f_trial = objective(p, trial)
+                f_trial, res = objective(p, trial)
             except OperatorError:
                 f_trial = np.nan
             if np.isfinite(f_trial) and f_trial <= f_cur + ARMIJO * t * slope:
@@ -150,7 +154,9 @@ def minimize(
         else:
             stats.line_search_failed = True
             break
-        g_trial = grad_objective(p, trial)
+        if np.array_equal(trial.values, x.values):
+            break  # x, g and the memory are unchanged: this step would repeat
+        g_trial = grad_objective(p, trial, res)
         sk, yk = trial.values - x.values, g_trial.values - g.values
         sy = ip(sk, yk)
         if sy > 0.0:
@@ -199,11 +205,8 @@ def minimize_linear_quadratic(p: InnerProblem) -> tuple[GridFn, InnerStats]:
         p.op.adjoint(p.x_prev, GridFn(p.ydelta.space, p.ydelta.values, DUAL)).values
         + p.alpha * p.xi_prev.values
     )
-
-    def grad_norm(v: np.ndarray) -> float:
-        return norm(GridFn(space, hess(v) - rhs, DUAL))
-
-    stats = InnerStats(initial_grad_norm=grad_norm(p.x_prev.values))
+    _f, res = objective(p, p.x_prev)
+    stats = InnerStats(initial_grad_norm=norm(grad_objective(p, p.x_prev, res)))
 
     def count(_v):
         stats.iterations += 1
@@ -216,6 +219,6 @@ def minimize_linear_quadratic(p: InnerProblem) -> tuple[GridFn, InnerStats]:
     )
     x = GridFn(space, v, PRIMAL)
     stats.converged = info == 0
-    stats.grad_norm = grad_norm(v)
-    stats.objective = objective(p, x)
+    stats.objective, res = objective(p, x)
+    stats.grad_norm = norm(grad_objective(p, x, res))
     return x, stats

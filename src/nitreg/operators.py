@@ -4,7 +4,6 @@ parameter-to-state map, each with derivative and quadrature-exact adjoint."""
 from __future__ import annotations
 
 import abc
-import threading
 
 import numpy as np
 import scipy.sparse as sp
@@ -83,7 +82,7 @@ class EllipticOp(ForwardOp):
 
     The measurement is the whole state on the grid (interior + boundary).
     Linear systems use a direct sparse factorization, refactorized whenever
-    c changes; the factorization cache is guarded for concurrent use.
+    c changes.
     """
 
     is_linear = False
@@ -118,7 +117,6 @@ class EllipticOp(ForwardOp):
         gz[:, 0] = self.g[:, 0]
         gz[:, -1] = self.g[:, -1]
         self._rhs0 = self.f[1:-1, 1:-1].ravel() - self._stencil_interior(gz)
-        self._cache_lock = threading.Lock()
         self._cache = None  # (c_bytes, lu, u_int)
 
     def _stencil_interior(self, u: np.ndarray) -> np.ndarray:
@@ -132,9 +130,8 @@ class EllipticOp(ForwardOp):
 
     def _factorization(self, c: GridFn):
         key = c.values.tobytes()
-        with self._cache_lock:
-            if self._cache is not None and self._cache[0] == key:
-                return self._cache[1], self._cache[2]
+        if self._cache is not None and self._cache[0] == key:
+            return self._cache[1], self._cache[2]
         c_int = c.grid()[1:-1, 1:-1].ravel()
         matrix = self._laplacian + sp.diags(c_int)
         try:
@@ -144,14 +141,12 @@ class EllipticOp(ForwardOp):
             raise OperatorError(f"elliptic solve failed: {exc}", c) from exc
         if not np.all(np.isfinite(u_int)):
             raise OperatorError("elliptic solve produced non-finite state", c)
-        with self._cache_lock:
-            self._cache = (key, lu, u_int)
+        self._cache = (key, lu, u_int)
         return lu, u_int
 
     def _embed_interior(self, interior: np.ndarray, boundary: np.ndarray | None = None):
         full = np.zeros(self.domain_space.dims)
         if boundary is not None:
-            full[:] = 0.0
             full[0, :] = boundary[0, :]
             full[-1, :] = boundary[-1, :]
             full[:, 0] = boundary[:, 0]

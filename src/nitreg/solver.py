@@ -20,12 +20,12 @@ class AlphaSchedule:
     """Regularization-parameter sequence; all kinds satisfy
     sum(1/alpha_n) = inf and the bounded-ratio condition alpha_n <= c0 * alpha_{n+1}."""
 
-    kind: str = "geometric"  # geometric | constant | harmonic
+    kind: str = "geometric"  # geometric | harmonic
     alpha1: float = 0.5
     q: float = 0.5  # geometric ratio, in (0, 1]; alpha_n = alpha1 * q^(n-1)
 
     def __post_init__(self):
-        if self.kind not in ("geometric", "constant", "harmonic"):
+        if self.kind not in ("geometric", "harmonic"):
             raise ValueError(f"unknown schedule kind {self.kind!r}")
         if self.alpha1 <= 0.0:
             raise ValueError("alpha1 must be > 0")
@@ -37,16 +37,12 @@ class AlphaSchedule:
             raise ValueError("alpha is defined for n >= 1")
         if self.kind == "geometric":
             return self.alpha1 * self.q ** (n - 1)
-        if self.kind == "constant":
-            return self.alpha1
         return self.alpha1 / n
 
     @property
     def c0(self) -> float:
         if self.kind == "geometric":
             return 1.0 / self.q
-        if self.kind == "constant":
-            return 1.0
         return 2.0
 
 
@@ -101,7 +97,7 @@ def step(
     alpha_n: float,
     prev: NitState,
     settings: InnerSettings | None = None,
-    r: float = 2.0,
+    r: float = InnerProblem.r,
 ) -> NitState:
     """One outer step: inner minimization plus the dual update
     xi_n = xi_{n-1} - (1/alpha_n) F'(x_n)* J_r(F(x_n) - ydelta).
@@ -152,7 +148,7 @@ def run(
     settings: InnerSettings | None = None,
     x0: GridFn | None = None,
     xi0: GridFn | None = None,
-    r: float = 2.0,
+    r: float = InnerProblem.r,
     config: dict | None = None,
 ) -> RunReport:
     """Run the outer iteration until the stopping rule fires.
@@ -215,7 +211,7 @@ def convergence_study(
     schedule: AlphaSchedule,
     stop: StoppingRule,
     settings: InnerSettings | None = None,
-    r: float = 2.0,
+    r: float = InnerProblem.r,
 ) -> list[dict]:
     """Run the method for each noise level; returns one row per delta, sorted
     by delta descending.  `make_noisy(delta)` must return the noisy data.

@@ -315,6 +315,7 @@ class TestCli:
     @pytest.mark.parametrize("ini", [
         "[penalty]\nmu = -1\n",
         "[schedule]\nkind = cubic\n",
+        "[schedule]\nkind = constant\n",
         "[stopping]\ntau = 0.5\n",
         "[inner]\nmax_iters = 0\n",
         "[method]\nr = 1\n",

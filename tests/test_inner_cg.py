@@ -56,6 +56,18 @@ class CappedIntegralOp(IntegralOp):
         return super().apply(x)
 
 
+class CountingIntegralOp(IntegralOp):
+    """Integral operator that counts its applications."""
+
+    def __init__(self, n):
+        super().__init__(n)
+        self.applies = 0
+
+    def apply(self, x):
+        self.applies += 1
+        return super().apply(x)
+
+
 def spikes_l1_problem():
     """First outer step of a smoothed-L1 reconstruction of the spikes."""
     op = IntegralOp(80)
@@ -73,6 +85,26 @@ def quadratic_problem(n=60, alpha=0.1, mu=1.0, seed=0):
     xi_prev = penalties.gradient(theta, x_prev)
     y = GridFn(op.range_space, np.sin(2 * np.pi * op.range_space.axis_nodes(0)))
     return InnerProblem(op, y, theta, alpha, x_prev, xi_prev)
+
+
+def value(p, x):
+    return inner_cg.objective(p, x)[0]
+
+
+def gradient(p, x):
+    return inner_cg.grad_objective(p, x, inner_cg.objective(p, x)[1])
+
+
+def dense_minimizer(p):
+    """Independent oracle: assemble (A*A + 2 mu alpha I) x = A*y + alpha xi
+    densely in the node basis and solve directly."""
+    w = p.op.domain_space.weights
+    K = p.op.kernel
+    A = K * w[None, :]  # node-values matrix of the trapezoid operator
+    Astar = K.T * w[None, :]  # adjoint in the weighted pairing
+    M = Astar @ A + 2.0 * p.theta.mu * p.alpha * np.eye(len(w))
+    rhs = Astar @ p.ydelta.values + p.alpha * p.xi_prev.values
+    return np.linalg.solve(M, rhs)
 
 
 class TestValidation:
@@ -109,24 +141,25 @@ class TestObjective:
             0.5 * norm(p.op.apply(x) - p.ydelta) ** 2
             + 0.3 * 2.0 * norm(x - p.x_prev) ** 2
         )
-        assert inner_cg.objective(p, x) == pytest.approx(expected, rel=1e-12)
+        f, res = inner_cg.objective(p, x)
+        assert f == pytest.approx(expected, rel=1e-12)
+        assert np.array_equal(res.values, (p.op.apply(x) - p.ydelta).values)
 
     def test_objective_at_x_prev_is_pure_fit(self):
         p = quadratic_problem()
         fit = 0.5 * norm(p.op.apply(p.x_prev) - p.ydelta) ** 2
-        assert inner_cg.objective(p, p.x_prev) == pytest.approx(fit, rel=1e-12)
+        assert value(p, p.x_prev) == pytest.approx(fit, rel=1e-12)
 
     def test_gradient_finite_difference(self):
         p = quadratic_problem(n=40)
         rng = np.random.default_rng(2)
         x = GridFn(p.op.domain_space, rng.standard_normal(p.op.domain_space.size))
-        g = inner_cg.grad_objective(p, x)
+        g = gradient(p, x)
         d = GridFn(p.op.domain_space, rng.standard_normal(p.op.domain_space.size))
         d = spaces.scale(1.0 / norm(d), d)
         h = 1e-6
         approx = (
-            inner_cg.objective(p, x + spaces.scale(h, d))
-            - inner_cg.objective(p, x - spaces.scale(h, d))
+            value(p, x + spaces.scale(h, d)) - value(p, x - spaces.scale(h, d))
         ) / (2 * h)
         assert spaces.pairing(g, d) == pytest.approx(approx, rel=1e-6, abs=1e-9)
 
@@ -153,16 +186,8 @@ class TestDiagonalToy:
 
 class TestOracle:
     def test_against_dense_normal_equations(self):
-        # independent oracle: assemble (A*A + 2 mu alpha I) x = A*y + alpha xi
-        # densely in the node basis and solve directly
         p = quadratic_problem(n=60, alpha=0.05, mu=1.0)
-        w = p.op.domain_space.weights
-        K = p.op.kernel
-        A = K * w[None, :]  # node-values matrix of the trapezoid operator
-        Astar = K.T * w[None, :]  # adjoint in the weighted pairing
-        M = Astar @ A + 2.0 * p.theta.mu * p.alpha * np.eye(len(w))
-        rhs = Astar @ p.ydelta.values + p.alpha * p.xi_prev.values
-        exact = np.linalg.solve(M, rhs)
+        exact = dense_minimizer(p)
         scale = np.linalg.norm(exact)
 
         x_lin, stats_lin = minimize_linear_quadratic(p)
@@ -171,6 +196,17 @@ class TestOracle:
 
         x_cg, _ = minimize(p, InnerSettings(grad_tol_rel=1e-10, max_iters=5000))
         assert np.linalg.norm(x_cg.values - exact) <= 1e-6 * scale
+
+    def test_stops_when_steps_no_longer_move_x(self):
+        # the subproblem of acceptance test 04: its gradient tolerance lies
+        # below rounding, so steps eventually leave x unchanged
+        p = quadratic_problem(n=120, alpha=0.05, mu=1.0, seed=3)
+        exact = dense_minimizer(p)
+        x, stats = minimize(p, InnerSettings(grad_tol_rel=1e-10, max_iters=5000))
+        assert stats.iterations < 5000
+        assert not stats.converged
+        assert not stats.line_search_failed
+        assert np.linalg.norm(x.values - exact) <= 1e-6 * np.linalg.norm(exact)
 
 
 class TestMinimize:
@@ -228,6 +264,13 @@ class TestMinimize:
         assert not stats.converged
         assert x.values.max() <= op.cap
 
+    def test_applies_operator_once_per_point(self):
+        # the initial point, then one trial point per accepted step or backtrack
+        op = CountingIntegralOp(80)
+        p = replace(spikes_l1_problem(), op=op)
+        _x, stats = minimize(p)
+        assert op.applies == 1 + stats.iterations + stats.backtracks
+
     def test_deterministic(self):
         p = quadratic_problem(n=40)
         x1, _ = minimize(p, InnerSettings(max_iters=50))
@@ -262,6 +305,6 @@ class TestExactRoute:
     def test_first_order_optimality(self):
         p = quadratic_problem(n=80, alpha=0.02)
         x_star, _ = minimize_linear_quadratic(p)
-        g = inner_cg.grad_objective(p, x_star)
-        g0 = inner_cg.grad_objective(p, p.x_prev)
+        g = gradient(p, x_star)
+        g0 = gradient(p, p.x_prev)
         assert norm(g) <= 1e-10 * max(1.0, norm(g0))

@@ -37,7 +37,8 @@ class TestAlphaSchedule:
             assert GEOM.alpha(n) == pytest.approx(2.0 ** (-n))
 
     def test_constant(self):
-        s = AlphaSchedule("constant", alpha1=0.7)
+        # a constant schedule is the geometric one with q = 1
+        s = AlphaSchedule("geometric", alpha1=0.7, q=1.0)
         assert [s.alpha(n) for n in (1, 5, 50)] == [0.7, 0.7, 0.7]
 
     def test_harmonic(self):
@@ -46,18 +47,18 @@ class TestAlphaSchedule:
 
     def test_c0_values(self):
         assert GEOM.c0 == pytest.approx(2.0)
-        assert AlphaSchedule("constant", 1.0).c0 == 1.0
+        assert AlphaSchedule("geometric", 1.0, q=1.0).c0 == 1.0
         assert AlphaSchedule("harmonic", 1.0).c0 == 2.0
 
     def test_ratio_condition(self):
         # alpha_n <= c0 * alpha_{n+1} for every kind
-        for s in (GEOM, AlphaSchedule("constant", 0.3), AlphaSchedule("harmonic", 2.0)):
+        for s in (GEOM, AlphaSchedule("geometric", 0.3, q=1.0), AlphaSchedule("harmonic", 2.0)):
             for n in range(1, 20):
                 assert s.alpha(n) <= s.c0 * s.alpha(n + 1) + 1e-15
 
     def test_divergent_sum_of_inverses(self):
         # partial sums of 1/alpha_n grow without bound (checked far out)
-        for s in (GEOM, AlphaSchedule("constant", 1.0), AlphaSchedule("harmonic", 1.0)):
+        for s in (GEOM, AlphaSchedule("geometric", 1.0, q=1.0), AlphaSchedule("harmonic", 1.0)):
             partial = sum(1.0 / s.alpha(n) for n in range(1, 60))
             assert partial > 50.0
 
