@@ -109,6 +109,14 @@ def cmd_check(args) -> int:
     check("inner solver converges on a smoothed-L1 subproblem",
           inner_cg.minimize(sub)[1].converged)
 
+    # first outer step of example 5.2's TV reconstruction on a 10x10 grid
+    cfg = harness.example52_config(overrides={("problem", "nx"): 10, ("problem", "ny"): 10})
+    pde, _c_dagger, y = harness.make_problem(cfg)
+    c0 = spaces.zeros(pde.domain_space)
+    sub = inner_cg.InnerProblem(pde, harness.add_noise(y, 1e-3, 1), cfg.theta, 0.5, c0,
+                                penalties.gradient(cfg.theta, c0))
+    check("inner solver converges on a TV subproblem", inner_cg.minimize(sub)[1].converged)
+
     return 0 if not failures else 1
 
 

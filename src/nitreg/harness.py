@@ -413,7 +413,6 @@ def example52_config(penalty: str = "l2_tv", mu: float = 0.01,
         "exact": {"selector": "two_inclusions_2d"},
         "noise": {"delta": 1e-4},
         "stopping": {"tau": 1.05},
-        "inner": {"max_iters": 300},
         "penalty": theta,
         "output": {"name": name},
         "study": {"deltas": "1e-3 3e-4 1e-4"},

@@ -1,23 +1,25 @@
 """Inner minimization of the per-step Tikhonov functional.
 
 Each outer step minimizes ``(1/r) ||F(x) - y||^r + alpha * D_xi Theta(x, x_prev)``
-by L-BFGS (limited-memory BFGS directions from the two-loop recursion in the
-quadrature-weighted inner product) with Armijo backtracking.  F is applied
-once per point: the residual F(x) - y computed with the objective value is
-reused for the gradient.  A trial point where the operator fails, or where the
-objective is not finite, is rejected like any other trial.  A solve stops when
-an accepted step no longer moves x, since every later iteration would repeat
-that step.
+by truncated Gauss–Newton–CG with Armijo backtracking.  Each Newton system
+``(F'(x)* J_r'(res) F'(x) + alpha W^-1 P(x)) h = -g``, with W the quadrature
+weights and P = `penalties.hessian`, is solved by CG in the quadrature-weighted
+inner product, preconditioned by a sparse LU of alpha P.  CG stops at the
+Eisenstat–Walker relative residual ``min(0.5, sqrt(||g|| / max(1, ||g_0||)))``,
+or at 1e-13 when the subproblem is linear-quadratic (F linear, a = b = 0,
+r = p = 2), which one Newton step then solves.  For TV, P uses the dual field
+of Chan, Golub & Mulet, updated after each accepted step.
 
-`solver.step` uses L-BFGS unless the subproblem is linear-quadratic: F linear,
-penalty weights a = b = 0, r = 2 and p = 2.  Then the subproblem is a linear
-system, solved exactly by CG on the normal equations.
+F is applied once per point: the residual F(x) - y computed with the objective
+value is reused for the gradient, and CG takes derivatives at x.  A trial
+point where the operator fails, or where the objective is not finite, is
+rejected like any other trial.  A solve stops when an accepted step no longer
+moves x.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -27,10 +29,10 @@ from .operators import ForwardOp, OperatorError
 from .penalties import Penalty
 from .spaces import DUAL, PRIMAL, GridFn, duality_map, norm
 
-MEMORY = 10  # stored (s, y) pairs
 ARMIJO = 1e-4  # sufficient-decrease constant
 BACKTRACK = 0.5  # step-length factor per rejected trial
 MAX_BACKTRACKS = 50
+EXACT_RTOL = 1e-13  # CG tolerance of a linear-quadratic subproblem
 
 
 @dataclass(frozen=True)
@@ -59,7 +61,7 @@ class InnerProblem:
 @dataclass(frozen=True)
 class InnerSettings:
     grad_tol_rel: float = 1e-8
-    max_iters: int = 2000
+    max_iters: int = 2000  # Newton iterations
 
     def __post_init__(self):
         if self.grad_tol_rel <= 0 or self.max_iters <= 0:
@@ -75,7 +77,6 @@ class InnerStats:
     initial_grad_norm: float = np.nan
     backtracks: int = 0
     objective: float = np.nan
-    objective_history: list = field(default_factory=list)  # per iterate of `minimize`
 
 
 def objective(p: InnerProblem, x: GridFn) -> tuple[float, GridFn]:
@@ -92,12 +93,51 @@ def grad_objective(p: InnerProblem, x: GridFn, res: GridFn) -> GridFn:
     return adj + p.alpha * (penalties.gradient(p.theta, x) - p.xi_prev)
 
 
+def is_linear_quadratic(p: InnerProblem) -> bool:
+    return (
+        p.op.is_linear
+        and p.theta.a == 0.0
+        and p.theta.b == 0.0
+        and p.r == 2.0
+        and p.x_prev.space.exponent == 2.0
+        and p.ydelta.space.exponent == 2.0
+    )
+
+
+def _newton_direction(p: InnerProblem, x: GridFn, res: GridFn, g: GridFn,
+                      cell: np.ndarray | None, rtol: float) -> np.ndarray:
+    """CG on ``W F'* J_r'(res) F' + alpha P`` with right-hand side ``-W g``.
+
+    ``J_r'(u) h = ||u||^(r-2) (h + (r-2) <u, h> u / ||u||^2)`` is the
+    derivative of the duality mapping on a p = 2 space; it is symmetric
+    positive definite for every r > 1, so the matrix is too.  For p != 2 it is
+    a Gauss–Newton model, and the line search keeps descent.
+    """
+    space, rspace = x.space, res.space
+    rn = norm(res)
+    scale = rn ** (p.r - 2.0) if rn > 0.0 else float(p.r == 2.0)
+    rank1 = (p.r - 2.0) / rn**2 if rn > 0.0 else 0.0
+    hess = p.alpha * penalties.hessian(p.theta, x, cell)
+
+    def matvec(v):
+        fv = p.op.deriv(x, GridFn(space, v, PRIMAL)).values
+        jv = scale * (fv + rank1 * np.sum(rspace.weights * res.values * fv) * res.values)
+        return space.weights * p.op.adjoint(x, GridFn(rspace, jv, DUAL)).values + hess @ v
+
+    n = space.size
+    h, _info = spla.cg(
+        spla.LinearOperator((n, n), matvec=matvec), -space.weights * g.values, rtol=rtol,
+        M=spla.LinearOperator((n, n), matvec=spla.splu(hess).solve),
+    )
+    return h
+
+
 def minimize(
     p: InnerProblem,
     s: InnerSettings | None = None,
     x_start: GridFn | None = None,
 ) -> tuple[GridFn, InnerStats]:
-    """L-BFGS with Armijo backtracking; monotone in the objective.
+    """Truncated Gauss–Newton–CG with Armijo backtracking; monotone in the objective.
 
     Stops once the dual norm of the gradient drops below
     ``grad_tol_rel * max(1, initial gradient norm)`` or the iteration cap is
@@ -109,38 +149,22 @@ def minimize(
     x = p.x_prev if x_start is None else x_start
     w = x.space.weights
 
-    def ip(avals, bvals):
-        return float(np.sum(w * avals * bvals))
-
     stats = InnerStats()
     f_cur, res = objective(p, x)
     g = grad_objective(p, x, res)
-    gn = norm(g)
-    stats.initial_grad_norm = gn
-    tol = s.grad_tol_rel * max(1.0, gn)
-    stats.objective_history.append(f_cur)
+    gn = stats.initial_grad_norm = norm(g)
+    g0 = max(1.0, gn)
+    tol = s.grad_tol_rel * g0
+    exact = is_linear_quadratic(p)
+    cell = None  # TV dual field; None is d/m at x
 
-    pairs = deque(maxlen=MEMORY)  # (s_k, y_k, 1 / <s_k, y_k>), oldest first
     for k in range(s.max_iters):
         if gn <= tol:
             break
-        # two-loop recursion: d = -H g, with H0 = <s, y> / <y, y> of the newest pair
-        q = g.values.copy()
-        coeffs = []
-        for sk, yk, rho in reversed(pairs):
-            a = rho * ip(sk, q)
-            q -= a * yk
-            coeffs.append(a)
-        if pairs:
-            sk, yk, rho = pairs[-1]
-            q *= 1.0 / (rho * ip(yk, yk))
-            t = 1.0
-        else:
-            t = 1.0 / np.sqrt(ip(q, q))
-        for (sk, yk, rho), a in zip(pairs, reversed(coeffs)):
-            q += (a - rho * ip(yk, q)) * sk
-        d = -q
-        slope = ip(g.values, d)
+        rtol = EXACT_RTOL if exact else min(0.5, np.sqrt(gn / g0))  # Eisenstat–Walker
+        d = _newton_direction(p, x, res, g, cell, rtol)
+        slope = float(np.sum(w * g.values * d))
+        t = 1.0
         for _bt in range(MAX_BACKTRACKS):
             trial = GridFn(x.space, x.values + t * d, PRIMAL)
             try:
@@ -155,70 +179,14 @@ def minimize(
             stats.line_search_failed = True
             break
         if np.array_equal(trial.values, x.values):
-            break  # x, g and the memory are unchanged: this step would repeat
-        g_trial = grad_objective(p, trial, res)
-        sk, yk = trial.values - x.values, g_trial.values - g.values
-        sy = ip(sk, yk)
-        if sy > 0.0:
-            pairs.append((sk, yk, 1.0 / sy))
-        x, f_cur, g = trial, f_trial, g_trial
+            break  # x and g are unchanged: this step would repeat
+        if p.theta.b > 0.0:
+            cell = penalties.tv_field_step(p.theta, x, cell, trial - x)
+        x, f_cur = trial, f_trial
+        g = grad_objective(p, x, res)
         gn = norm(g)
         stats.iterations = k + 1
-        stats.objective_history.append(f_cur)
     stats.converged = gn <= tol
     stats.grad_norm = gn
     stats.objective = f_cur
-    return x, stats
-
-
-def is_linear_quadratic(p: InnerProblem) -> bool:
-    return (
-        p.op.is_linear
-        and p.theta.a == 0.0
-        and p.theta.b == 0.0
-        and p.r == 2.0
-        and p.x_prev.space.exponent == 2.0
-        and p.ydelta.space.exponent == 2.0
-    )
-
-
-def minimize_linear_quadratic(p: InnerProblem) -> tuple[GridFn, InnerStats]:
-    """Exact route for linear F, quadratic penalty, r = 2.
-
-    Solves the optimality system M x = A* y + alpha xi_prev with
-    M = A*A + 2 mu alpha I, which is self-adjoint in the quadrature-weighted
-    inner product: scipy's CG on W M x = W (A* y + alpha xi_prev), W the
-    quadrature weights, preconditioned by W^-1, is CG in that inner product.
-    """
-    if not is_linear_quadratic(p):
-        raise ValueError("exact route needs a linear operator, quadratic penalty, r=2")
-    space = p.x_prev.space
-    w = space.weights
-    two_mu_alpha = 2.0 * p.theta.mu * p.alpha
-
-    def hess(v: np.ndarray) -> np.ndarray:
-        xv = GridFn(space, v, PRIMAL)
-        av = p.op.apply(xv)
-        return p.op.adjoint(xv, GridFn(av.space, av.values, DUAL)).values + two_mu_alpha * v
-
-    rhs = (
-        p.op.adjoint(p.x_prev, GridFn(p.ydelta.space, p.ydelta.values, DUAL)).values
-        + p.alpha * p.xi_prev.values
-    )
-    _f, res = objective(p, p.x_prev)
-    stats = InnerStats(initial_grad_norm=norm(grad_objective(p, p.x_prev, res)))
-
-    def count(_v):
-        stats.iterations += 1
-
-    n = space.size
-    v, info = spla.cg(
-        spla.LinearOperator((n, n), matvec=lambda u: w * hess(u)), w * rhs,
-        x0=p.x_prev.values, rtol=1e-13,
-        M=spla.LinearOperator((n, n), matvec=lambda u: u / w), callback=count,
-    )
-    x = GridFn(space, v, PRIMAL)
-    stats.converged = info == 0
-    stats.objective, res = objective(p, x)
-    stats.grad_norm = norm(grad_objective(p, x, res))
     return x, stats

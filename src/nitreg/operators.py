@@ -68,7 +68,9 @@ class IntegralOp(ForwardOp):
         return GridFn(self.range_space, vals, PRIMAL)
 
     def deriv(self, x: GridFn, h: GridFn) -> GridFn:
-        return self.apply(h)
+        self._check_domain(h)
+        vals = self.kernel @ (self.domain_space.weights * h.values)
+        return GridFn(self.range_space, vals, PRIMAL)
 
     def adjoint(self, x: GridFn, w: GridFn) -> GridFn:
         self._check_range_dual(w)

@@ -4,13 +4,20 @@ The penalty is ``mu * int |x|^2 + a * int |x| + b * TV(x)``; the L1 and TV
 terms are replaced by the smooth surrogates ``int sqrt(x^2 + eps)`` and
 ``int sqrt(|grad x|^2 + eps)``.  The quadratic part (mu > 0) supplies a
 2-uniform convexity modulus regardless of a and b.
+
+TV is defined through one sparse forward-difference operator D per space,
+which maps nodal values to one difference per cell and axis; it gives the
+value, the gradient and the Hessian.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .spaces import DUAL, GridFn, GridSpace, pairing
 
@@ -45,15 +52,27 @@ def l2_tv(mu: float, b: float = 1.0, eps: float = Penalty.eps) -> Penalty:
     return Penalty(mu=mu, b=b, eps=eps)
 
 
-def _forward_diffs(space: GridSpace, vals: np.ndarray):
-    """Forward differences on the cell grid (one cell per subinterval)."""
-    h = space.spacings
-    if len(space.dims) == 1:
-        return (np.diff(vals) / h[0],), h[0]
-    g = vals.reshape(space.dims)
-    dx = (g[1:, :-1] - g[:-1, :-1]) / h[0]
-    dy = (g[:-1, 1:] - g[:-1, :-1]) / h[1]
-    return (dx, dy), h[0] * h[1]
+@functools.lru_cache(maxsize=8)
+def _differences(space: GridSpace) -> sp.csr_matrix:
+    """Forward differences D on the cell grid, one block of rows per axis.
+
+    Each cell has its lower corner at a node that is not last on any axis;
+    block k holds (v[node + e_k] - v[node]) / h_k for every such node.
+    """
+    first = [sp.eye(n - 1, n) for n in space.dims]  # drops the last node of an axis
+    blocks = []
+    for k, (n, h) in enumerate(zip(space.dims, space.spacings)):
+        factors = first.copy()
+        factors[k] = (sp.eye(n - 1, n, k=1) - sp.eye(n - 1, n)) / h
+        blocks.append(functools.reduce(sp.kron, factors))
+    return sp.vstack(blocks).tocsr()
+
+
+def _cells(space: GridSpace, vals: np.ndarray, eps: float):
+    """D, the differences d = D v (one row per axis) and m = sqrt(|d|^2 + eps)."""
+    diff = _differences(space)
+    d = (diff @ vals).reshape(len(space.dims), -1)
+    return diff, d, np.sqrt(np.sum(d * d, axis=0) + eps)
 
 
 def value(theta: Penalty, x: GridFn) -> float:
@@ -63,33 +82,9 @@ def value(theta: Penalty, x: GridFn) -> float:
     if theta.a > 0.0:
         total += theta.a * float(np.sum(w * np.sqrt(v * v + theta.eps)))
     if theta.b > 0.0:
-        diffs, area = _forward_diffs(x.space, v)
-        mag = np.sqrt(sum(d * d for d in diffs) + theta.eps)
-        total += theta.b * area * float(np.sum(mag))
+        _diff, _d, m = _cells(x.space, v, theta.eps)
+        total += theta.b * math.prod(x.space.spacings) * float(np.sum(m))
     return total
-
-
-def _tv_euclidean_gradient(space: GridSpace, vals: np.ndarray, eps: float) -> np.ndarray:
-    """Euclidean gradient of the smoothed TV term w.r.t. nodal values."""
-    h = space.spacings
-    if len(space.dims) == 1:
-        d = np.diff(vals) / h[0]
-        q = d / np.sqrt(d * d + eps)  # cell measure h cancels the 1/h of d
-        g = np.zeros_like(vals)
-        g[1:] += q
-        g[:-1] -= q
-        return g
-    hx, hy = h
-    (dx, dy), _area = _forward_diffs(space, vals)
-    inv = 1.0 / np.sqrt(dx * dx + dy * dy + eps)
-    qx = hy * inv * dx  # area/hx = hy
-    qy = hx * inv * dy
-    g = np.zeros(space.dims)
-    g[1:, :-1] += qx
-    g[:-1, :-1] -= qx
-    g[:-1, 1:] += qy
-    g[:-1, :-1] -= qy
-    return g.ravel()
 
 
 def gradient(theta: Penalty, x: GridFn) -> GridFn:
@@ -105,8 +100,57 @@ def gradient(theta: Penalty, x: GridFn) -> GridFn:
     if theta.a > 0.0:
         g = g + theta.a * w * v / np.sqrt(v * v + theta.eps)
     if theta.b > 0.0:
-        g = g + theta.b * _tv_euclidean_gradient(x.space, v, theta.eps)
+        diff, d, m = _cells(x.space, v, theta.eps)
+        g = g + theta.b * math.prod(x.space.spacings) * (diff.T @ (d / m).ravel())
     return GridFn(x.space, g / w, DUAL)
+
+
+def hessian(theta: Penalty, x: GridFn, cell: np.ndarray | None = None) -> sp.csc_matrix:
+    """Euclidean Hessian of the smoothed penalty w.r.t. nodal values.
+
+    The TV part is ``b * area * D^T A D`` with the per-cell block
+    ``A = I/m - sym(cell d^T)/m^2``.  ``cell`` is the dual field of Chan,
+    Golub & Mulet (one row per axis, |cell| < 1); None means d/m, which makes
+    this the exact Hessian.
+    """
+    w = x.space.weights
+    v = x.values
+    diag = 2.0 * theta.mu * w
+    if theta.a > 0.0:
+        diag = diag + theta.a * w * theta.eps / (v * v + theta.eps) ** 1.5
+    hess = sp.diags(diag)
+    if theta.b > 0.0:
+        diff, d, m = _cells(x.space, v, theta.eps)
+        if cell is None:
+            cell = d / m
+        axes = range(len(d))
+        a = sp.bmat([[sp.diags(float(i == j) / m - (cell[i] * d[j] + cell[j] * d[i]) / (2 * m**2))
+                      for j in axes] for i in axes])
+        hess = hess + theta.b * math.prod(x.space.spacings) * (diff.T @ a @ diff)
+    return sp.csc_matrix(hess)
+
+
+def tv_field_step(theta: Penalty, x: GridFn, cell: np.ndarray | None,
+                  step: GridFn) -> np.ndarray:
+    """The TV dual field after the primal step x -> x + step (Chan, Golub & Mulet).
+
+    Newton's correction of the field's equation ``m cell = d``, linearized at
+    x, is damped to 0.9 of the largest step that keeps |cell| <= 1 in every
+    cell, and to at most 1.  A None ``cell`` stands for d/m at x.
+    """
+    diff, d, m = _cells(x.space, x.values, theta.eps)
+    if cell is None:
+        cell = d / m
+    dd = (diff @ step.values).reshape(d.shape)
+    dw = d / m - cell + (dd - cell * np.sum(d * dd, axis=0) / m) / m
+    # per cell, |cell + s dw| = 1 at s = c / (b + sqrt(b^2 + a c))
+    a = np.sum(dw * dw, axis=0)
+    b = np.sum(cell * dw, axis=0)
+    c = 1.0 - np.sum(cell * cell, axis=0)
+    den = b + np.sqrt(b * b + a * c)
+    moving = den > 0.0
+    s = min(1.0, 0.9 * np.min(c[moving] / den[moving], initial=np.inf))
+    return cell + s * dw
 
 
 def bregman(theta: Penalty, xbar: GridFn, x: GridFn, xi: GridFn) -> float:
@@ -117,17 +161,3 @@ def bregman(theta: Penalty, xbar: GridFn, x: GridFn, xi: GridFn) -> float:
     gradient only at inner-solver optimality.
     """
     return value(theta, xbar) - value(theta, x) - pairing(xi, xbar - x)
-
-
-def three_point(
-    theta: Penalty,
-    x2: GridFn,
-    x1: GridFn,
-    x: GridFn,
-    xi1: GridFn,
-    xi: GridFn,
-) -> float:
-    """Residual of the three-point Bregman identity; ~0 up to roundoff."""
-    lhs = bregman(theta, x2, x, xi) - bregman(theta, x1, x, xi)
-    rhs = bregman(theta, x2, x1, xi1) + pairing(xi1 - xi, x2 - x1)
-    return abs(lhs - rhs)

@@ -102,13 +102,9 @@ def step(
     """One outer step: inner minimization plus the dual update
     xi_n = xi_{n-1} - (1/alpha_n) F'(x_n)* J_r(F(x_n) - ydelta).
 
-    A linear-quadratic subproblem is solved exactly, any other by L-BFGS
-    warm-started at x_{n-1}."""
+    The subproblem is minimized by Newton–CG warm-started at x_{n-1}."""
     problem = InnerProblem(op, ydelta, theta, alpha_n, prev.x, prev.xi, r)
-    if inner_cg.is_linear_quadratic(problem):
-        x_n, stats = inner_cg.minimize_linear_quadratic(problem)
-    else:
-        x_n, stats = inner_cg.minimize(problem, settings, x_start=prev.x)
+    x_n, stats = inner_cg.minimize(problem, settings)
     residual_fn = op.apply(x_n) - ydelta
     jr = duality_map(residual_fn, r)
     xi_n = prev.xi - (1.0 / alpha_n) * op.adjoint(x_n, jr)

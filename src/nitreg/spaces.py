@@ -197,10 +197,6 @@ def bregman_norm(fbar: GridFn, f: GridFn, r: float) -> float:
     return norm(fbar) ** r / r - norm(f) ** r / r - pairing(jf, fbar - f)
 
 
-def scale(c: float, f: GridFn) -> GridFn:
-    return c * f
-
-
 def write_csv(f: GridFn, path) -> None:
     """Serialize a grid function: header with space metadata, one value per line."""
     dims = ",".join(str(d) for d in f.space.dims)

@@ -339,6 +339,7 @@ class TestCli:
         out = capsys.readouterr().out
         assert rc == 0
         assert "ok   inner solver converges on a smoothed-L1 subproblem" in out
+        assert "ok   inner solver converges on a TV subproblem" in out
         assert "FAIL" not in out
 
     def test_check_catches_wrong_elliptic_adjoint(self, capsys, monkeypatch):

@@ -4,14 +4,8 @@ import numpy as np
 import pytest
 
 from nitreg import inner_cg, penalties, spaces
-from nitreg.harness import add_noise, spikes_1d
-from nitreg.inner_cg import (
-    InnerProblem,
-    InnerSettings,
-    is_linear_quadratic,
-    minimize,
-    minimize_linear_quadratic,
-)
+from nitreg.harness import add_noise, example52_config, make_problem, spikes_1d
+from nitreg.inner_cg import InnerProblem, InnerSettings, is_linear_quadratic, minimize
 from nitreg.operators import ForwardOp, IntegralOp, OperatorError
 from nitreg.penalties import Penalty, l2_l1, quadratic
 from nitreg.spaces import DUAL, PRIMAL, GridFn, GridSpace, norm
@@ -75,6 +69,17 @@ def spikes_l1_problem():
     x_prev = spaces.zeros(op.domain_space)
     ydelta = add_noise(op.apply(spikes_1d(op.domain_space)), 5e-4, 1)
     return InnerProblem(op, ydelta, theta, 0.05, x_prev, penalties.gradient(theta, x_prev))
+
+
+def tv_problem():
+    """First outer step of example 5.2's TV reconstruction on a 10x10 grid."""
+    cfg = example52_config("l2_tv", mu=0.01,
+                           overrides={("problem", "nx"): 10, ("problem", "ny"): 10})
+    op, _c_dagger, y = make_problem(cfg)
+    x_prev = spaces.zeros(op.domain_space)
+    theta = cfg.theta
+    return InnerProblem(op, add_noise(y, 1e-3, 1), theta, 0.5, x_prev,
+                        penalties.gradient(theta, x_prev))
 
 
 def quadratic_problem(n=60, alpha=0.1, mu=1.0, seed=0):
@@ -156,11 +161,9 @@ class TestObjective:
         x = GridFn(p.op.domain_space, rng.standard_normal(p.op.domain_space.size))
         g = gradient(p, x)
         d = GridFn(p.op.domain_space, rng.standard_normal(p.op.domain_space.size))
-        d = spaces.scale(1.0 / norm(d), d)
+        d = (1.0 / norm(d)) * d
         h = 1e-6
-        approx = (
-            value(p, x + spaces.scale(h, d)) - value(p, x - spaces.scale(h, d))
-        ) / (2 * h)
+        approx = (value(p, x + h * d) - value(p, x - h * d)) / (2 * h)
         assert spaces.pairing(g, d) == pytest.approx(approx, rel=1e-6, abs=1e-9)
 
 
@@ -180,7 +183,7 @@ class TestDiagonalToy:
         )
         x_cg, stats = minimize(p, InnerSettings(grad_tol_rel=1e-12))
         assert np.allclose(x_cg.values, exact, atol=1e-9)
-        x_lin, _ = minimize_linear_quadratic(p)
+        x_lin, _ = minimize(p)
         assert np.allclose(x_lin.values, exact, atol=1e-12)
 
 
@@ -190,7 +193,7 @@ class TestOracle:
         exact = dense_minimizer(p)
         scale = np.linalg.norm(exact)
 
-        x_lin, stats_lin = minimize_linear_quadratic(p)
+        x_lin, stats_lin = minimize(p)
         assert np.linalg.norm(x_lin.values - exact) <= 1e-10 * scale
         assert stats_lin.converged
 
@@ -198,11 +201,11 @@ class TestOracle:
         assert np.linalg.norm(x_cg.values - exact) <= 1e-6 * scale
 
     def test_stops_when_steps_no_longer_move_x(self):
-        # the subproblem of acceptance test 04: its gradient tolerance lies
-        # below rounding, so steps eventually leave x unchanged
+        # the subproblem of acceptance test 04 with a gradient tolerance below
+        # rounding, so steps eventually leave x unchanged
         p = quadratic_problem(n=120, alpha=0.05, mu=1.0, seed=3)
         exact = dense_minimizer(p)
-        x, stats = minimize(p, InnerSettings(grad_tol_rel=1e-10, max_iters=5000))
+        x, stats = minimize(p, InnerSettings(grad_tol_rel=1e-20, max_iters=5000))
         assert stats.iterations < 5000
         assert not stats.converged
         assert not stats.line_search_failed
@@ -222,8 +225,10 @@ class TestMinimize:
             p.x_prev,
             penalties.gradient(l2_l1(mu=1.0, a=0.5, eps=1e-3), p.x_prev),
         )
-        _x, stats = minimize(p, InnerSettings(max_iters=60))
-        hist = np.array(stats.objective_history)
+        # the objective after k iterations, for k = 0 (the start) to 6
+        hist = [value(p, p.x_prev)] + [
+            minimize(p, InnerSettings(max_iters=k))[1].objective for k in range(1, 7)
+        ]
         assert np.all(np.diff(hist) <= 1e-12)
         assert hist[-1] < hist[0]
 
@@ -235,7 +240,7 @@ class TestMinimize:
 
     def test_warm_start_at_minimizer_converges_immediately(self):
         p = quadratic_problem(n=40)
-        x_star, _ = minimize_linear_quadratic(p)
+        x_star, _ = minimize(p)
         _x, stats = minimize(p, InnerSettings(grad_tol_rel=1e-4), x_start=x_star)
         assert stats.converged
         assert stats.iterations <= 2
@@ -245,6 +250,19 @@ class TestMinimize:
         assert stats.converged
         assert not stats.line_search_failed
         assert stats.grad_norm <= 1e-8 * max(1.0, stats.initial_grad_norm)
+
+    def test_tv_subproblem_converges_in_few_newton_steps(self):
+        _x, stats = minimize(tv_problem())
+        assert stats.converged
+        assert not stats.line_search_failed
+        assert stats.iterations <= 10
+
+    def test_smoothed_l1_subproblem_converges_at_r3(self):
+        # 12 Newton steps; without the rank-one term of J_r' it takes 336
+        _x, stats = minimize(replace(spikes_l1_problem(), r=3.0))
+        assert stats.converged
+        assert not stats.line_search_failed
+        assert stats.iterations <= 20
 
     def test_operator_failure_at_trial_point_backtracks(self):
         # the minimizer peaks at 0.18, but early trial steps go above the cap
@@ -296,15 +314,9 @@ class TestExactRoute:
         p_r3 = InnerProblem(p.op, p.ydelta, p.theta, p.alpha, p.x_prev, p.xi_prev, r=3.0)
         assert not is_linear_quadratic(p_r3)
 
-    def test_refuses_wrong_problem(self):
-        p = quadratic_problem()
-        p_r3 = InnerProblem(p.op, p.ydelta, p.theta, p.alpha, p.x_prev, p.xi_prev, r=3.0)
-        with pytest.raises(ValueError):
-            minimize_linear_quadratic(p_r3)
-
     def test_first_order_optimality(self):
         p = quadratic_problem(n=80, alpha=0.02)
-        x_star, _ = minimize_linear_quadratic(p)
+        x_star, _ = minimize(p)
         g = gradient(p, x_star)
         g0 = gradient(p, p.x_prev)
         assert norm(g) <= 1e-10 * max(1.0, norm(g0))

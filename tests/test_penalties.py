@@ -24,10 +24,10 @@ def fd_gradient_check(theta, x, rng, h=1e-6):
     """Relative error of <grad, d> against a central difference."""
     g = penalties.gradient(theta, x)
     d = random_fn(x.space, rng)
-    d = spaces.scale(1.0 / norm(d), d)
+    d = (1.0 / norm(d)) * d
     directional = pairing(g, d)
-    fp = penalties.value(theta, x + spaces.scale(h, d))
-    fm = penalties.value(theta, x - spaces.scale(h, d))
+    fp = penalties.value(theta, x + h * d)
+    fm = penalties.value(theta, x - h * d)
     approx = (fp - fm) / (2 * h)
     return abs(directional - approx) / max(1.0, abs(approx))
 
@@ -161,7 +161,7 @@ class TestConvexity:
         rng = np.random.default_rng(8)
         for _ in range(10):
             x, y = random_fn(space, rng), random_fn(space, rng)
-            mid = spaces.scale(0.5, x + y)
+            mid = 0.5 * (x + y)
             gap = (
                 0.5 * (penalties.value(theta, x) + penalties.value(theta, y))
                 - penalties.value(theta, mid)
@@ -180,6 +180,13 @@ class TestConvexity:
             assert d >= theta.mu * norm(xbar - x) ** 2 - 1e-10
 
 
+def three_point(theta, x2, x1, x, xi1, xi):
+    """Residual of the three-point Bregman identity; ~0 up to roundoff."""
+    lhs = penalties.bregman(theta, x2, x, xi) - penalties.bregman(theta, x1, x, xi)
+    rhs = penalties.bregman(theta, x2, x1, xi1) + pairing(xi1 - xi, x2 - x1)
+    return abs(lhs - rhs)
+
+
 class TestThreePoint:
     @pytest.mark.parametrize("theta", PENALTY_CASES, ids=PENALTY_IDS)
     def test_identity_residual_small(self, theta):
@@ -189,4 +196,20 @@ class TestThreePoint:
             x, x1, x2 = (random_fn(space, rng) for _ in range(3))
             xi = penalties.gradient(theta, x)
             xi1 = penalties.gradient(theta, x1)
-            assert penalties.three_point(theta, x2, x1, x, xi1, xi) <= 1e-10
+            assert three_point(theta, x2, x1, x, xi1, xi) <= 1e-10
+
+
+class TestHessian:
+    @pytest.mark.parametrize("theta", PENALTY_CASES[1:], ids=PENALTY_IDS[1:])
+    @pytest.mark.parametrize("space", [GridSpace.interval(60), GridSpace.rectangle(9, 7)],
+                             ids=["1d", "2d"])
+    def test_finite_difference_of_gradient(self, theta, space):
+        # the Euclidean gradient is W times the dual representation
+        rng = np.random.default_rng(11)
+        x, d = random_fn(space, rng), random_fn(space, rng)
+        h = 1e-7  # the truncation error dominates down to here
+        fd = space.weights * (penalties.gradient(theta, x + h * d)
+                              - penalties.gradient(theta, x - h * d)).values / (2 * h)
+        hd = penalties.hessian(theta, x) @ d.values
+        assert np.linalg.norm(hd - fd) <= 1e-7 * np.linalg.norm(fd)
+

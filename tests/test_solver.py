@@ -100,14 +100,12 @@ class TestStep:
         alpha = 0.25
         out = step(op, theta, ydelta, alpha, prev)
         res = op.apply(out.x) - ydelta
-        expected = prev.xi - spaces.scale(
-            1.0 / alpha, op.adjoint(out.x, duality_map(res, 2.0))
-        )
+        expected = prev.xi - (1.0 / alpha) * op.adjoint(out.x, duality_map(res, 2.0))
         assert np.allclose(out.xi.values, expected.values, atol=1e-14)
 
     def test_dual_gap_small_at_optimality(self):
-        # the exact route makes xi_n equal grad Theta(x_n) up to roundoff;
-        # L-BFGS at its default tolerance leaves a gap of about 2e-7
+        # a linear-quadratic subproblem is one Newton step with CG at rtol
+        # 1e-13, which makes xi_n equal grad Theta(x_n) up to roundoff
         op, _xd, _y, ydelta = small_problem()
         theta = quadratic(mu=1.0)
         prev = solver._initial_state(op, theta, ydelta, None, None)
@@ -164,9 +162,7 @@ class TestRun:
         acc = report.states[0].xi
         for s in report.states[1:]:
             res = op.apply(s.x) - ydelta
-            acc = acc - spaces.scale(
-                1.0 / s.alpha, op.adjoint(s.x, duality_map(res, 2.0))
-            )
+            acc = acc - (1.0 / s.alpha) * op.adjoint(s.x, duality_map(res, 2.0))
         xi_last = report.states[-1].xi
         gap = norm(acc - xi_last)
         assert gap <= 1e-12 * max(1.0, norm(xi_last))
