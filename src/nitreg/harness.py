@@ -155,8 +155,15 @@ def _section_names() -> list[tuple[str, str]]:
     return [(f.name, f.metadata.get("section", f.name)) for f in fields(ExperimentConfig)]
 
 
+def _float(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"non-finite value {text!r}")
+    return value
+
+
 def _floats(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in text.replace(",", " ").split())
+    return tuple(_float(tok) for tok in text.replace(",", " ").split())
 
 
 def _parse_section(section: str, cls, got: dict):
@@ -167,7 +174,7 @@ def _parse_section(section: str, cls, got: dict):
     for key, text in got.items():
         if key not in types:
             raise ConfigError(f"unknown key [{section}] {key}")
-        parse = types[key] if types[key] in (str, int, float) else _floats
+        parse = {str: str, int: int, float: _float}.get(types[key], _floats)
         try:
             kwargs[key] = parse(text)
         except ValueError as exc:
@@ -236,7 +243,10 @@ def exact_solution(exact: Exact, space: GridSpace) -> GridFn:
         return two_inclusions_2d(space)
     if sel == "zero":
         return primal(space, np.zeros(space.size))
-    fn = read_csv(exact.path)
+    try:
+        fn = read_csv(exact.path)
+    except (OSError, ValueError, KeyError) as exc:
+        raise ConfigError(f"[exact] path {exact.path!r} is unreadable: {exc}") from exc
     if fn.space != space:
         raise ConfigError("custom exact solution lives on a different grid")
     return fn

@@ -82,60 +82,43 @@ class EllipticOp(ForwardOp):
     """Parameter-to-state map c -> u for -Lap(u) + c u = f, u = g on the
     boundary, discretized with the 5-point stencil on a uniform grid.
 
-    The measurement is the whole state on the grid (interior + boundary).
-    Linear systems use a direct sparse factorization, refactorized whenever
-    c changes.
+    The system for the interior state is the interior block of one 5-point
+    -Lap matrix on all grid nodes, plus diag(c); the boundary columns of that
+    matrix lift g into the right-hand side. The measurement is the whole
+    state on the grid. Linear systems use a direct sparse factorization,
+    refactorized whenever c changes.
     """
 
     is_linear = False
 
     def __init__(self, nx: int, ny: int, f=None, g=None, p: float = 2.0):
-        self.domain_space = GridSpace.rectangle(nx, ny, p)
-        self.range_space = GridSpace.rectangle(nx, ny, p)
-        self.nx, self.ny = nx, ny
-        dims = self.domain_space.dims
-        self.f = np.zeros(dims) if f is None else np.asarray(f, float).reshape(dims)
-        self.g = np.zeros(dims) if g is None else np.asarray(g, float).reshape(dims)
+        space = GridSpace.rectangle(nx, ny, p)
+        self.domain_space = self.range_space = space
+        f = np.zeros(space.size) if f is None else np.asarray(f, float).reshape(space.size)
+        self.g = np.zeros(space.size) if g is None else np.asarray(g, float).reshape(space.size)
 
-        hx, hy = self.domain_space.spacings
-        self.hx, self.hy = hx, hy
-        tx = sp.diags(
-            [np.full(nx - 2, -1.0 / hx**2), np.full(nx - 1, 2.0 / hx**2),
-             np.full(nx - 2, -1.0 / hx**2)],
-            offsets=(-1, 0, 1), format="csc",
+        tx, ty = (
+            sp.diags([-1.0, 2.0, -1.0], (-1, 0, 1), shape=(n, n)) / h**2
+            for n, h in zip(space.dims, space.spacings)
         )
-        ty = sp.diags(
-            [np.full(ny - 2, -1.0 / hy**2), np.full(ny - 1, 2.0 / hy**2),
-             np.full(ny - 2, -1.0 / hy**2)],
-            offsets=(-1, 0, 1), format="csc",
-        )
-        self._laplacian = (
-            sp.kron(tx, sp.identity(ny - 1)) + sp.kron(sp.identity(nx - 1), ty)
-        ).tocsc()
-        # Dirichlet data contribution to the interior right-hand side
-        gz = np.zeros(dims)
-        gz[0, :] = self.g[0, :]
-        gz[-1, :] = self.g[-1, :]
-        gz[:, 0] = self.g[:, 0]
-        gz[:, -1] = self.g[:, -1]
-        self._rhs0 = self.f[1:-1, 1:-1].ravel() - self._stencil_interior(gz)
+        lap = sp.kron(tx, sp.identity(ny + 1)) + sp.kron(sp.identity(nx + 1), ty)
+        self._inner = np.arange(space.size).reshape(space.dims)[1:-1, 1:-1].ravel()
+        rows = lap.tocsr()[self._inner]
+        self._laplacian = rows[:, self._inner].tocsc()
+        self._rhs0 = f[self._inner] - rows @ self._embed(0.0, self.g)
         self._cache = None  # (c_bytes, lu, u_int)
 
-    def _stencil_interior(self, u: np.ndarray) -> np.ndarray:
-        hx2, hy2 = self.hx**2, self.hy**2
-        out = (
-            (2.0 / hx2 + 2.0 / hy2) * u[1:-1, 1:-1]
-            - (u[2:, 1:-1] + u[:-2, 1:-1]) / hx2
-            - (u[1:-1, 2:] + u[1:-1, :-2]) / hy2
-        )
-        return out.ravel()
+    def _embed(self, values, base: np.ndarray) -> np.ndarray:
+        """Copy of a full-grid array with its interior nodes set to values."""
+        full = base.copy()
+        full[self._inner] = values
+        return full
 
     def _factorization(self, c: GridFn):
         key = c.values.tobytes()
         if self._cache is not None and self._cache[0] == key:
             return self._cache[1], self._cache[2]
-        c_int = c.grid()[1:-1, 1:-1].ravel()
-        matrix = self._laplacian + sp.diags(c_int)
+        matrix = self._laplacian + sp.diags(c.values[self._inner])
         try:
             lu = spla.splu(matrix.tocsc())
             u_int = lu.solve(self._rhs0)
@@ -146,38 +129,25 @@ class EllipticOp(ForwardOp):
         self._cache = (key, lu, u_int)
         return lu, u_int
 
-    def _embed_interior(self, interior: np.ndarray, boundary: np.ndarray | None = None):
-        full = np.zeros(self.domain_space.dims)
-        if boundary is not None:
-            full[0, :] = boundary[0, :]
-            full[-1, :] = boundary[-1, :]
-            full[:, 0] = boundary[:, 0]
-            full[:, -1] = boundary[:, -1]
-        full[1:-1, 1:-1] = interior.reshape(self.nx - 1, self.ny - 1)
-        return full.ravel()
-
     def apply(self, c: GridFn) -> GridFn:
         self._check_domain(c)
         _lu, u_int = self._factorization(c)
-        return GridFn(self.range_space, self._embed_interior(u_int, self.g), PRIMAL)
+        return GridFn(self.range_space, self._embed(u_int, self.g), PRIMAL)
 
     def deriv(self, c: GridFn, h: GridFn) -> GridFn:
         self._check_domain(c)
         self._check_domain(h)
         lu, u_int = self._factorization(c)
-        h_int = h.grid()[1:-1, 1:-1].ravel()
-        v_int = lu.solve(-h_int * u_int)
-        return GridFn(self.range_space, self._embed_interior(v_int), PRIMAL)
+        v_int = lu.solve(-h.values[self._inner] * u_int)
+        return GridFn(self.range_space, self._embed(v_int, np.zeros_like(self.g)), PRIMAL)
 
     def adjoint(self, c: GridFn, w: GridFn) -> GridFn:
         self._check_domain(c)
         self._check_range_dual(w)
         lu, u_int = self._factorization(c)
-        w_weighted = (self.range_space.weights * w.values).reshape(self.range_space.dims)
-        psi = lu.solve(w_weighted[1:-1, 1:-1].ravel())
-        wx_int = self.domain_space.weights.reshape(self.domain_space.dims)[1:-1, 1:-1].ravel()
-        z_int = -u_int * psi / wx_int
-        return GridFn(self.domain_space, self._embed_interior(z_int), DUAL)
+        psi = lu.solve((self.range_space.weights * w.values)[self._inner])
+        z_int = -u_int * psi / self.domain_space.weights[self._inner]
+        return GridFn(self.domain_space, self._embed(z_int, np.zeros_like(self.g)), DUAL)
 
 
 def estimate_eta(

@@ -102,8 +102,6 @@ class GridFn:
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
-        if vals.shape == tuple(self.space.dims):
-            vals = vals.ravel()
         if vals.shape != (self.space.size,):
             raise ValueError(
                 f"values shape {vals.shape} does not match space size "
@@ -114,10 +112,6 @@ class GridFn:
         if self.variance not in (PRIMAL, DUAL):
             raise ValueError(f"unknown variance tag {self.variance!r}")
         object.__setattr__(self, "values", vals)
-
-    def grid(self) -> np.ndarray:
-        """Values reshaped to the grid layout."""
-        return self.values.reshape(self.space.dims)
 
     def _compatible(self, other: "GridFn") -> None:
         if self.space != other.space:

@@ -138,7 +138,7 @@ class TestPhantoms:
     def test_two_inclusions_values(self):
         space = GridSpace.rectangle(40, 40)
         c = two_inclusions_2d(space)
-        grid = c.grid()
+        grid = c.values.reshape(space.dims)
         assert set(np.unique(c.values)) == {0.0, 0.5, 1.0}
         # disc center (0.3, 0.7) and rectangle center (0.7, 0.35)
         assert grid[12, 28] == 1.0
@@ -326,13 +326,29 @@ class TestCli:
         "[problem]\nkind = elliptic_2d\nnx = 4\nny = 4\n",
         "[problem]\nkind = integral_1d\n[exact]\nselector = two_inclusions_2d\n",
         "[study]\ndeltas = -1e-3 1e-3\n",
+        "[stopping]\ntau = nan\n",
+        "[inner]\ngrad_tol_rel = nan\n",
+        "[penalty]\nmu = inf\n",
+        "[study]\ndeltas = 1e-3 nan\n",
     ])
     def test_invalid_value_exit_code(self, tmp_path, capsys, ini):
         path = tmp_path / "bad.ini"
         path.write_text(ini)
         rc = cli.main(["run", str(path), "--out-dir", str(tmp_path), "--quiet"])
         assert rc == 2
-        assert "error: [" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(("error: [", "error: bad value for ["))
+
+    @pytest.mark.parametrize("content", [None, "# dims=31 exponent=2 variance=primal\n0\n"])
+    def test_unreadable_exact_path_exit_code(self, tmp_path, capsys, content):
+        # a missing file, and a header without domain=
+        path = tmp_path / "xdag.csv"
+        if content is not None:
+            path.write_text(content)
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[problem]\nn = 30\n[exact]\nselector = file\npath = {path}\n")
+        rc = cli.main(["run", str(ini), "--out-dir", str(tmp_path), "--quiet"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: [exact]")
 
     def test_check_subcommand(self, capsys):
         rc = cli.main(["check"])

@@ -120,7 +120,7 @@ class TestEllipticOp:
         g = np.sin(3 * xs) + np.cos(2 * ys)
         op = EllipticOp(16, 16, f=np.zeros(space.size), g=g)
         c = GridFn(space, np.abs(np.sin(xs * ys)) + 0.1)
-        u = op.apply(c).grid()
+        u = op.apply(c).values.reshape(space.dims)
         boundary = np.concatenate([u[0, :], u[-1, :], u[:, 0], u[:, -1]])
         assert u.max() <= boundary.max() + 1e-12
         assert u.min() >= boundary.min() - 1e-12
@@ -138,6 +138,22 @@ class TestEllipticOp:
         h = random_fn(op.domain_space, rng)
         h = (1.0 / norm(h)) * h
         assert taylor_slope(op, c, h) >= 1.9
+
+    @pytest.mark.parametrize("nx, ny", [(12, 7), (7, 12)])
+    def test_non_square_grid(self, nx, ny):
+        # hx != hy, so the two axes' spacings and node counts must not swap.
+        # The 5-point stencil is exact on quadratics, and -Lap(u) = -8 needs
+        # each second difference scaled by its own axis' spacing.
+        space = spaces.GridSpace.rectangle(nx, ny)
+        xs, ys = space.coords()
+        u = xs**2 + 3 * ys**2
+        c = GridFn(space, 1 + xs * ys)
+        op = EllipticOp(nx, ny, f=c.values * u - 8.0, g=u)
+        assert np.max(np.abs(op.apply(c).values - u)) <= 1e-12
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            gap, scale = adjoint_gap(op, c, rng)
+            assert gap <= 1e-8 * scale
 
     def test_factorization_cache_reuse(self):
         op, c = make_elliptic()
