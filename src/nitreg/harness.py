@@ -207,8 +207,11 @@ def config_from_dict(raw: dict, overrides: dict | None = None) -> ExperimentConf
 
 def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
     """Parse an experiment config (INI-style sections of key = value)."""
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(f"config file {path} is malformed: {exc}") from exc
     if not read:
         raise ConfigError(f"config file not found: {path}")
     raw = {section: dict(parser[section]) for section in parser.sections()}
@@ -294,46 +297,52 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def write_iteration_csv(path, report: RunReport, theta: Penalty,
-                        x_ref: GridFn | None) -> None:
-    breg = (solver.diagnostics_bregman(report, theta, x_ref)
-            if x_ref is not None else [float("nan")] * len(report.states))
+def _write_table(path, columns, rows, comment: str | None = None) -> None:
+    """CSV with an optional `# comment` line, a column line, then the rows."""
     with open(path, "w") as fh:
-        fh.write(f"# n_delta={report.n_delta} terminated_by={report.terminated_by} "
-                 f"delta={_fmt(report.delta)} tau={_fmt(report.tau)}\n")
-        fh.write("n,alpha,residual,theta_value,bregman_to_ref,inner_iters\n")
-        for s, d in zip(report.states, breg):
-            inner = s.inner_stats.iterations if s.inner_stats else 0
-            alpha = s.alpha if s.alpha is not None else float("nan")
-            fh.write(f"{s.n},{_fmt(alpha)},{_fmt(s.residual)},"
-                     f"{_fmt(s.theta_value)},{_fmt(float(d))},{inner}\n")
+        if comment is not None:
+            fh.write(f"# {comment}\n")
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(v) for v in row) + "\n")
+
+
+def summary(report: RunReport, theta: Penalty, x_dagger: GridFn) -> dict:
+    """What a run reached: its result at the returned iterate n_delta."""
+    final = report.states[report.n_delta]
+    return {
+        "n_delta": report.n_delta,
+        "terminated_by": report.terminated_by,
+        "residual": final.residual,
+        "l2_error": norm(final.x - x_dagger),
+        "theta_value": final.theta_value,
+        "bregman_to_ref": penalties.bregman(theta, x_dagger, final.x, final.xi),
+    }
+
+
+def write_iteration_csv(path, report: RunReport, theta: Penalty, x_ref: GridFn) -> None:
+    breg = solver.diagnostics_bregman(report, theta, x_ref)
+    rows = (
+        (s.n, s.alpha if s.alpha is not None else float("nan"), s.residual,
+         s.theta_value, d, s.inner_stats.iterations if s.inner_stats else 0)
+        for s, d in zip(report.states, breg)
+    )
+    comment = (f"n_delta={report.n_delta} terminated_by={report.terminated_by} "
+               f"delta={_fmt(report.delta)} tau={_fmt(report.tau)}")
+    cols = ["n", "alpha", "residual", "theta_value", "bregman_to_ref", "inner_iters"]
+    _write_table(path, cols, rows, comment)
 
 
 def write_reconstruction_csv(path, x: GridFn) -> None:
     coords = x.space.coords()
     headers = ["t"] if len(coords) == 1 else ["x", "y"]
-    with open(path, "w") as fh:
-        fh.write(",".join(headers + ["value"]) + "\n")
-        for row in zip(*coords, x.values):
-            fh.write(",".join(_fmt(float(v)) for v in row) + "\n")
+    _write_table(path, headers + ["value"], zip(*coords, x.values))
 
 
-def write_summary_csv(path, report: RunReport, theta: Penalty,
-                      x_dagger: GridFn | None) -> None:
-    final = report.states[report.n_delta]
-    rows = {
-        "n_delta": report.n_delta,
-        "terminated_by": report.terminated_by,
-        "residual": final.residual,
-        "l2_error": norm(report.x_out - x_dagger) if x_dagger is not None else float("nan"),
-        "theta_value": final.theta_value,
-    }
-    with open(path, "w") as fh:
-        fh.write("key,value\n")
-        for k, v in rows.items():
-            fh.write(f"{k},{_fmt(v)}\n")
-        for k, v in report.config.items():
-            fh.write(f"config.{k},{_fmt(v)}\n")
+def write_summary_csv(path, report: RunReport, theta: Penalty, x_dagger: GridFn) -> None:
+    rows = [*summary(report, theta, x_dagger).items(),
+            *((f"config.{k}", v) for k, v in report.config.items())]
+    _write_table(path, ["key", "value"], rows)
 
 
 def resolve_out_dir(cfg: ExperimentConfig, out_dir: str | None = None) -> Path:
@@ -359,33 +368,38 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
     write_reconstruction_csv(f"{base}_reconstruction.csv", report.x_out)
     write_summary_csv(f"{base}_summary.csv", report, theta, x_dag)
     if not quiet:
-        final = report.states[report.n_delta]
-        print(f"{cfg.output.name}: n_delta={report.n_delta} "
-              f"terminated_by={report.terminated_by} "
-              f"residual={final.residual:.6g} "
-              f"l2_error={norm(report.x_out - x_dag):.6g}")
+        result = summary(report, theta, x_dag)
+        print(f"{cfg.output.name}: n_delta={result['n_delta']} "
+              f"terminated_by={result['terminated_by']} "
+              f"residual={result['residual']:.6g} "
+              f"l2_error={result['l2_error']:.6g}")
     return report
 
 
 def run_study(cfg: ExperimentConfig, out_dir: str | None = None,
               quiet: bool = False) -> list[dict]:
-    """Noise-level sweep: one full run per delta, one CSV table out."""
+    """Noise-level sweep: one full run per delta, largest delta first, and one
+    CSV table out.  A delta whose run fails gets an `error_message` and the
+    sweep goes on."""
     if not cfg.study.deltas:
         raise ConfigError("[study] deltas is empty; nothing to sweep")
     op, x_dag, y_exact = make_problem(cfg)
-    rows = solver.convergence_study(
-        lambda d: add_noise(y_exact, d, cfg.seed),
-        cfg.study.deltas, op, cfg.penalty(), x_dag,
-        cfg.schedule(), cfg.stopping(), cfg.inner_settings(), r=cfg.r,
-    )
-    directory = resolve_out_dir(cfg, out_dir)
-    path = directory / f"{cfg.output.name}_study.csv"
-    cols = ["delta", "n_delta", "terminated_by", "residual", "error",
+    theta = cfg.penalty()
+    rows = []
+    for d in sorted(cfg.study.deltas, reverse=True):
+        try:
+            report = solver.run(
+                op, theta, add_noise(y_exact, d, cfg.seed), d, cfg.schedule(),
+                cfg.stopping(), cfg.inner_settings(), r=cfg.r,
+            )
+            rows.append({"delta": d, **summary(report, theta, x_dag)})
+        except Exception as exc:  # per-delta failure, study continues
+            rows.append({"delta": d, "error_message": str(exc)})
+    cols = ["delta", "n_delta", "terminated_by", "residual", "l2_error",
             "theta_value", "bregman_to_ref", "error_message"]
-    with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(row.get(c, "")) for c in cols) + "\n")
+    directory = resolve_out_dir(cfg, out_dir)
+    _write_table(directory / f"{cfg.output.name}_study.csv", cols,
+                 ([row.get(c, "") for c in cols] for row in rows))
     if not quiet:
         for row in rows:
             print(row)

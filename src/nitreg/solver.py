@@ -121,15 +121,12 @@ def step(
     return state
 
 
-def _initial_state(op, theta, ydelta, x0, xi0):
-    if x0 is None:
-        x0 = zeros(op.domain_space)
-    if xi0 is None:
-        xi0 = penalties.gradient(theta, x0)
-    res0 = norm(op.apply(x0) - ydelta)
+def _initial_state(op, theta, ydelta):
+    """x_0 = 0 and xi_0 = grad Theta(x_0), so the dual gap starts at zero."""
+    x0 = zeros(op.domain_space)
     return NitState(
-        n=0, x=x0, xi=xi0, residual=res0,
-        dual_gap=norm(xi0 - penalties.gradient(theta, x0)),
+        n=0, x=x0, xi=penalties.gradient(theta, x0),
+        residual=norm(op.apply(x0) - ydelta), dual_gap=0.0,
         theta_value=penalties.value(theta, x0),
     )
 
@@ -142,8 +139,6 @@ def run(
     schedule: AlphaSchedule,
     stop: StoppingRule,
     settings: InnerSettings | None = None,
-    x0: GridFn | None = None,
-    xi0: GridFn | None = None,
     r: float = InnerProblem.r,
     config: dict | None = None,
 ) -> RunReport:
@@ -158,7 +153,7 @@ def run(
     if delta < 0.0:
         raise ValueError("delta must be >= 0")
     threshold = stop.tau * delta if delta > 0.0 else stop.atol_zero
-    states = [_initial_state(op, theta, ydelta, x0, xi0)]
+    states = [_initial_state(op, theta, ydelta)]
 
     rule41 = stop.kind == "rule41"
     crossed = operator.lt if rule41 else operator.le
@@ -196,38 +191,3 @@ def diagnostics_bregman(report: RunReport, theta: Penalty, x_ref: GridFn) -> np.
     return np.array(
         [penalties.bregman(theta, x_ref, s.x, s.xi) for s in report.states]
     )
-
-
-def convergence_study(
-    make_noisy,
-    deltas,
-    op: ForwardOp,
-    theta: Penalty,
-    x_dagger: GridFn,
-    schedule: AlphaSchedule,
-    stop: StoppingRule,
-    settings: InnerSettings | None = None,
-    r: float = InnerProblem.r,
-) -> list[dict]:
-    """Run the method for each noise level; returns one row per delta, sorted
-    by delta descending.  `make_noisy(delta)` must return the noisy data.
-    Per-delta failures are recorded and the study continues."""
-    rows = []
-    for delta in sorted(deltas, reverse=True):
-        row = {"delta": delta}
-        try:
-            ydelta = make_noisy(delta)
-            report = run(op, theta, ydelta, delta, schedule, stop, settings, r=r)
-            final = report.states[report.n_delta]
-            row.update(
-                n_delta=report.n_delta,
-                terminated_by=report.terminated_by,
-                residual=final.residual,
-                error=norm(report.x_out - x_dagger),
-                theta_value=final.theta_value,
-                bregman_to_ref=penalties.bregman(theta, x_dagger, final.x, final.xi),
-            )
-        except Exception as exc:  # per-delta failure, study continues
-            row["error_message"] = str(exc)
-        rows.append(row)
-    return rows

@@ -46,6 +46,8 @@ class GridSpace:
             raise ValueError(f"exponent must be > 1, got {self.exponent}")
         if len(self.dims) != len(self.domain):
             raise ValueError("dims and domain must have the same length")
+        if min(self.dims) < 2:
+            raise ValueError(f"every axis needs at least 2 nodes, got dims {self.dims}")
         axis_w = [
             _trapezoid_weights(n, hi - lo)
             for n, (lo, hi) in zip(self.dims, self.domain)

@@ -5,6 +5,8 @@ output capture) and asserts the criterion at its stated tolerance.  Expensive
 experiment runs are shared through module-scoped fixtures.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -49,29 +51,28 @@ def ex51_runs():
     }
 
 
-def _sweep(cfg, run):
-    """Rows of cfg's delta study, sorted by delta descending.  The row at the
-    config's own noise level comes from `run`, the stored solve of that same
-    config and seed, so only the other deltas are solved here."""
+def _sweep(cfg, run, directory):
+    """Rows of cfg's delta study from `harness.run_study`, sorted by delta
+    descending.  The row at the config's own noise level is the summary of
+    `run`, the stored solve of that same config and seed, so only the other
+    deltas are solved here."""
     assert cfg.delta in cfg.study.deltas
-    op, x_dag, y_exact = make_problem(cfg)
-    rows = solver.convergence_study(
-        lambda d: add_noise(y_exact, d, cfg.seed),
-        [d for d in cfg.study.deltas if d != cfg.delta], op, cfg.penalty(), x_dag,
-        cfg.schedule(), cfg.stopping(), cfg.inner_settings(),
-    )
-    report = run[0]
-    rows.append({"delta": cfg.delta, "n_delta": report.n_delta,
-                 "error": norm(report.x_out - x_dag)})
+    others = tuple(d for d in cfg.study.deltas if d != cfg.delta)
+    cfg = replace(cfg, study=replace(cfg.study, deltas=others))
+    rows = harness.run_study(cfg, out_dir=str(directory), quiet=True)
+    report, x_dag, theta, _op = run
+    rows.append({"delta": cfg.delta, **harness.summary(report, theta, x_dag)})
     return sorted(rows, key=lambda row: row["delta"], reverse=True)
 
 
 @pytest.fixture(scope="module")
-def sweeps(ex51_runs, ex52_runs):
+def sweeps(ex51_runs, ex52_runs, tmp_path_factory):
+    directory = tmp_path_factory.mktemp("sweeps")
     return {
-        "ex51_l2_l1": _sweep(example51_config("l2_l1"), ex51_runs["ex51_l2_l1"]),
+        "ex51_l2_l1": _sweep(example51_config("l2_l1"), ex51_runs["ex51_l2_l1"],
+                             directory),
         "ex52_l2_tv_mu0.01": _sweep(example52_config("l2_tv", mu=0.01),
-                                    ex52_runs["ex52_l2_tv_mu0.01"]),
+                                    ex52_runs["ex52_l2_tv_mu0.01"], directory),
     }
 
 
@@ -204,7 +205,7 @@ def test_07_delta_trend(capsys, sweeps):
     details = []
     for name, sweep in sweeps.items():
         ok &= all("error_message" not in row for row in sweep)
-        errors = [row["error"] for row in sweep]
+        errors = [row["l2_error"] for row in sweep]
         n_deltas = [row["n_delta"] for row in sweep]
         # deltas are sorted descending: errors non-increasing within 10% slack,
         # stopping indices non-decreasing

@@ -1,5 +1,6 @@
 import configparser
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -243,13 +244,50 @@ class TestRunStudy:
         rows = harness.run_study(cfg, out_dir=str(tmp_path), quiet=True)
         assert [r["delta"] for r in rows] == [4e-3, 1e-3]
         text = (tmp_path / "tiny_study.csv").read_text().splitlines()
-        assert text[0].startswith("delta,n_delta,terminated_by")
+        assert text[0] == ("delta,n_delta,terminated_by,residual,l2_error,"
+                           "theta_value,bregman_to_ref,error_message")
         assert len(text) == 3
 
     def test_empty_deltas_rejected(self):
         cfg = config_from_dict({"problem": {"kind": "integral_1d", "n": 20}})
         with pytest.raises(ConfigError, match="deltas"):
             harness.run_study(cfg)
+
+    def test_rows_sorted_and_trends(self, tmp_path, config_file):
+        cfg = load_config(config_file)
+        cfg = replace(cfg, study=replace(cfg.study, deltas=(1e-3, 4e-3, 2e-3)))
+        rows = harness.run_study(cfg, out_dir=str(tmp_path), quiet=True)
+        assert [r["delta"] for r in rows] == [4e-3, 2e-3, 1e-3]
+        n_deltas = [r["n_delta"] for r in rows]
+        assert all(b >= a for a, b in zip(n_deltas, n_deltas[1:]))
+
+    def test_per_delta_failure_is_captured(self, tmp_path, config_file, monkeypatch):
+        add = harness.add_noise
+
+        def flaky_noise(y, delta, seed):
+            if delta < 2e-3:
+                raise RuntimeError("data source unavailable")
+            return add(y, delta, seed)
+
+        monkeypatch.setattr(harness, "add_noise", flaky_noise)
+        rows = harness.run_study(load_config(config_file), out_dir=str(tmp_path),
+                                 quiet=True)
+        assert "n_delta" in rows[0] and "error_message" not in rows[0]
+        assert rows[1] == {"delta": 1e-3, "error_message": "data source unavailable"}
+        lines = (tmp_path / "tiny_study.csv").read_text().splitlines()
+        assert lines[2] == "0.001," + "," * 6 + "data source unavailable"
+
+    def test_study_row_matches_summary(self, tmp_path, config_file):
+        # a study row reports the same result, in the same order and format,
+        # as the summary CSV of the run at that noise level
+        cfg = load_config(config_file)
+        harness.run_experiment(cfg, out_dir=str(tmp_path), quiet=True)
+        cfg = replace(cfg, study=replace(cfg.study, deltas=(cfg.delta,)))
+        harness.run_study(cfg, out_dir=str(tmp_path), quiet=True)
+        summary = (tmp_path / "tiny_summary.csv").read_text().splitlines()[1:7]
+        header, row = (tmp_path / "tiny_study.csv").read_text().splitlines()
+        study = list(zip(header.split(","), row.split(",")))[1:7]
+        assert study == [tuple(line.split(",")) for line in summary]
 
 
 class TestBuiltinConfigs:
@@ -338,9 +376,13 @@ class TestCli:
         assert rc == 2
         assert capsys.readouterr().err.startswith(("error: [", "error: bad value for ["))
 
-    @pytest.mark.parametrize("content", [None, "# dims=31 exponent=2 variance=primal\n0\n"])
+    @pytest.mark.parametrize("content", [
+        None,
+        "# dims=31 exponent=2 variance=primal\n0\n",
+        "# dims=1 domain=0:1 exponent=2 variance=primal\n0\n",
+    ])
     def test_unreadable_exact_path_exit_code(self, tmp_path, capsys, content):
-        # a missing file, and a header without domain=
+        # a missing file, a header without domain=, and a one-node axis
         path = tmp_path / "xdag.csv"
         if content is not None:
             path.write_text(content)
@@ -349,6 +391,22 @@ class TestCli:
         rc = cli.main(["run", str(ini), "--out-dir", str(tmp_path), "--quiet"])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: [exact]")
+
+    @pytest.mark.parametrize("ini, rc", [
+        ("[noise]\ndelta = 1e-3\ndelta = 2e-3\n", 2),
+        ("[noise]\ndelta = 1e-3\n[noise]\nseed = 2\n", 2),
+        ("delta = 1e-3\n", 2),
+        ("[problem]\nn = 30\n[output]\nname = run%1\n", 0),
+    ])
+    def test_malformed_ini_exit_code(self, tmp_path, capsys, ini, rc):
+        # duplicate key, duplicate section, no section header; a `%` is text
+        path = tmp_path / "run.ini"
+        path.write_text(ini)
+        assert cli.main(["run", str(path), "--out-dir", str(tmp_path), "--quiet"]) == rc
+        if rc == 2:
+            assert capsys.readouterr().err.startswith(f"error: config file {path}")
+        else:
+            assert (tmp_path / "run%1_summary.csv").exists()
 
     def test_check_subcommand(self, capsys):
         rc = cli.main(["check"])

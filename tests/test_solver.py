@@ -9,7 +9,6 @@ from nitreg.solver import (
     AlphaSchedule,
     RunReport,
     StoppingRule,
-    convergence_study,
     diagnostics_bregman,
     run,
     step,
@@ -96,7 +95,7 @@ class TestStep:
     def test_dual_update_formula(self):
         op, x_dagger, y, ydelta = small_problem()
         theta = quadratic(mu=1.0)
-        prev = solver._initial_state(op, theta, ydelta, None, None)
+        prev = solver._initial_state(op, theta, ydelta)
         alpha = 0.25
         out = step(op, theta, ydelta, alpha, prev)
         res = op.apply(out.x) - ydelta
@@ -108,7 +107,7 @@ class TestStep:
         # 1e-13, which makes xi_n equal grad Theta(x_n) up to roundoff
         op, _xd, _y, ydelta = small_problem()
         theta = quadratic(mu=1.0)
-        prev = solver._initial_state(op, theta, ydelta, None, None)
+        prev = solver._initial_state(op, theta, ydelta)
         out = step(op, theta, ydelta, 0.5, prev)
         scale = max(1.0, norm(out.xi))
         assert out.dual_gap <= 1e-12 * scale
@@ -239,40 +238,9 @@ class TestRun:
     def test_initial_state_defaults(self):
         op, _xd, _y, ydelta = small_problem()
         theta = quadratic(mu=2.0)
-        st = solver._initial_state(op, theta, ydelta, None, None)
+        st = solver._initial_state(op, theta, ydelta)
         assert np.all(st.x.values == 0.0)
         assert np.all(st.xi.values == 0.0)  # grad Theta(0) = 0
+        assert st.dual_gap == 0.0
         assert st.residual == pytest.approx(norm(ydelta))
 
-
-class TestConvergenceStudy:
-    def test_rows_sorted_and_trends(self):
-        op, x_dagger, y, _ = small_problem()
-        theta = quadratic(mu=1.0)
-
-        def make_noisy(delta):
-            return harness.add_noise(y, delta, seed=0)
-
-        rows = convergence_study(
-            make_noisy, [1e-4, 1e-3, 1e-2], op, theta, x_dagger,
-            GEOM, StoppingRule(tau=1.05, max_outer=60),
-        )
-        deltas = [r["delta"] for r in rows]
-        assert deltas == sorted(deltas, reverse=True)
-        n_deltas = [r["n_delta"] for r in rows]
-        assert all(b >= a for a, b in zip(n_deltas, n_deltas[1:]))
-
-    def test_per_delta_failure_is_captured(self):
-        op, x_dagger, y, _ = small_problem()
-
-        def make_noisy(delta):
-            if delta < 5e-4:
-                raise RuntimeError("data source unavailable")
-            return harness.add_noise(y, delta, seed=0)
-
-        rows = convergence_study(
-            make_noisy, [1e-3, 1e-4], op, quadratic(mu=1.0), x_dagger,
-            GEOM, StoppingRule(tau=1.05, max_outer=60),
-        )
-        assert "error_message" in rows[1]
-        assert "n_delta" in rows[0]

@@ -46,6 +46,11 @@ class TestWeights:
         with pytest.raises(ValueError):
             GridSpace.interval(10, p=1.0)
 
+    def test_one_node_axis_rejected(self):
+        # a single node has no spacing, so no trapezoidal weights
+        with pytest.raises(ValueError, match="at least 2 nodes"):
+            GridSpace((1,), ((0.0, 1.0),))
+
 
 class TestGridFn:
     def test_rejects_wrong_length(self, interval):
