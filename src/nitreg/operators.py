@@ -85,8 +85,9 @@ class EllipticOp(ForwardOp):
     The system for the interior state is the interior block of one 5-point
     -Lap matrix on all grid nodes, plus diag(c); the boundary columns of that
     matrix lift g into the right-hand side. The measurement is the whole
-    state on the grid. Linear systems use a direct sparse factorization,
-    refactorized whenever c changes.
+    state on the grid. The system is symmetric, so its sparse LU uses a
+    symmetric minimum-degree ordering (of A + A^T, diagonal pivots preferred);
+    it is refactorized whenever c changes.
     """
 
     is_linear = False
@@ -120,7 +121,10 @@ class EllipticOp(ForwardOp):
             return self._cache[1], self._cache[2]
         matrix = self._laplacian + sp.diags(c.values[self._inner])
         try:
-            lu = spla.splu(matrix.tocsc())
+            # Pivoting stays on: a line-search trial c can make the system indefinite.
+            lu = spla.splu(
+                matrix.tocsc(), permc_spec="MMD_AT_PLUS_A", options=dict(SymmetricMode=True)
+            )
             u_int = lu.solve(self._rhs0)
         except RuntimeError as exc:
             raise OperatorError(f"elliptic solve failed: {exc}", c) from exc

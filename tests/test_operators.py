@@ -155,6 +155,27 @@ class TestEllipticOp:
             gap, scale = adjoint_gap(op, c, rng)
             assert gap <= 1e-8 * scale
 
+    @pytest.mark.parametrize("nx, ny", [(12, 7), (7, 12)])
+    def test_indefinite_system_solved_exactly(self, nx, ny):
+        # c = -30 lies below -lambda_min(-Lap_h) ~ -2 pi^2, so -Lap + c is
+        # indefinite but nonsingular, as at a line-search trial point; the
+        # factorization must still reach the exact state.
+        space = spaces.GridSpace.rectangle(nx, ny)
+        xs, ys = space.coords()
+        u = xs**2 + 3 * ys**2
+        c = GridFn(space, np.full(space.size, -30.0))
+        op = EllipticOp(nx, ny, f=c.values * u - 8.0, g=u)
+        assert np.max(np.abs(op.apply(c).values - u)) <= 1e-11
+
+    def test_singular_system_raises_operator_error(self):
+        # One interior node, where -Lap has diagonal 4/h^2 = 16: c = -16
+        # makes the 1x1 system exactly zero.
+        op = EllipticOp(2, 2)
+        c = GridFn(op.domain_space, np.full(op.domain_space.size, -16.0))
+        with pytest.raises(OperatorError, match="singular") as excinfo:
+            op.apply(c)
+        assert excinfo.value.coefficient is c
+
     def test_factorization_cache_reuse(self):
         op, c = make_elliptic()
         op.apply(c)
