@@ -9,7 +9,7 @@ import numpy as np
 
 from . import harness, inner_cg, penalties, solver, spaces
 from .harness import ConfigError
-from .operators import EllipticOp, IntegralOp, estimate_eta
+from .operators import IntegralOp, estimate_eta
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -91,8 +91,9 @@ def cmd_check(args) -> int:
     pred = spaces.pairing(penalties.gradient(theta, x), d)
     check("penalty gradient vs finite differences", abs(fd - pred) <= 1e-4 * (1 + abs(fd)))
 
-    xs, ys = spaces.GridSpace.rectangle(10, 10).coords()
-    pde = EllipticOp(nx=10, ny=10, g=xs + ys)  # the boundary data of `make_problem`
+    # example 5.2 on a 10x10 grid
+    cfg = harness.example52_config(overrides={("problem", "nx"): 10, ("problem", "ny"): 10})
+    pde, _c_dagger, y = harness.make_problem(cfg)
     c = spaces.primal(pde.domain_space, np.abs(rng.standard_normal(pde.domain_space.size)))
     h2 = spaces.primal(pde.domain_space, rng.standard_normal(pde.domain_space.size))
     w2 = spaces.dual(pde.range_space, rng.standard_normal(pde.range_space.size))
@@ -107,15 +108,13 @@ def cmd_check(args) -> int:
     ydelta = harness.add_noise(op.apply(harness.spikes_1d(op.domain_space)), 5e-4, 1)
     sub = inner_cg.InnerProblem(op, ydelta, l1, 0.05, x0, penalties.gradient(l1, x0))
     check("inner solver converges on a smoothed-L1 subproblem",
-          inner_cg.minimize(sub)[1].converged)
+          inner_cg.minimize(sub)[2].converged)
 
-    # first outer step of example 5.2's TV reconstruction on a 10x10 grid
-    cfg = harness.example52_config(overrides={("problem", "nx"): 10, ("problem", "ny"): 10})
-    pde, _c_dagger, y = harness.make_problem(cfg)
+    # first outer step of its TV reconstruction
     c0 = spaces.zeros(pde.domain_space)
     sub = inner_cg.InnerProblem(pde, harness.add_noise(y, 1e-3, 1), cfg.theta, 0.5, c0,
                                 penalties.gradient(cfg.theta, c0))
-    check("inner solver converges on a TV subproblem", inner_cg.minimize(sub)[1].converged)
+    check("inner solver converges on a TV subproblem", inner_cg.minimize(sub)[2].converged)
 
     return 0 if not failures else 1
 

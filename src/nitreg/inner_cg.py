@@ -11,7 +11,8 @@ r = p = 2), which one Newton step then solves.  For TV, P uses the dual field
 of Chan, Golub & Mulet, updated after each accepted step.
 
 F is applied once per point: the residual F(x) - y computed with the objective
-value is reused for the gradient, and CG takes derivatives at x.  A trial
+value is reused for the gradient, whose data term F'(x)* J_r(F(x) - y) also
+gives the returned dual update xi_n, and CG takes derivatives at x.  A trial
 point where the operator fails, or where the objective is not finite, is
 rejected like any other trial.  A solve stops when an accepted step no longer
 moves x.
@@ -77,6 +78,7 @@ class InnerStats:
     initial_grad_norm: float = np.nan
     backtracks: int = 0
     objective: float = np.nan
+    residual: float = np.nan  # ||F(x) - y|| at the returned x
 
 
 def objective(p: InnerProblem, x: GridFn) -> tuple[float, GridFn]:
@@ -86,11 +88,12 @@ def objective(p: InnerProblem, x: GridFn) -> tuple[float, GridFn]:
     return fit + p.alpha * penalties.bregman(p.theta, x, p.x_prev, p.xi_prev), res
 
 
-def grad_objective(p: InnerProblem, x: GridFn, res: GridFn) -> GridFn:
+def grad_objective(p: InnerProblem, x: GridFn, res: GridFn) -> tuple[GridFn, GridFn]:
     """Gradient in the dual representation, given res = F(x) - y:
-    F'(x)* J_r(res) + alpha * (grad Theta(x) - xi_prev)."""
+    F'(x)* J_r(res) + alpha * (grad Theta(x) - xi_prev); and its data term
+    adj = F'(x)* J_r(res)."""
     adj = p.op.adjoint(x, duality_map(res, p.r))
-    return adj + p.alpha * (penalties.gradient(p.theta, x) - p.xi_prev)
+    return adj + p.alpha * (penalties.gradient(p.theta, x) - p.xi_prev), adj
 
 
 def is_linear_quadratic(p: InnerProblem) -> bool:
@@ -132,26 +135,25 @@ def _newton_direction(p: InnerProblem, x: GridFn, res: GridFn, g: GridFn,
     return h
 
 
-def minimize(
-    p: InnerProblem,
-    s: InnerSettings | None = None,
-    x_start: GridFn | None = None,
-) -> tuple[GridFn, InnerStats]:
-    """Truncated Gauss–Newton–CG with Armijo backtracking; monotone in the objective.
+def minimize(p: InnerProblem, s: InnerSettings | None = None) -> tuple[GridFn, GridFn, InnerStats]:
+    """Truncated Gauss–Newton–CG with Armijo backtracking from x_prev; monotone
+    in the objective.
 
     Stops once the dual norm of the gradient drops below
     ``grad_tol_rel * max(1, initial gradient norm)`` or the iteration cap is
     reached, or an accepted step leaves x unchanged.  A failed line search
-    returns the best iterate with a flag.
+    returns the best iterate with a flag.  Returns x, the dual update
+    ``xi = xi_prev - (1/alpha) F'(x)* J_r(F(x) - y)`` taken from the last
+    gradient evaluation at x, and the statistics.
     """
     if s is None:
         s = InnerSettings()
-    x = p.x_prev if x_start is None else x_start
+    x = p.x_prev
     w = x.space.weights
 
     stats = InnerStats()
     f_cur, res = objective(p, x)
-    g = grad_objective(p, x, res)
+    g, adj = grad_objective(p, x, res)
     gn = stats.initial_grad_norm = norm(g)
     g0 = max(1.0, gn)
     tol = s.grad_tol_rel * g0
@@ -168,7 +170,7 @@ def minimize(
         for _bt in range(MAX_BACKTRACKS):
             trial = GridFn(x.space, x.values + t * d, PRIMAL)
             try:
-                f_trial, res = objective(p, trial)
+                f_trial, res_trial = objective(p, trial)
             except OperatorError:
                 f_trial = np.nan
             if np.isfinite(f_trial) and f_trial <= f_cur + ARMIJO * t * slope:
@@ -182,11 +184,12 @@ def minimize(
             break  # x and g are unchanged: this step would repeat
         if p.theta.b > 0.0:
             cell = penalties.tv_field_step(p.theta, x, cell, trial - x)
-        x, f_cur = trial, f_trial
-        g = grad_objective(p, x, res)
+        x, f_cur, res = trial, f_trial, res_trial
+        g, adj = grad_objective(p, x, res)
         gn = norm(g)
         stats.iterations = k + 1
     stats.converged = gn <= tol
     stats.grad_norm = gn
     stats.objective = f_cur
-    return x, stats
+    stats.residual = norm(res)
+    return x, p.xi_prev - (1.0 / p.alpha) * adj, stats

@@ -12,7 +12,7 @@ from . import inner_cg, penalties
 from .inner_cg import InnerProblem, InnerSettings, InnerStats
 from .operators import ForwardOp
 from .penalties import Penalty
-from .spaces import GridFn, duality_map, norm, zeros
+from .spaces import GridFn, norm, zeros
 
 
 @dataclass(frozen=True)
@@ -102,23 +102,20 @@ def step(
     """One outer step: inner minimization plus the dual update
     xi_n = xi_{n-1} - (1/alpha_n) F'(x_n)* J_r(F(x_n) - ydelta).
 
-    The subproblem is minimized by Newton–CG warm-started at x_{n-1}."""
+    The subproblem is minimized by Newton–CG warm-started at x_{n-1}, which
+    returns xi_n from its last gradient evaluation at x_n."""
     problem = InnerProblem(op, ydelta, theta, alpha_n, prev.x, prev.xi, r)
-    x_n, stats = inner_cg.minimize(problem, settings)
-    residual_fn = op.apply(x_n) - ydelta
-    jr = duality_map(residual_fn, r)
-    xi_n = prev.xi - (1.0 / alpha_n) * op.adjoint(x_n, jr)
-    state = NitState(
+    x_n, xi_n, stats = inner_cg.minimize(problem, settings)
+    return NitState(
         n=prev.n + 1,
         x=x_n,
         xi=xi_n,
-        residual=norm(residual_fn),
+        residual=stats.residual,
         alpha=alpha_n,
         inner_stats=stats,
         dual_gap=norm(xi_n - penalties.gradient(theta, x_n)),
         theta_value=penalties.value(theta, x_n),
     )
-    return state
 
 
 def _initial_state(op, theta, ydelta):

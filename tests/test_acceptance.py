@@ -162,7 +162,7 @@ def test_04_inner_solver_oracle(capsys):
     M = Astar @ A + 2.0 * theta.mu * alpha * np.eye(len(w))
     exact = np.linalg.solve(M, Astar @ ydelta.values + alpha * xi_prev.values)
 
-    x_cg, _stats = minimize(p, InnerSettings(grad_tol_rel=1e-10, max_iters=5000))
+    x_cg, _xi, _stats = minimize(p, InnerSettings(grad_tol_rel=1e-10, max_iters=5000))
     rel = np.linalg.norm(x_cg.values - exact) / np.linalg.norm(exact)
     _verdict(capsys, 4, f"inner CG matches dense oracle (rel {rel:.2e})", rel <= 1e-6)
 

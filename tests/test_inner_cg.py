@@ -97,7 +97,7 @@ def value(p, x):
 
 
 def gradient(p, x):
-    return inner_cg.grad_objective(p, x, inner_cg.objective(p, x)[1])
+    return inner_cg.grad_objective(p, x, inner_cg.objective(p, x)[1])[0]
 
 
 def dense_minimizer(p):
@@ -181,9 +181,9 @@ class TestDiagonalToy:
         exact = (op.diag * y.values + alpha * xi_prev.values) / (
             op.diag**2 + 2 * alpha
         )
-        x_cg, stats = minimize(p, InnerSettings(grad_tol_rel=1e-12))
+        x_cg = minimize(p, InnerSettings(grad_tol_rel=1e-12))[0]
         assert np.allclose(x_cg.values, exact, atol=1e-9)
-        x_lin, _ = minimize(p)
+        x_lin = minimize(p)[0]
         assert np.allclose(x_lin.values, exact, atol=1e-12)
 
 
@@ -193,11 +193,11 @@ class TestOracle:
         exact = dense_minimizer(p)
         scale = np.linalg.norm(exact)
 
-        x_lin, stats_lin = minimize(p)
+        x_lin, _xi, stats_lin = minimize(p)
         assert np.linalg.norm(x_lin.values - exact) <= 1e-10 * scale
         assert stats_lin.converged
 
-        x_cg, _ = minimize(p, InnerSettings(grad_tol_rel=1e-10, max_iters=5000))
+        x_cg = minimize(p, InnerSettings(grad_tol_rel=1e-10, max_iters=5000))[0]
         assert np.linalg.norm(x_cg.values - exact) <= 1e-6 * scale
 
     def test_stops_when_steps_no_longer_move_x(self):
@@ -205,7 +205,7 @@ class TestOracle:
         # rounding, so steps eventually leave x unchanged
         p = quadratic_problem(n=120, alpha=0.05, mu=1.0, seed=3)
         exact = dense_minimizer(p)
-        x, stats = minimize(p, InnerSettings(grad_tol_rel=1e-20, max_iters=5000))
+        x, _xi, stats = minimize(p, InnerSettings(grad_tol_rel=1e-20, max_iters=5000))
         assert stats.iterations < 5000
         assert not stats.converged
         assert not stats.line_search_failed
@@ -227,39 +227,45 @@ class TestMinimize:
         )
         # the objective after k iterations, for k = 0 (the start) to 6
         hist = [value(p, p.x_prev)] + [
-            minimize(p, InnerSettings(max_iters=k))[1].objective for k in range(1, 7)
+            minimize(p, InnerSettings(max_iters=k))[2].objective for k in range(1, 7)
         ]
         assert np.all(np.diff(hist) <= 1e-12)
         assert hist[-1] < hist[0]
 
     def test_gradient_tolerance_reached(self):
         p = quadratic_problem(n=40)
-        _x, stats = minimize(p, InnerSettings(grad_tol_rel=1e-6, max_iters=2000))
+        stats = minimize(p, InnerSettings(grad_tol_rel=1e-6, max_iters=2000))[2]
         assert stats.converged
         assert stats.grad_norm <= 1e-6 * max(1.0, stats.initial_grad_norm)
 
     def test_warm_start_at_minimizer_converges_immediately(self):
+        # the subproblem centred at x*, with xi_prev chosen so that x* is its
+        # minimizer: grad Theta(x*) + (1/alpha) F'(x*)* J_r(F(x*) - y)
         p = quadratic_problem(n=40)
-        x_star, _ = minimize(p)
-        _x, stats = minimize(p, InnerSettings(grad_tol_rel=1e-4), x_start=x_star)
+        x_star = minimize(p)[0]
+        res = p.op.apply(x_star) - p.ydelta
+        xi = penalties.gradient(p.theta, x_star) + (1.0 / p.alpha) * p.op.adjoint(
+            x_star, spaces.duality_map(res, p.r))
+        centred = replace(p, x_prev=x_star, xi_prev=xi)
+        stats = minimize(centred, InnerSettings(grad_tol_rel=1e-4))[2]
         assert stats.converged
         assert stats.iterations <= 2
 
     def test_smoothed_l1_subproblem_converges(self):
-        _x, stats = minimize(spikes_l1_problem())
+        stats = minimize(spikes_l1_problem())[2]
         assert stats.converged
         assert not stats.line_search_failed
         assert stats.grad_norm <= 1e-8 * max(1.0, stats.initial_grad_norm)
 
     def test_tv_subproblem_converges_in_few_newton_steps(self):
-        _x, stats = minimize(tv_problem())
+        stats = minimize(tv_problem())[2]
         assert stats.converged
         assert not stats.line_search_failed
         assert stats.iterations <= 10
 
     def test_smoothed_l1_subproblem_converges_at_r3(self):
         # 12 Newton steps; without the rank-one term of J_r' it takes 336
-        _x, stats = minimize(replace(spikes_l1_problem(), r=3.0))
+        stats = minimize(replace(spikes_l1_problem(), r=3.0))[2]
         assert stats.converged
         assert not stats.line_search_failed
         assert stats.iterations <= 20
@@ -268,7 +274,7 @@ class TestMinimize:
         # the minimizer peaks at 0.18, but early trial steps go above the cap
         op = CappedIntegralOp(80, cap=0.2)
         p = replace(spikes_l1_problem(), op=op)
-        x, stats = minimize(p)
+        x, _xi, stats = minimize(p)
         assert op.failures > 0
         assert stats.backtracks >= op.failures
         assert stats.converged
@@ -277,7 +283,7 @@ class TestMinimize:
     def test_operator_failing_at_every_trial_flags_line_search(self):
         op = CappedIntegralOp(80, cap=0.1)
         p = replace(spikes_l1_problem(), op=op)
-        x, stats = minimize(p)
+        x, _xi, stats = minimize(p)
         assert stats.line_search_failed
         assert not stats.converged
         assert x.values.max() <= op.cap
@@ -286,13 +292,13 @@ class TestMinimize:
         # the initial point, then one trial point per accepted step or backtrack
         op = CountingIntegralOp(80)
         p = replace(spikes_l1_problem(), op=op)
-        _x, stats = minimize(p)
+        stats = minimize(p)[2]
         assert op.applies == 1 + stats.iterations + stats.backtracks
 
     def test_deterministic(self):
         p = quadratic_problem(n=40)
-        x1, _ = minimize(p, InnerSettings(max_iters=50))
-        x2, _ = minimize(p, InnerSettings(max_iters=50))
+        x1 = minimize(p, InnerSettings(max_iters=50))[0]
+        x2 = minimize(p, InnerSettings(max_iters=50))[0]
         assert np.array_equal(x1.values, x2.values)
 
 
@@ -316,7 +322,7 @@ class TestExactRoute:
 
     def test_first_order_optimality(self):
         p = quadratic_problem(n=80, alpha=0.02)
-        x_star, _ = minimize(p)
+        x_star = minimize(p)[0]
         g = gradient(p, x_star)
         g0 = gradient(p, p.x_prev)
         assert norm(g) <= 1e-10 * max(1.0, norm(g0))

@@ -26,6 +26,30 @@ def small_problem(n=80, delta=1e-3, seed=0):
     return op, x_dagger, y, ydelta
 
 
+class NegatedAdjointOp(IntegralOp):
+    """Integral operator with a wrong-signed adjoint."""
+
+    def adjoint(self, x, w):
+        return -1.0 * super().adjoint(x, w)
+
+
+class CountingOp(IntegralOp):
+    """Integral operator that counts its applications."""
+
+    applies = 0
+
+    def apply(self, x):
+        self.applies += 1
+        return super().apply(x)
+
+
+def spikes_start(op):
+    """Smoothed-L1 penalty, spikes data at delta 5e-4 (seed 1), initial state."""
+    theta = l2_l1(mu=0.01, a=1.0)
+    ydelta = harness.add_noise(op.apply(harness.spikes_1d(op.domain_space)), 5e-4, 1)
+    return theta, ydelta, solver._initial_state(op, theta, ydelta)
+
+
 GEOM = AlphaSchedule("geometric", alpha1=0.5, q=0.5)
 
 
@@ -100,7 +124,30 @@ class TestStep:
         out = step(op, theta, ydelta, alpha, prev)
         res = op.apply(out.x) - ydelta
         expected = prev.xi - (1.0 / alpha) * op.adjoint(out.x, duality_map(res, 2.0))
-        assert np.allclose(out.xi.values, expected.values, atol=1e-14)
+        assert np.array_equal(out.xi.values, expected.values)
+        assert out.residual == norm(res)
+
+    def test_failed_line_search_reports_the_returned_iterate(self):
+        # with a negated adjoint no Newton direction descends, so all 50
+        # trials are finite and rejected; the residual and xi_n must still be
+        # those of the returned x, not of the last rejected trial
+        op = NegatedAdjointOp(80)
+        theta, ydelta, prev = spikes_start(op)
+        alpha = 0.05
+        out = step(op, theta, ydelta, alpha, prev)
+        assert out.inner_stats.line_search_failed
+        res = op.apply(out.x) - ydelta
+        assert out.residual == norm(res)
+        expected = prev.xi - (1.0 / alpha) * op.adjoint(out.x, duality_map(res, 2.0))
+        assert np.array_equal(out.xi.values, expected.values)
+
+    def test_applies_operator_only_in_the_inner_solve(self):
+        # the initial point, then one trial point per accepted step or backtrack
+        op = CountingOp(80)
+        theta, ydelta, prev = spikes_start(op)
+        op.applies = 0
+        stats = step(op, theta, ydelta, 0.05, prev).inner_stats
+        assert op.applies == 1 + stats.iterations + stats.backtracks
 
     def test_dual_gap_small_at_optimality(self):
         # a linear-quadratic subproblem is one Newton step with CG at rtol
