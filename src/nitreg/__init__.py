@@ -9,7 +9,7 @@ from .spaces import (
     norm,
     pairing,
 )
-from .penalties import Penalty, l2_l1, l2_tv, quadratic
+from .penalties import Penalty
 from .operators import EllipticOp, ForwardOp, IntegralOp, OperatorError, estimate_eta
 from .inner_cg import InnerProblem, InnerSettings, minimize
 from .solver import AlphaSchedule, NitState, RunReport, StoppingRule, run, step
@@ -35,9 +35,6 @@ __all__ = [
     "norm",
     "pairing",
     "Penalty",
-    "quadratic",
-    "l2_l1",
-    "l2_tv",
     "ForwardOp",
     "IntegralOp",
     "EllipticOp",

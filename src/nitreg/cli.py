@@ -7,7 +7,7 @@ import sys
 
 import numpy as np
 
-from . import harness, inner_cg, penalties, solver, spaces
+from . import harness, inner_cg, penalties, spaces
 from .harness import ConfigError
 from .operators import IntegralOp, estimate_eta
 
@@ -66,7 +66,7 @@ def cmd_check(args) -> int:
             failures.append(label)
 
     space = spaces.GridSpace.interval(50)
-    f = spaces.primal(space, rng.standard_normal(space.size))
+    f = spaces.GridFn(space, rng.standard_normal(space.size))
     for r in (1.5, 2.0, 3.0):
         jf = spaces.duality_map(f, r)
         nf = spaces.norm(f)
@@ -77,33 +77,32 @@ def cmd_check(args) -> int:
         )
 
     op = IntegralOp(n=80)
-    h = spaces.primal(op.domain_space, rng.standard_normal(op.domain_space.size))
-    w = spaces.dual(op.range_space, rng.standard_normal(op.range_space.size))
+    h = spaces.GridFn(op.domain_space, rng.standard_normal(op.domain_space.size))
+    w = spaces.GridFn(op.range_space, rng.standard_normal(op.range_space.size), spaces.DUAL)
     lhs = spaces.pairing(w, op.apply(h))
     rhs = spaces.pairing(op.adjoint(h, w), h)
     check("integral adjoint consistency", abs(lhs - rhs) <= 1e-10 * (1 + abs(lhs)))
 
-    theta = penalties.l2_l1(0.01)
-    x = spaces.primal(space, rng.standard_normal(space.size))
-    d = spaces.primal(space, rng.standard_normal(space.size))
+    l1 = penalties.Penalty(mu=0.01, a=1.0)
+    x = spaces.GridFn(space, rng.standard_normal(space.size))
+    d = spaces.GridFn(space, rng.standard_normal(space.size))
     t = 1e-6
-    fd = (penalties.value(theta, x + t * d) - penalties.value(theta, x - t * d)) / (2 * t)
-    pred = spaces.pairing(penalties.gradient(theta, x), d)
+    fd = (penalties.value(l1, x + t * d) - penalties.value(l1, x - t * d)) / (2 * t)
+    pred = spaces.pairing(penalties.gradient(l1, x), d)
     check("penalty gradient vs finite differences", abs(fd - pred) <= 1e-4 * (1 + abs(fd)))
 
     # example 5.2 on a 10x10 grid
     cfg = harness.example52_config(overrides={("problem", "nx"): 10, ("problem", "ny"): 10})
     pde, _c_dagger, y = harness.make_problem(cfg)
-    c = spaces.primal(pde.domain_space, np.abs(rng.standard_normal(pde.domain_space.size)))
-    h2 = spaces.primal(pde.domain_space, rng.standard_normal(pde.domain_space.size))
-    w2 = spaces.dual(pde.range_space, rng.standard_normal(pde.range_space.size))
+    c = spaces.GridFn(pde.domain_space, np.abs(rng.standard_normal(pde.domain_space.size)))
+    h2 = spaces.GridFn(pde.domain_space, rng.standard_normal(pde.domain_space.size))
+    w2 = spaces.GridFn(pde.range_space, rng.standard_normal(pde.range_space.size), spaces.DUAL)
     lhs = spaces.pairing(w2, pde.deriv(c, h2))
     rhs = spaces.pairing(pde.adjoint(c, w2), h2)
     check("elliptic adjoint consistency", abs(lhs - rhs) <= 1e-8 * (1 + abs(lhs)))
 
     check("tangential cone of the elliptic operator", estimate_eta(pde, c, 1e-4, 3) <= 1e-4)
 
-    l1 = penalties.l2_l1(mu=0.01, a=1.0, eps=1e-6)
     x0 = spaces.zeros(op.domain_space)
     ydelta = harness.add_noise(op.apply(harness.spikes_1d(op.domain_space)), 5e-4, 1)
     sub = inner_cg.InnerProblem(op, ydelta, l1, 0.05, x0, penalties.gradient(l1, x0))

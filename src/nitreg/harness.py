@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import configparser
 import os
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import get_type_hints
 
@@ -16,7 +16,7 @@ from .inner_cg import InnerProblem, InnerSettings
 from .operators import EllipticOp, ForwardOp, IntegralOp
 from .penalties import Penalty
 from .solver import AlphaSchedule, RunReport, StoppingRule
-from .spaces import GridFn, GridSpace, norm, primal, read_csv
+from .spaces import PRIMAL, GridFn, GridSpace, norm, read_csv, zeros
 
 OUT_DIR_ENV = "NITREG_OUT_DIR"
 
@@ -47,14 +47,10 @@ class Exact:
     path: str = ""  # CSV path when selector = file
 
     def __post_init__(self):
-        if self.selector not in ("spikes_1d", "two_inclusions_2d", "zero", "file"):
+        if self.selector not in EXACT_SOLUTIONS and self.selector != "file":
             raise ValueError(f"unknown exact-solution selector {self.selector!r}")
         if self.selector == "file" and not self.path:
             raise ValueError("selector = file needs a path")
-
-
-# Problem kind each built-in exact solution is defined on.
-SELECTOR_KINDS = {"spikes_1d": "integral_1d", "two_inclusions_2d": "elliptic_2d"}
 
 
 @dataclass(frozen=True)
@@ -81,7 +77,12 @@ class Method:
 @dataclass(frozen=True)
 class Output:
     dir: str = "."
-    name: str = "run"
+    name: str = "run"  # file-name stem of the CSVs written into dir
+
+    def __post_init__(self):
+        if not self.name or Path(self.name).name != self.name:
+            raise ValueError("name must be a non-empty file name without a directory, "
+                             f"got {self.name!r}")
 
 
 @dataclass(frozen=True)
@@ -199,9 +200,10 @@ def config_from_dict(raw: dict, overrides: dict | None = None) -> ExperimentConf
     if raw:
         raise ConfigError(f"unknown config section [{next(iter(raw))}]")
     selector, kind = sections["exact"].selector, sections["problem"].kind
-    if SELECTOR_KINDS.get(selector, kind) != kind:
+    _build, needs = EXACT_SOLUTIONS.get(selector, (None, None))
+    if needs not in (None, kind):
         raise ConfigError(f"[exact] selector = {selector} needs [problem] kind = "
-                          f"{SELECTOR_KINDS[selector]}, not {kind}")
+                          f"{needs}, not {kind}")
     return ExperimentConfig(**sections)
 
 
@@ -225,7 +227,7 @@ def spikes_1d(space: GridSpace) -> GridFn:
     v[(t >= 0.292) & (t <= 0.300)] = 0.5
     v[(t >= 0.500) & (t <= 0.508)] = 1.0
     v[(t >= 0.700) & (t <= 0.708)] = 0.7
-    return primal(space, v)
+    return GridFn(space, v)
 
 
 def two_inclusions_2d(space: GridSpace) -> GridFn:
@@ -235,23 +237,30 @@ def two_inclusions_2d(space: GridSpace) -> GridFn:
     v[(x - 0.3) ** 2 + (y - 0.7) ** 2 <= 0.2**2] = 1.0
     rect = (x >= 0.6) & (x <= 0.8) & (y >= 0.2) & (y <= 0.5)
     v[rect] = 0.5
-    return primal(space, v)
+    return GridFn(space, v)
+
+
+# Built-in exact solutions: selector -> (builder, the problem kind it needs,
+# None for any kind).  `[exact] selector = file` reads one from a CSV instead.
+EXACT_SOLUTIONS = {
+    "spikes_1d": (spikes_1d, "integral_1d"),
+    "two_inclusions_2d": (two_inclusions_2d, "elliptic_2d"),
+    "zero": (zeros, None),
+}
 
 
 def exact_solution(exact: Exact, space: GridSpace) -> GridFn:
-    sel = exact.selector
-    if sel == "spikes_1d":
-        return spikes_1d(space)
-    if sel == "two_inclusions_2d":
-        return two_inclusions_2d(space)
-    if sel == "zero":
-        return primal(space, np.zeros(space.size))
+    if exact.selector in EXACT_SOLUTIONS:
+        return EXACT_SOLUTIONS[exact.selector][0](space)
     try:
         fn = read_csv(exact.path)
     except (OSError, ValueError, KeyError) as exc:
         raise ConfigError(f"[exact] path {exact.path!r} is unreadable: {exc}") from exc
+    if fn.variance != PRIMAL:
+        raise ConfigError(f"[exact] path {exact.path!r} holds a {fn.variance} function, "
+                          "not a primal one")
     if fn.space != space:
-        raise ConfigError("custom exact solution lives on a different grid")
+        raise ConfigError(f"[exact] path {exact.path!r} lives on a different grid")
     return fn
 
 
@@ -352,23 +361,24 @@ def resolve_out_dir(cfg: ExperimentConfig, out_dir: str | None = None) -> Path:
     return path
 
 
+def solve(cfg: ExperimentConfig, op: ForwardOp, ydelta: GridFn) -> RunReport:
+    """Run the method on data ydelta at cfg's noise level, with cfg's settings."""
+    return solver.run(op, cfg.theta, ydelta, cfg.noise.delta, cfg.alpha_schedule,
+                      cfg.stopping_rule, cfg.inner, r=cfg.method.r, config=cfg.echo())
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
                    quiet: bool = False) -> RunReport:
     """Run a configured experiment and emit the CSV file set."""
     op, x_dag, y_exact = make_problem(cfg)
-    ydelta = add_noise(y_exact, cfg.delta, cfg.seed)
-    theta = cfg.penalty()
-    report = solver.run(
-        op, theta, ydelta, cfg.delta, cfg.schedule(), cfg.stopping(),
-        cfg.inner_settings(), r=cfg.r, config=cfg.echo(),
-    )
+    report = solve(cfg, op, add_noise(y_exact, cfg.noise.delta, cfg.noise.seed))
     directory = resolve_out_dir(cfg, out_dir)
     base = directory / cfg.output.name
-    write_iteration_csv(f"{base}_iterations.csv", report, theta, x_dag)
+    write_iteration_csv(f"{base}_iterations.csv", report, cfg.theta, x_dag)
     write_reconstruction_csv(f"{base}_reconstruction.csv", report.x_out)
-    write_summary_csv(f"{base}_summary.csv", report, theta, x_dag)
+    write_summary_csv(f"{base}_summary.csv", report, cfg.theta, x_dag)
     if not quiet:
-        result = summary(report, theta, x_dag)
+        result = summary(report, cfg.theta, x_dag)
         print(f"{cfg.output.name}: n_delta={result['n_delta']} "
               f"terminated_by={result['terminated_by']} "
               f"residual={result['residual']:.6g} "
@@ -384,15 +394,12 @@ def run_study(cfg: ExperimentConfig, out_dir: str | None = None,
     if not cfg.study.deltas:
         raise ConfigError("[study] deltas is empty; nothing to sweep")
     op, x_dag, y_exact = make_problem(cfg)
-    theta = cfg.penalty()
     rows = []
     for d in sorted(cfg.study.deltas, reverse=True):
         try:
-            report = solver.run(
-                op, theta, add_noise(y_exact, d, cfg.seed), d, cfg.schedule(),
-                cfg.stopping(), cfg.inner_settings(), r=cfg.r,
-            )
-            rows.append({"delta": d, **summary(report, theta, x_dag)})
+            report = solve(replace(cfg, noise=replace(cfg.noise, delta=d)), op,
+                           add_noise(y_exact, d, cfg.noise.seed))
+            rows.append({"delta": d, **summary(report, cfg.theta, x_dag)})
         except Exception as exc:  # per-delta failure, study continues
             rows.append({"delta": d, "error_message": str(exc)})
     cols = ["delta", "n_delta", "terminated_by", "residual", "l2_error",

@@ -40,18 +40,6 @@ class Penalty:
             raise ValueError("a and b must be nonnegative")
 
 
-def quadratic(mu: float = Penalty.mu) -> Penalty:
-    return Penalty(mu=mu)
-
-
-def l2_l1(mu: float, a: float = 1.0, eps: float = Penalty.eps) -> Penalty:
-    return Penalty(mu=mu, a=a, eps=eps)
-
-
-def l2_tv(mu: float, b: float = 1.0, eps: float = Penalty.eps) -> Penalty:
-    return Penalty(mu=mu, b=b, eps=eps)
-
-
 @functools.lru_cache(maxsize=8)
 def _differences(space: GridSpace) -> sp.csr_matrix:
     """Forward differences D on the cell grid, one block of rows per axis.

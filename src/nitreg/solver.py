@@ -60,6 +60,8 @@ class StoppingRule:
             raise ValueError("tau must be > 1")
         if self.max_outer < 1:
             raise ValueError("max_outer must be >= 1")
+        if self.atol_zero <= 0.0:
+            raise ValueError("atol_zero must be > 0")
 
 
 @dataclass

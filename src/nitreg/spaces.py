@@ -138,14 +138,6 @@ class GridFn:
         return GridFn(self.space, -self.values, self.variance)
 
 
-def primal(space: GridSpace, values) -> GridFn:
-    return GridFn(space, values, PRIMAL)
-
-
-def dual(space: GridSpace, values) -> GridFn:
-    return GridFn(space, values, DUAL)
-
-
 def zeros(space: GridSpace, variance: str = PRIMAL) -> GridFn:
     return GridFn(space, np.zeros(space.size), variance)
 
@@ -197,13 +189,9 @@ def write_csv(f: GridFn, path) -> None:
     """Serialize a grid function: header with space metadata, one value per line."""
     dims = ",".join(str(d) for d in f.space.dims)
     dom = ";".join(f"{lo:.17g}:{hi:.17g}" for lo, hi in f.space.domain)
-    with open(path, "w") as fh:
-        fh.write(
-            f"# dims={dims} domain={dom} exponent={f.space.exponent:.17g} "
-            f"variance={f.variance}\n"
-        )
-        for v in f.values:
-            fh.write(f"{v:.17g}\n")
+    header = (f"dims={dims} domain={dom} exponent={f.space.exponent:.17g} "
+              f"variance={f.variance}")
+    np.savetxt(path, f.values, fmt="%.17g", header=header)
 
 
 def read_csv(path) -> GridFn:
@@ -218,5 +206,5 @@ def read_csv(path) -> GridFn:
             for seg in meta["domain"].split(";")
         )
         space = GridSpace(dims, domain, float(meta["exponent"]))
-        values = np.array([float(line) for line in fh if line.strip()])
+        values = np.loadtxt(fh, ndmin=1)
     return GridFn(space, values, meta["variance"])

@@ -14,7 +14,7 @@ from nitreg import harness, penalties, solver, spaces
 from nitreg.harness import add_noise, example51_config, example52_config, make_problem
 from nitreg.inner_cg import InnerProblem, InnerSettings, minimize
 from nitreg.operators import IntegralOp
-from nitreg.penalties import quadratic
+from nitreg.penalties import Penalty
 from nitreg.solver import AlphaSchedule, StoppingRule
 from nitreg.spaces import (
     GridFn,
@@ -34,13 +34,8 @@ def _verdict(capsys, num, description, ok):
 
 def _run_from_config(cfg):
     op, x_dag, y_exact = make_problem(cfg)
-    ydelta = add_noise(y_exact, cfg.delta, cfg.seed)
-    theta = cfg.penalty()
-    report = solver.run(
-        op, theta, ydelta, cfg.delta, cfg.schedule(), cfg.stopping(),
-        cfg.inner_settings(), r=cfg.r,
-    )
-    return report, x_dag, theta, op
+    report = harness.solve(cfg, op, add_noise(y_exact, cfg.noise.delta, cfg.noise.seed))
+    return report, x_dag, cfg.theta, op
 
 
 @pytest.fixture(scope="module")
@@ -147,7 +142,7 @@ def test_03_elliptic_taylor_order(capsys):
 
 def test_04_inner_solver_oracle(capsys):
     op = IntegralOp(120)
-    theta = quadratic(mu=1.0)
+    theta = Penalty(mu=1.0)
     rng = np.random.default_rng(3)
     x_prev = GridFn(op.domain_space, rng.standard_normal(op.domain_space.size))
     xi_prev = penalties.gradient(theta, x_prev)

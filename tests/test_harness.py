@@ -119,6 +119,12 @@ class TestConfigParsing:
         assert documented == set(defaults.echo())
         assert config_from_dict(raw) == defaults
 
+    def test_readme_library_block_runs(self, capsys):
+        block = re.search(r"```python\n(.*?)```", README.read_text(), re.S).group(1)
+        exec(compile(block, str(README), "exec"), {})
+        n_delta, residual = capsys.readouterr().out.split()
+        assert int(n_delta) > 0 and float(residual) <= 1.02 * 5e-4
+
     def test_factory_methods_round_trip(self, config_file):
         cfg = load_config(config_file)
         assert (cfg.penalty().a, cfg.penalty().b) == (0.0, 0.0)
@@ -368,6 +374,9 @@ class TestCli:
         "[inner]\ngrad_tol_rel = nan\n",
         "[penalty]\nmu = inf\n",
         "[study]\ndeltas = 1e-3 nan\n",
+        "[output]\nname =\n",
+        "[output]\nname = sub/run\n",
+        "[noise]\ndelta = 0\n[stopping]\natol_zero = -1\n",
     ])
     def test_invalid_value_exit_code(self, tmp_path, capsys, ini):
         path = tmp_path / "bad.ini"
@@ -380,9 +389,11 @@ class TestCli:
         None,
         "# dims=31 exponent=2 variance=primal\n0\n",
         "# dims=1 domain=0:1 exponent=2 variance=primal\n0\n",
+        "# dims=31 domain=0:1 exponent=2 variance=dual\n" + "0\n" * 31,
     ])
     def test_unreadable_exact_path_exit_code(self, tmp_path, capsys, content):
-        # a missing file, a header without domain=, and a one-node axis
+        # a missing file, a header without domain=, a one-node axis, and a
+        # dual function on the problem's grid
         path = tmp_path / "xdag.csv"
         if content is not None:
             path.write_text(content)

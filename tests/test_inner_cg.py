@@ -7,7 +7,7 @@ from nitreg import inner_cg, penalties, spaces
 from nitreg.harness import add_noise, example52_config, make_problem, spikes_1d
 from nitreg.inner_cg import InnerProblem, InnerSettings, is_linear_quadratic, minimize
 from nitreg.operators import ForwardOp, IntegralOp, OperatorError
-from nitreg.penalties import Penalty, l2_l1, quadratic
+from nitreg.penalties import Penalty
 from nitreg.spaces import DUAL, PRIMAL, GridFn, GridSpace, norm
 
 
@@ -65,7 +65,7 @@ class CountingIntegralOp(IntegralOp):
 def spikes_l1_problem():
     """First outer step of a smoothed-L1 reconstruction of the spikes."""
     op = IntegralOp(80)
-    theta = l2_l1(mu=0.01, a=1.0, eps=1e-6)
+    theta = Penalty(mu=0.01, a=1.0, eps=1e-6)
     x_prev = spaces.zeros(op.domain_space)
     ydelta = add_noise(op.apply(spikes_1d(op.domain_space)), 5e-4, 1)
     return InnerProblem(op, ydelta, theta, 0.05, x_prev, penalties.gradient(theta, x_prev))
@@ -85,7 +85,7 @@ def tv_problem():
 def quadratic_problem(n=60, alpha=0.1, mu=1.0, seed=0):
     op = IntegralOp(n)
     rng = np.random.default_rng(seed)
-    theta = quadratic(mu=mu)
+    theta = Penalty(mu=mu)
     x_prev = GridFn(op.domain_space, rng.standard_normal(op.domain_space.size))
     xi_prev = penalties.gradient(theta, x_prev)
     y = GridFn(op.range_space, np.sin(2 * np.pi * op.range_space.axis_nodes(0)))
@@ -172,7 +172,7 @@ class TestDiagonalToy:
         # per-node optimality: (d_i^2 + 2 mu alpha) x_i = d_i y_i + alpha xi_i
         space = GridSpace.interval(1)  # two nodes
         op = DiagOp(space, [2.0, 0.5])
-        theta = quadratic(mu=1.0)
+        theta = Penalty(mu=1.0)
         alpha = 0.25
         y = GridFn(space, np.array([1.0, -3.0]))
         x_prev = GridFn(space, np.array([0.3, 0.7]))
@@ -220,10 +220,10 @@ class TestMinimize:
         p = InnerProblem(
             p.op,
             p.ydelta,
-            l2_l1(mu=1.0, a=0.5, eps=1e-3),
+            Penalty(mu=1.0, a=0.5, eps=1e-3),
             p.alpha,
             p.x_prev,
-            penalties.gradient(l2_l1(mu=1.0, a=0.5, eps=1e-3), p.x_prev),
+            penalties.gradient(Penalty(mu=1.0, a=0.5, eps=1e-3), p.x_prev),
         )
         # the objective after k iterations, for k = 0 (the start) to 6
         hist = [value(p, p.x_prev)] + [
@@ -309,7 +309,7 @@ class TestExactRoute:
         p_l1 = InnerProblem(
             p.op,
             p.ydelta,
-            l2_l1(mu=1.0, a=1.0, eps=1e-3),
+            Penalty(mu=1.0, a=1.0, eps=1e-3),
             p.alpha,
             p.x_prev,
             p.xi_prev,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nitreg import penalties, spaces
-from nitreg.penalties import Penalty, l2_l1, l2_tv, quadratic
+from nitreg.penalties import Penalty
 from nitreg.spaces import GridFn, GridSpace, norm, pairing
 
 
@@ -44,12 +44,12 @@ class TestValidation:
 
 class TestQuadratic:
     def test_value_on_constant_one(self, line):
-        theta = quadratic(mu=0.5)
+        theta = Penalty(mu=0.5)
         one = GridFn(line, np.ones(line.size))
         assert penalties.value(theta, one) == pytest.approx(0.5)
 
     def test_value_is_mu_norm_squared(self, line):
-        theta = quadratic(mu=2.0)
+        theta = Penalty(mu=2.0)
         rng = np.random.default_rng(0)
         x = random_fn(line, rng)
         assert penalties.value(theta, x) == pytest.approx(
@@ -57,7 +57,7 @@ class TestQuadratic:
         )
 
     def test_gradient_is_2mu_x(self, line):
-        theta = quadratic(mu=3.0)
+        theta = Penalty(mu=3.0)
         rng = np.random.default_rng(1)
         x = random_fn(line, rng)
         g = penalties.gradient(theta, x)
@@ -65,7 +65,7 @@ class TestQuadratic:
         assert np.allclose(g.values, 6.0 * x.values, rtol=1e-12)
 
     def test_bregman_is_mu_distance_squared(self, line):
-        theta = quadratic(mu=1.5)
+        theta = Penalty(mu=1.5)
         rng = np.random.default_rng(2)
         x, xbar = random_fn(line, rng), random_fn(line, rng)
         d = penalties.bregman(theta, xbar, x, penalties.gradient(theta, x))
@@ -74,14 +74,14 @@ class TestQuadratic:
 
 class TestL2L1:
     def test_value_on_constant(self, line):
-        theta = l2_l1(mu=1.0, a=1.0, eps=1e-4)
+        theta = Penalty(mu=1.0, a=1.0, eps=1e-4)
         one = GridFn(line, np.ones(line.size))
         assert penalties.value(theta, one) == pytest.approx(
             1.0 + np.sqrt(1 + 1e-4), rel=1e-12
         )
 
     def test_gradient_finite_difference(self, line):
-        theta = l2_l1(mu=1.0, a=0.5, eps=1e-3)
+        theta = Penalty(mu=1.0, a=0.5, eps=1e-3)
         rng = np.random.default_rng(3)
         for _ in range(5):
             assert fd_gradient_check(theta, random_fn(line, rng), rng) <= 1e-6
@@ -91,7 +91,7 @@ class TestL2L1:
         rng = np.random.default_rng(4)
         x = random_fn(line, rng)
         vals = [
-            penalties.value(l2_l1(mu=1.0, a=1.0, eps=e), x)
+            penalties.value(Penalty(mu=1.0, a=1.0, eps=e), x)
             for e in (1e-2, 1e-4, 1e-6)
         ]
         assert vals[0] > vals[1] > vals[2]
@@ -103,7 +103,7 @@ class TestL2L1:
 class TestL2TV:
     def test_value_on_constant_1d(self, line):
         # constant function: gradient term reduces to b*sqrt(eps)*|domain|
-        theta = l2_tv(mu=1.0, b=2.0, eps=1e-4)
+        theta = Penalty(mu=1.0, b=2.0, eps=1e-4)
         c = GridFn(line, np.full(line.size, 3.0))
         assert penalties.value(theta, c) == pytest.approx(
             9.0 + 2.0 * np.sqrt(1e-4), rel=1e-10
@@ -111,25 +111,25 @@ class TestL2TV:
 
     def test_tv_of_ramp_1d(self, line):
         # linear ramp x(t)=t has |x'| = 1 everywhere
-        theta = l2_tv(mu=1e-12, b=1.0, eps=1e-12)
+        theta = Penalty(mu=1e-12, b=1.0, eps=1e-12)
         ramp = GridFn(line, line.axis_nodes(0))
         assert penalties.value(theta, ramp) == pytest.approx(1.0, rel=1e-6)
 
     def test_tv_of_plane_2d(self, square):
         # x(s,t)=s+t has |grad| = sqrt(2) everywhere
-        theta = l2_tv(mu=1e-12, b=1.0, eps=1e-12)
+        theta = Penalty(mu=1e-12, b=1.0, eps=1e-12)
         xs, ys = square.coords()
         plane = GridFn(square, xs + ys)
         assert penalties.value(theta, plane) == pytest.approx(np.sqrt(2.0), rel=1e-6)
 
     def test_gradient_finite_difference_1d(self, line):
-        theta = l2_tv(mu=1.0, b=0.5, eps=1e-3)
+        theta = Penalty(mu=1.0, b=0.5, eps=1e-3)
         rng = np.random.default_rng(5)
         for _ in range(5):
             assert fd_gradient_check(theta, random_fn(line, rng), rng) <= 1e-5
 
     def test_gradient_finite_difference_2d(self, square):
-        theta = l2_tv(mu=1.0, b=0.5, eps=1e-3)
+        theta = Penalty(mu=1.0, b=0.5, eps=1e-3)
         rng = np.random.default_rng(6)
         for _ in range(5):
             assert fd_gradient_check(theta, random_fn(square, rng), rng) <= 1e-5
@@ -138,16 +138,16 @@ class TestL2TV:
         rng = np.random.default_rng(7)
         x = random_fn(square, rng)
         vals = [
-            penalties.value(l2_tv(mu=1.0, b=1.0, eps=e), x)
+            penalties.value(Penalty(mu=1.0, b=1.0, eps=e), x)
             for e in (1e-2, 1e-4, 1e-6)
         ]
         assert vals[0] > vals[1] > vals[2]
 
 
 PENALTY_CASES = [
-    quadratic(mu=1.0),
-    l2_l1(mu=0.7, a=1.0, eps=1e-3),
-    l2_tv(mu=0.7, b=1.0, eps=1e-3),
+    Penalty(mu=1.0),
+    Penalty(mu=0.7, a=1.0, eps=1e-3),
+    Penalty(mu=0.7, b=1.0, eps=1e-3),
 ]
 PENALTY_IDS = ["quadratic", "l2_l1", "l2_tv"]
 

@@ -4,7 +4,7 @@ import pytest
 from nitreg import harness, penalties, solver, spaces
 from nitreg.inner_cg import InnerSettings
 from nitreg.operators import IntegralOp
-from nitreg.penalties import l2_l1, quadratic
+from nitreg.penalties import Penalty
 from nitreg.solver import (
     AlphaSchedule,
     RunReport,
@@ -45,7 +45,7 @@ class CountingOp(IntegralOp):
 
 def spikes_start(op):
     """Smoothed-L1 penalty, spikes data at delta 5e-4 (seed 1), initial state."""
-    theta = l2_l1(mu=0.01, a=1.0)
+    theta = Penalty(mu=0.01, a=1.0)
     ydelta = harness.add_noise(op.apply(harness.spikes_1d(op.domain_space)), 5e-4, 1)
     return theta, ydelta, solver._initial_state(op, theta, ydelta)
 
@@ -109,7 +109,7 @@ class TestStep:
         # if y = F(x_prev) and xi_prev = grad Theta(x_prev) the inner solver
         # stays put and J_r(0) = 0 keeps the dual variable fixed
         op, x_dagger, y, _ = small_problem()
-        theta = quadratic(mu=1.0)
+        theta = Penalty(mu=1.0)
         xi = penalties.gradient(theta, x_dagger)
         prev = solver.NitState(n=0, x=x_dagger, xi=xi, residual=0.0)
         out = step(op, theta, op.apply(x_dagger), 0.5, prev)
@@ -118,7 +118,7 @@ class TestStep:
 
     def test_dual_update_formula(self):
         op, x_dagger, y, ydelta = small_problem()
-        theta = quadratic(mu=1.0)
+        theta = Penalty(mu=1.0)
         prev = solver._initial_state(op, theta, ydelta)
         alpha = 0.25
         out = step(op, theta, ydelta, alpha, prev)
@@ -153,7 +153,7 @@ class TestStep:
         # a linear-quadratic subproblem is one Newton step with CG at rtol
         # 1e-13, which makes xi_n equal grad Theta(x_n) up to roundoff
         op, _xd, _y, ydelta = small_problem()
-        theta = quadratic(mu=1.0)
+        theta = Penalty(mu=1.0)
         prev = solver._initial_state(op, theta, ydelta)
         out = step(op, theta, ydelta, 0.5, prev)
         scale = max(1.0, norm(out.xi))
@@ -164,7 +164,7 @@ class TestRun:
     def test_discrepancy_terminates(self):
         op, x_dagger, y, ydelta = small_problem()
         report = run(
-            op, quadratic(mu=1.0), ydelta, 1e-3, GEOM,
+            op, Penalty(mu=1.0), ydelta, 1e-3, GEOM,
             StoppingRule(tau=1.05, max_outer=60),
         )
         assert report.terminated_by == "discrepancy"
@@ -176,7 +176,7 @@ class TestRun:
     def test_residual_monotone(self):
         op, _xd, _y, ydelta = small_problem()
         report = run(
-            op, quadratic(mu=1.0), ydelta, 1e-3, GEOM,
+            op, Penalty(mu=1.0), ydelta, 1e-3, GEOM,
             StoppingRule(tau=1.05, max_outer=60),
         )
         res = report.residuals
@@ -184,7 +184,7 @@ class TestRun:
 
     def test_bregman_to_solution_monotone(self):
         op, x_dagger, _y, ydelta = small_problem()
-        theta = quadratic(mu=1.0)
+        theta = Penalty(mu=1.0)
         report = run(
             op, theta, ydelta, 1e-3, GEOM,
             StoppingRule(tau=1.05, max_outer=60),
@@ -200,7 +200,7 @@ class TestRun:
     def test_telescoped_dual_updates(self):
         # xi_n - xi_0 equals minus the sum of adjoint terms along the run
         op, _xd, _y, ydelta = small_problem()
-        theta = quadratic(mu=1.0)
+        theta = Penalty(mu=1.0)
         report = run(
             op, theta, ydelta, 1e-3, GEOM,
             StoppingRule(tau=1.05, max_outer=60),
@@ -217,7 +217,7 @@ class TestRun:
         # exact data: |F(x_n) - y|^r * sum_{j<=n} 1/alpha_j stays below
         # D_{xi_0} Theta(x_dagger, x_0)  (linear operator, eta = 0)
         op, x_dagger, y, _ = small_problem()
-        theta = quadratic(mu=1.0)
+        theta = Penalty(mu=1.0)
         report = run(
             op, theta, y, 0.0, GEOM,
             StoppingRule(tau=1.05, max_outer=15, atol_zero=1e-14),
@@ -231,7 +231,7 @@ class TestRun:
 
     def test_rule41_returns_previous_iterate(self):
         op, _xd, _y, ydelta = small_problem()
-        theta = quadratic(mu=1.0)
+        theta = Penalty(mu=1.0)
         dp = run(op, theta, ydelta, 1e-3, GEOM,
                  StoppingRule("discrepancy", tau=1.05, max_outer=60))
         r41 = run(op, theta, ydelta, 1e-3, GEOM,
@@ -249,7 +249,7 @@ class TestRun:
         # x_0 = 0 has residual ||ydelta||, below tau * delta for delta = ||ydelta||
         op, _xd, _y, ydelta = small_problem()
         report = run(
-            op, quadratic(mu=1.0), ydelta, norm(ydelta), GEOM,
+            op, Penalty(mu=1.0), ydelta, norm(ydelta), GEOM,
             StoppingRule(kind, tau=1.05, max_outer=5),
         )
         assert report.terminated_by == kind
@@ -260,7 +260,7 @@ class TestRun:
     def test_max_outer_fallback_returns_best_residual(self, kind):
         op, _xd, _y, ydelta = small_problem()
         report = run(
-            op, quadratic(mu=1.0), ydelta, 1e-12, GEOM,
+            op, Penalty(mu=1.0), ydelta, 1e-12, GEOM,
             StoppingRule(kind, tau=1.05, max_outer=5),
         )
         assert report.terminated_by == "max_outer"
@@ -269,11 +269,11 @@ class TestRun:
     def test_negative_delta_rejected(self):
         op, _xd, _y, ydelta = small_problem()
         with pytest.raises(ValueError):
-            run(op, quadratic(mu=1.0), ydelta, -1.0, GEOM, StoppingRule())
+            run(op, Penalty(mu=1.0), ydelta, -1.0, GEOM, StoppingRule())
 
     def test_deterministic_trajectories(self):
         op, _xd, _y, ydelta = small_problem()
-        theta = l2_l1(mu=1.0, a=0.5, eps=1e-3)
+        theta = Penalty(mu=1.0, a=0.5, eps=1e-3)
         settings = InnerSettings(max_iters=200)
         kw = dict(settings=settings)
         r1 = run(op, theta, ydelta, 1e-3, GEOM, StoppingRule(tau=1.05, max_outer=8), **kw)
@@ -284,7 +284,7 @@ class TestRun:
 
     def test_initial_state_defaults(self):
         op, _xd, _y, ydelta = small_problem()
-        theta = quadratic(mu=2.0)
+        theta = Penalty(mu=2.0)
         st = solver._initial_state(op, theta, ydelta)
         assert np.all(st.x.values == 0.0)
         assert np.all(st.xi.values == 0.0)  # grad Theta(0) = 0
