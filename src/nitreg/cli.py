@@ -37,20 +37,8 @@ def cmd_study(args) -> int:
     return 0
 
 
-def cmd_example51(args) -> int:
-    for penalty in ("quadratic", "l2_l1"):
-        cfg = harness.example51_config(penalty, _overrides(args))
-        harness.run_experiment(cfg, out_dir=args.out_dir, quiet=args.quiet)
-    return 0
-
-
-def cmd_example52(args) -> int:
-    configs = [
-        harness.example52_config("quadratic", overrides=_overrides(args)),
-        harness.example52_config("l2_tv", mu=0.01, overrides=_overrides(args)),
-        harness.example52_config("l2_tv", mu=1.0, overrides=_overrides(args)),
-    ]
-    for cfg in configs:
+def cmd_example(args) -> int:
+    for cfg in harness.paper_configs(args.command, _overrides(args)):
         harness.run_experiment(cfg, out_dir=args.out_dir, quiet=args.quiet)
     return 0
 
@@ -135,13 +123,11 @@ def main(argv=None) -> int:
     _add_common(p_study)
     p_study.set_defaults(func=cmd_study)
 
-    p_51 = sub.add_parser("example51", help="run the built-in 1-D integral-equation experiment")
-    _add_common(p_51)
-    p_51.set_defaults(func=cmd_example51)
-
-    p_52 = sub.add_parser("example52", help="run the built-in 2-D elliptic experiment")
-    _add_common(p_52)
-    p_52.set_defaults(func=cmd_example52)
+    for example, experiment in (("example51", "1-D integral-equation"),
+                                ("example52", "2-D elliptic")):
+        p_ex = sub.add_parser(example, help=f"run the built-in {experiment} experiment")
+        _add_common(p_ex)
+        p_ex.set_defaults(func=cmd_example)
 
     p_check = sub.add_parser("check", help="fast invariant checks on small instances")
     p_check.set_defaults(func=cmd_check)

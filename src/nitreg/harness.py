@@ -4,7 +4,7 @@ config files, and CSV report emission."""
 from __future__ import annotations
 
 import configparser
-import os
+import csv
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import get_type_hints
@@ -17,8 +17,6 @@ from .operators import EllipticOp, ForwardOp, IntegralOp
 from .penalties import Penalty
 from .solver import AlphaSchedule, RunReport, StoppingRule
 from .spaces import PRIMAL, GridFn, GridSpace, norm, read_csv, zeros
-
-OUT_DIR_ENV = "NITREG_OUT_DIR"
 
 
 class ConfigError(ValueError):
@@ -301,19 +299,22 @@ def add_noise(y: GridFn, delta: float, seed: int) -> GridFn:
 
 
 def _fmt(v) -> str:
+    """A float as `%.17g`; a tuple as its items separated by spaces, as in the INI."""
     if isinstance(v, float):
         return f"{v:.17g}"
+    if isinstance(v, tuple):
+        return " ".join(_fmt(item) for item in v)
     return str(v)
 
 
 def _write_table(path, columns, rows, comment: str | None = None) -> None:
     """CSV with an optional `# comment` line, a column line, then the rows."""
-    with open(path, "w") as fh:
+    with open(path, "w", newline="") as fh:
         if comment is not None:
             fh.write(f"# {comment}\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
 def summary(report: RunReport, theta: Penalty, x_dagger: GridFn) -> dict:
@@ -355,8 +356,7 @@ def write_summary_csv(path, report: RunReport, theta: Penalty, x_dagger: GridFn)
 
 
 def resolve_out_dir(cfg: ExperimentConfig, out_dir: str | None = None) -> Path:
-    d = out_dir or os.environ.get(OUT_DIR_ENV) or cfg.output.dir
-    path = Path(d)
+    path = Path(out_dir or cfg.output.dir)
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -449,3 +449,14 @@ def example52_config(penalty: str = "l2_tv", mu: float = 0.01,
         "study": {"deltas": "1e-3 3e-4 1e-4"},
     }
     return config_from_dict(raw, overrides)
+
+
+def paper_configs(example: str, overrides: dict | None = None) -> list[ExperimentConfig]:
+    """The paper's runs of `example` (example51 or example52), in the order
+    `nitreg <example>` runs them."""
+    if example == "example51":
+        return [example51_config(penalty, overrides) for penalty in ("quadratic", "l2_l1")]
+    if example == "example52":
+        return [example52_config("quadratic", overrides=overrides),
+                *(example52_config("l2_tv", mu, overrides) for mu in (0.01, 1.0))]
+    raise ConfigError(f"unknown paper example {example!r}")

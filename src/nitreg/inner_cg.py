@@ -135,7 +135,8 @@ def _newton_direction(p: InnerProblem, x: GridFn, res: GridFn, g: GridFn,
     return h
 
 
-def minimize(p: InnerProblem, s: InnerSettings | None = None) -> tuple[GridFn, GridFn, InnerStats]:
+def minimize(p: InnerProblem,
+             s: InnerSettings = InnerSettings()) -> tuple[GridFn, GridFn, InnerStats]:
     """Truncated Gauss–Newton–CG with Armijo backtracking from x_prev; monotone
     in the objective.
 
@@ -146,8 +147,6 @@ def minimize(p: InnerProblem, s: InnerSettings | None = None) -> tuple[GridFn, G
     ``xi = xi_prev - (1/alpha) F'(x)* J_r(F(x) - y)`` taken from the last
     gradient evaluation at x, and the statistics.
     """
-    if s is None:
-        s = InnerSettings()
     x = p.x_prev
     w = x.space.weights
 

@@ -63,9 +63,7 @@ class IntegralOp(ForwardOp):
         self.kernel = 40.0 * np.minimum(s_col, t_row) * (1.0 - np.maximum(s_col, t_row))
 
     def apply(self, x: GridFn) -> GridFn:
-        self._check_domain(x)
-        vals = self.kernel @ (self.domain_space.weights * x.values)
-        return GridFn(self.range_space, vals, PRIMAL)
+        return self.deriv(x, x)
 
     def deriv(self, x: GridFn, h: GridFn) -> GridFn:
         self._check_domain(h)

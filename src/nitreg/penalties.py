@@ -105,7 +105,8 @@ def hessian(theta: Penalty, x: GridFn, cell: np.ndarray | None = None) -> sp.csc
     v = x.values
     diag = 2.0 * theta.mu * w
     if theta.a > 0.0:
-        diag = diag + theta.a * w * theta.eps / (v * v + theta.eps) ** 1.5
+        s = v * v + theta.eps  # eps / s^1.5, written so that a large eps cannot overflow
+        diag = diag + theta.a * w * (theta.eps / s) / np.sqrt(s)
     hess = sp.diags(diag)
     if theta.b > 0.0:
         diff, d, m = _cells(x.space, v, theta.eps)

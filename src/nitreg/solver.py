@@ -18,7 +18,8 @@ from .spaces import GridFn, norm, zeros
 @dataclass(frozen=True)
 class AlphaSchedule:
     """Regularization-parameter sequence; all kinds satisfy
-    sum(1/alpha_n) = inf and the bounded-ratio condition alpha_n <= c0 * alpha_{n+1}."""
+    sum(1/alpha_n) = inf and the bounded-ratio condition alpha_n <= c0 * alpha_{n+1}
+    (c0 = 1/q for geometric, 2 for harmonic)."""
 
     kind: str = "geometric"  # geometric | harmonic
     alpha1: float = 0.5
@@ -38,12 +39,6 @@ class AlphaSchedule:
         if self.kind == "geometric":
             return self.alpha1 * self.q ** (n - 1)
         return self.alpha1 / n
-
-    @property
-    def c0(self) -> float:
-        if self.kind == "geometric":
-            return 1.0 / self.q
-        return 2.0
 
 
 @dataclass(frozen=True)
@@ -80,7 +75,7 @@ class NitState:
 class RunReport:
     states: list[NitState]
     n_delta: int
-    terminated_by: str  # discrepancy | rule41 | max_outer
+    terminated_by: str  # discrepancy | rule41 | max_outer | inner_failure
     x_out: GridFn
     delta: float
     tau: float
@@ -98,7 +93,7 @@ def step(
     ydelta: GridFn,
     alpha_n: float,
     prev: NitState,
-    settings: InnerSettings | None = None,
+    settings: InnerSettings = InnerSettings(),
     r: float = InnerProblem.r,
 ) -> NitState:
     """One outer step: inner minimization plus the dual update
@@ -137,7 +132,7 @@ def run(
     delta: float,
     schedule: AlphaSchedule,
     stop: StoppingRule,
-    settings: InnerSettings | None = None,
+    settings: InnerSettings = InnerSettings(),
     r: float = InnerProblem.r,
     config: dict | None = None,
 ) -> RunReport:
@@ -147,7 +142,9 @@ def run(
     is returned.  With the max-index variant the iteration runs until the
     residual first drops strictly below tau*delta and the previous iterate is
     returned (index 0 if already below at the start).  For delta = 0 the
-    threshold falls back to `atol_zero`.
+    threshold falls back to `atol_zero`.  A step whose inner solve fails its
+    line search without moving x ends the run as `inner_failure`; this and
+    `max_outer` return the iterate of smallest residual.
     """
     if delta < 0.0:
         raise ValueError("delta must be >= 0")
@@ -157,22 +154,24 @@ def run(
     rule41 = stop.kind == "rule41"
     crossed = operator.lt if rule41 else operator.le
     terminated_by = "max_outer"
-    n_delta = 0
+    n_delta = None
     if states[0].residual <= threshold:
-        terminated_by = stop.kind
+        terminated_by, n_delta = stop.kind, 0
     else:
         for n in range(1, stop.max_outer + 1):
-            states.append(
-                step(op, theta, ydelta, schedule.alpha(n), states[-1], settings, r)
-            )
+            prev = states[-1]
+            states.append(step(op, theta, ydelta, schedule.alpha(n), prev, settings, r))
             if crossed(states[-1].residual, threshold):
-                terminated_by = stop.kind
-                n_delta = n - 1 if rule41 else n
+                terminated_by, n_delta = stop.kind, (n - 1 if rule41 else n)
                 break
-        else:
-            n_delta = int(np.argmin([s.residual for s in states]))
+            if (states[-1].inner_stats.line_search_failed
+                    and np.array_equal(states[-1].x.values, prev.x.values)):
+                terminated_by = "inner_failure"
+                break
+    if n_delta is None:
+        n_delta = int(np.argmin([s.residual for s in states]))
 
-    report = RunReport(
+    return RunReport(
         states=states,
         n_delta=n_delta,
         terminated_by=terminated_by,
@@ -182,7 +181,6 @@ def run(
         threshold=threshold,
         config=dict(config or {}),
     )
-    return report
 
 
 def diagnostics_bregman(report: RunReport, theta: Penalty, x_ref: GridFn) -> np.ndarray:

@@ -59,17 +59,14 @@ class GridSpace:
         object.__setattr__(self, "size", int(np.prod(self.dims)))
 
     @classmethod
-    def interval(cls, n: int, p: float = 2.0, domain=(0.0, 1.0)) -> "GridSpace":
-        """Space on [a, b] with n subintervals (n+1 nodes)."""
-        return cls((n + 1,), (tuple(domain),), p)
+    def interval(cls, n: int, p: float = 2.0) -> "GridSpace":
+        """Space on [0, 1] with n subintervals (n+1 nodes)."""
+        return cls((n + 1,), ((0.0, 1.0),), p)
 
     @classmethod
-    def rectangle(
-        cls, nx: int, ny: int, p: float = 2.0,
-        domain=((0.0, 1.0), (0.0, 1.0)),
-    ) -> "GridSpace":
-        """Space on a rectangle with nx-by-ny subintervals."""
-        return cls((nx + 1, ny + 1), (tuple(domain[0]), tuple(domain[1])), p)
+    def rectangle(cls, nx: int, ny: int, p: float = 2.0) -> "GridSpace":
+        """Space on the unit square with nx-by-ny subintervals."""
+        return cls((nx + 1, ny + 1), ((0.0, 1.0), (0.0, 1.0)), p)
 
     @property
     def conjugate_exponent(self) -> float:

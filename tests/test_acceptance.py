@@ -38,12 +38,14 @@ def _run_from_config(cfg):
     return report, x_dag, cfg.theta, op
 
 
+def _paper_runs(example):
+    """The runs of `nitreg <example>`, keyed by output name."""
+    return {cfg.output.name: _run_from_config(cfg) for cfg in harness.paper_configs(example)}
+
+
 @pytest.fixture(scope="module")
 def ex51_runs():
-    return {
-        f"ex51_{penalty}": _run_from_config(example51_config(penalty))
-        for penalty in ("quadratic", "l2_l1")
-    }
+    return _paper_runs("example51")
 
 
 def _sweep(cfg, run, directory):
@@ -64,20 +66,16 @@ def _sweep(cfg, run, directory):
 def sweeps(ex51_runs, ex52_runs, tmp_path_factory):
     directory = tmp_path_factory.mktemp("sweeps")
     return {
-        "ex51_l2_l1": _sweep(example51_config("l2_l1"), ex51_runs["ex51_l2_l1"],
-                             directory),
-        "ex52_l2_tv_mu0.01": _sweep(example52_config("l2_tv", mu=0.01),
-                                    ex52_runs["ex52_l2_tv_mu0.01"], directory),
+        "example51_l2_l1": _sweep(example51_config("l2_l1"),
+                                  ex51_runs["example51_l2_l1"], directory),
+        "example52_l2_tv_mu0.01": _sweep(example52_config("l2_tv", mu=0.01),
+                                         ex52_runs["example52_l2_tv_mu0.01"], directory),
     }
 
 
 @pytest.fixture(scope="module")
 def ex52_runs():
-    runs = {}
-    runs["ex52_quadratic"] = _run_from_config(example52_config("quadratic"))
-    runs["ex52_l2_tv_mu0.01"] = _run_from_config(example52_config("l2_tv", mu=0.01))
-    runs["ex52_l2_tv_mu1"] = _run_from_config(example52_config("l2_tv", mu=1.0))
-    return runs
+    return _paper_runs("example52")
 
 
 def test_01_duality_bregman_identities(capsys):
@@ -215,11 +213,11 @@ def test_08_penalty_ordering(capsys, ex51_runs, ex52_runs):
         report, x_dag, _theta, _op = entry
         return norm(report.x_out - x_dag)
 
-    e51_quad = err(ex51_runs["ex51_quadratic"])
-    e51_l1 = err(ex51_runs["ex51_l2_l1"])
-    e52_quad = err(ex52_runs["ex52_quadratic"])
-    e52_tv_small = err(ex52_runs["ex52_l2_tv_mu0.01"])
-    e52_tv_one = err(ex52_runs["ex52_l2_tv_mu1"])
+    e51_quad = err(ex51_runs["example51_quadratic"])
+    e51_l1 = err(ex51_runs["example51_l2_l1"])
+    e52_quad = err(ex52_runs["example52_quadratic"])
+    e52_tv_small = err(ex52_runs["example52_l2_tv_mu0.01"])
+    e52_tv_one = err(ex52_runs["example52_l2_tv_mu1"])
     ok = e51_l1 < e51_quad and e52_tv_small < e52_quad and e52_tv_one < e52_quad
     _verdict(
         capsys, 8,

@@ -1,4 +1,5 @@
 import configparser
+import csv
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -230,18 +231,36 @@ class TestRunExperiment:
             fb = (tmp_path / "b" / f"tiny_{suffix}.csv").read_bytes()
             assert fa == fb
 
-    def test_env_var_out_dir(self, tmp_path, config_file, monkeypatch):
-        monkeypatch.setenv(harness.OUT_DIR_ENV, str(tmp_path / "env"))
-        cfg = load_config(config_file)
-        harness.run_experiment(cfg, quiet=True)
-        assert (tmp_path / "env" / "tiny_summary.csv").exists()
-
-    def test_explicit_dir_beats_env(self, tmp_path, config_file, monkeypatch):
-        monkeypatch.setenv(harness.OUT_DIR_ENV, str(tmp_path / "env"))
-        cfg = load_config(config_file)
+    def test_explicit_dir_beats_config_dir(self, tmp_path, config_file):
+        cfg = load_config(config_file, {("output", "dir"): tmp_path / "ini"})
         harness.run_experiment(cfg, out_dir=str(tmp_path / "cli"), quiet=True)
         assert (tmp_path / "cli" / "tiny_summary.csv").exists()
-        assert not (tmp_path / "env" / "tiny_summary.csv").exists()
+        assert not (tmp_path / "ini").exists()
+        harness.run_experiment(cfg, quiet=True)
+        assert (tmp_path / "ini" / "tiny_summary.csv").exists()
+
+    def test_every_row_has_the_header_width(self, tmp_path, config_file, monkeypatch):
+        # a tuple setting and an error message with a comma stay one field each
+        cfg = load_config(config_file)
+        harness.run_experiment(cfg, out_dir=str(tmp_path), quiet=True)
+        solve, message = harness.solve, "values shape (5,) does not match (61,)"
+
+        def failing_solve(cfg, op, ydelta):
+            if cfg.delta < 2e-3:
+                raise ValueError(message)
+            return solve(cfg, op, ydelta)
+
+        monkeypatch.setattr(harness, "solve", failing_solve)
+        harness.run_study(cfg, out_dir=str(tmp_path), quiet=True)
+        tables = {}
+        for suffix in ("iterations", "reconstruction", "summary", "study"):
+            with open(tmp_path / f"tiny_{suffix}.csv", newline="") as fh:
+                tables[suffix] = [row for row in csv.reader(fh) if not row[0].startswith("#")]
+            assert {len(row) for row in tables[suffix]} == {len(tables[suffix][0])}, suffix
+        assert tables["study"][2][-1] == message
+        deltas = dict(tables["summary"])["config.study.deltas"]
+        assert deltas == "0.0040000000000000001 0.001"
+        assert harness._floats(deltas) == cfg.study.deltas
 
 
 class TestRunStudy:
@@ -313,6 +332,14 @@ class TestBuiltinConfigs:
         assert cfg.stopping().tau == 1.05
         assert cfg.output.name == "example52_l2_tv_mu1"
 
+    def test_paper_configs(self):
+        names = [c.output.name for e in ("example51", "example52")
+                 for c in harness.paper_configs(e)]
+        assert names == ["example51_quadratic", "example51_l2_l1", "example52_quadratic",
+                         "example52_l2_tv_mu0.01", "example52_l2_tv_mu1"]
+        with pytest.raises(ConfigError):
+            harness.paper_configs("example53")
+
     def test_unknown_penalty_rejected(self):
         with pytest.raises(ConfigError):
             example51_config("l2_tv")
@@ -336,6 +363,13 @@ class TestCli:
         rc = cli.main(["study", str(config_file), "--out-dir", str(tmp_path), "--quiet"])
         assert rc == 0
         assert (tmp_path / "tiny_study.csv").exists()
+
+    def test_example51_subcommand(self, tmp_path):
+        rc = cli.main(["example51", "--out-dir", str(tmp_path), "--quiet"])
+        assert rc == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            f"example51_{penalty}_{table}.csv" for penalty in ("quadratic", "l2_l1")
+            for table in ("iterations", "reconstruction", "summary"))
 
     def test_missing_config_exit_code(self, tmp_path, capsys):
         rc = cli.main(["run", str(tmp_path / "absent.ini")])

@@ -213,3 +213,8 @@ class TestHessian:
         hd = penalties.hessian(theta, x) @ d.values
         assert np.linalg.norm(hd - fd) <= 1e-7 * np.linalg.norm(fd)
 
+    def test_finite_for_a_huge_eps(self, line):
+        # eps / (v^2 + eps)^1.5 must not overflow in the power
+        theta = Penalty(mu=1.0, a=1.0, eps=1e300)
+        x = GridFn(line, np.linspace(-1.0, 1.0, line.size))
+        assert np.all(np.isfinite(penalties.hessian(theta, x).diagonal()))

@@ -68,16 +68,12 @@ class TestAlphaSchedule:
         s = AlphaSchedule("harmonic", alpha1=3.0)
         assert s.alpha(4) == pytest.approx(0.75)
 
-    def test_c0_values(self):
-        assert GEOM.c0 == pytest.approx(2.0)
-        assert AlphaSchedule("geometric", 1.0, q=1.0).c0 == 1.0
-        assert AlphaSchedule("harmonic", 1.0).c0 == 2.0
-
     def test_ratio_condition(self):
-        # alpha_n <= c0 * alpha_{n+1} for every kind
-        for s in (GEOM, AlphaSchedule("geometric", 0.3, q=1.0), AlphaSchedule("harmonic", 2.0)):
+        # alpha_n <= c0 * alpha_{n+1} with c0 = 1/q for geometric, 2 for harmonic
+        for s, c0 in ((GEOM, 2.0), (AlphaSchedule("geometric", 0.3, q=1.0), 1.0),
+                      (AlphaSchedule("harmonic", 2.0), 2.0)):
             for n in range(1, 20):
-                assert s.alpha(n) <= s.c0 * s.alpha(n + 1) + 1e-15
+                assert s.alpha(n) <= c0 * s.alpha(n + 1) + 1e-15
 
     def test_divergent_sum_of_inverses(self):
         # partial sums of 1/alpha_n grow without bound (checked far out)
@@ -264,6 +260,19 @@ class TestRun:
             StoppingRule(kind, tau=1.05, max_outer=5),
         )
         assert report.terminated_by == "max_outer"
+        assert report.n_delta == int(np.argmin(report.residuals))
+
+    def test_stalled_inner_solve_ends_the_run(self):
+        # on L^1.2 with r = 1.2, step 2's line search fails without moving x;
+        # the steps after it would not move x either, and their duals overflow
+        op = IntegralOp(400, 1.2)
+        ydelta = harness.add_noise(op.apply(harness.spikes_1d(op.domain_space)), 5e-4, 1)
+        report = run(op, Penalty(mu=0.01, a=1.0), ydelta, 5e-4, GEOM, StoppingRule(), r=1.2)
+        assert report.terminated_by == "inner_failure"
+        assert len(report.states) == 3
+        last, prev = report.states[-1], report.states[-2]
+        assert last.inner_stats.line_search_failed
+        assert np.array_equal(last.x.values, prev.x.values)
         assert report.n_delta == int(np.argmin(report.residuals))
 
     def test_negative_delta_rejected(self):
