@@ -25,15 +25,9 @@ def _overrides(args) -> dict:
     return ov
 
 
-def cmd_run(args) -> int:
+def cmd_config(args) -> int:
     cfg = harness.load_config(args.config, _overrides(args))
-    harness.run_experiment(cfg, out_dir=args.out_dir, quiet=args.quiet)
-    return 0
-
-
-def cmd_study(args) -> int:
-    cfg = harness.load_config(args.config, _overrides(args))
-    harness.run_study(cfg, out_dir=args.out_dir, quiet=args.quiet)
+    args.experiment(cfg, out_dir=args.out_dir, quiet=args.quiet)
     return 0
 
 
@@ -113,15 +107,13 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run a single configured experiment")
-    p_run.add_argument("config", help="path to the experiment config file")
-    _add_common(p_run)
-    p_run.set_defaults(func=cmd_run)
-
-    p_study = sub.add_parser("study", help="noise-level sweep from a config file")
-    p_study.add_argument("config", help="path to the experiment config file")
-    _add_common(p_study)
-    p_study.set_defaults(func=cmd_study)
+    for command, experiment, about in (
+            ("run", harness.run_experiment, "run a single configured experiment"),
+            ("study", harness.run_study, "noise-level sweep from a config file")):
+        p_cfg = sub.add_parser(command, help=about)
+        p_cfg.add_argument("config", help="path to the experiment config file")
+        _add_common(p_cfg)
+        p_cfg.set_defaults(func=cmd_config, experiment=experiment)
 
     for example, experiment in (("example51", "1-D integral-equation"),
                                 ("example52", "2-D elliptic")):

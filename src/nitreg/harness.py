@@ -289,12 +289,8 @@ def add_noise(y: GridFn, delta: float, seed: int) -> GridFn:
         raise ValueError("delta must be >= 0")
     if delta == 0.0:
         return y
-    rng = np.random.default_rng(seed)
-    while True:
-        e = rng.standard_normal(y.space.size)
-        nrm = norm(GridFn(y.space, e, y.variance))
-        if nrm > 0.0:
-            break
+    e = np.random.default_rng(seed).standard_normal(y.space.size)
+    nrm = norm(GridFn(y.space, e, y.variance))
     return GridFn(y.space, y.values + delta * e / nrm, y.variance)
 
 
@@ -317,17 +313,15 @@ def _write_table(path, columns, rows, comment: str | None = None) -> None:
         writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
+RESULT_KEYS = ("n_delta", "terminated_by", "residual", "l2_error", "theta_value", "bregman_to_ref")
+
+
 def summary(report: RunReport, theta: Penalty, x_dagger: GridFn) -> dict:
     """What a run reached: its result at the returned iterate n_delta."""
     final = report.states[report.n_delta]
-    return {
-        "n_delta": report.n_delta,
-        "terminated_by": report.terminated_by,
-        "residual": final.residual,
-        "l2_error": norm(final.x - x_dagger),
-        "theta_value": final.theta_value,
-        "bregman_to_ref": penalties.bregman(theta, x_dagger, final.x, final.xi),
-    }
+    return dict(zip(RESULT_KEYS, (
+        report.n_delta, report.terminated_by, final.residual, norm(final.x - x_dagger),
+        final.theta_value, penalties.bregman(theta, x_dagger, final.x, final.xi))))
 
 
 def write_iteration_csv(path, report: RunReport, theta: Penalty, x_ref: GridFn) -> None:
@@ -357,7 +351,10 @@ def write_summary_csv(path, report: RunReport, theta: Penalty, x_dagger: GridFn)
 
 def resolve_out_dir(cfg: ExperimentConfig, out_dir: str | None = None) -> Path:
     path = Path(out_dir or cfg.output.dir)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output directory {str(path)!r} cannot be created: {exc}") from exc
     return path
 
 
@@ -370,10 +367,9 @@ def solve(cfg: ExperimentConfig, op: ForwardOp, ydelta: GridFn) -> RunReport:
 def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
                    quiet: bool = False) -> RunReport:
     """Run a configured experiment and emit the CSV file set."""
+    base = resolve_out_dir(cfg, out_dir) / cfg.output.name
     op, x_dag, y_exact = make_problem(cfg)
     report = solve(cfg, op, add_noise(y_exact, cfg.noise.delta, cfg.noise.seed))
-    directory = resolve_out_dir(cfg, out_dir)
-    base = directory / cfg.output.name
     write_iteration_csv(f"{base}_iterations.csv", report, cfg.theta, x_dag)
     write_reconstruction_csv(f"{base}_reconstruction.csv", report.x_out)
     write_summary_csv(f"{base}_summary.csv", report, cfg.theta, x_dag)
@@ -393,6 +389,7 @@ def run_study(cfg: ExperimentConfig, out_dir: str | None = None,
     sweep goes on."""
     if not cfg.study.deltas:
         raise ConfigError("[study] deltas is empty; nothing to sweep")
+    directory = resolve_out_dir(cfg, out_dir)
     op, x_dag, y_exact = make_problem(cfg)
     rows = []
     for d in sorted(cfg.study.deltas, reverse=True):
@@ -402,9 +399,7 @@ def run_study(cfg: ExperimentConfig, out_dir: str | None = None,
             rows.append({"delta": d, **summary(report, cfg.theta, x_dag)})
         except Exception as exc:  # per-delta failure, study continues
             rows.append({"delta": d, "error_message": str(exc)})
-    cols = ["delta", "n_delta", "terminated_by", "residual", "l2_error",
-            "theta_value", "bregman_to_ref", "error_message"]
-    directory = resolve_out_dir(cfg, out_dir)
+    cols = ["delta", *RESULT_KEYS, "error_message"]
     _write_table(directory / f"{cfg.output.name}_study.csv", cols,
                  ([row.get(c, "") for c in cols] for row in rows))
     if not quiet:

@@ -13,11 +13,7 @@ from .spaces import DUAL, PRIMAL, GridFn, GridSpace, norm
 
 
 class OperatorError(RuntimeError):
-    """Operator evaluation failed; carries the offending coefficient."""
-
-    def __init__(self, message: str, coefficient=None):
-        super().__init__(message)
-        self.coefficient = coefficient
+    """Operator evaluation failed."""
 
 
 class ForwardOp(abc.ABC):
@@ -55,8 +51,7 @@ class IntegralOp(ForwardOp):
     is_linear = True
 
     def __init__(self, n: int, p: float = 2.0):
-        self.domain_space = GridSpace.interval(n, p)
-        self.range_space = GridSpace.interval(n, p)
+        self.domain_space = self.range_space = GridSpace.interval(n, p)
         t = self.domain_space.axis_nodes(0)
         s_col = t[:, None]
         t_row = t[None, :]
@@ -125,9 +120,9 @@ class EllipticOp(ForwardOp):
             )
             u_int = lu.solve(self._rhs0)
         except RuntimeError as exc:
-            raise OperatorError(f"elliptic solve failed: {exc}", c) from exc
+            raise OperatorError(f"elliptic solve failed: {exc}") from exc
         if not np.all(np.isfinite(u_int)):
-            raise OperatorError("elliptic solve produced non-finite state", c)
+            raise OperatorError("elliptic solve produced non-finite state")
         self._cache = (key, lu, u_int)
         return lu, u_int
 

@@ -75,7 +75,7 @@ class NitState:
 class RunReport:
     states: list[NitState]
     n_delta: int
-    terminated_by: str  # discrepancy | rule41 | max_outer | inner_failure
+    terminated_by: str  # discrepancy | rule41 | max_outer | inner_failure | stagnation
     x_out: GridFn
     delta: float
     tau: float
@@ -142,9 +142,9 @@ def run(
     is returned.  With the max-index variant the iteration runs until the
     residual first drops strictly below tau*delta and the previous iterate is
     returned (index 0 if already below at the start).  For delta = 0 the
-    threshold falls back to `atol_zero`.  A step whose inner solve fails its
-    line search without moving x ends the run as `inner_failure`; this and
-    `max_outer` return the iterate of smallest residual.
+    threshold falls back to `atol_zero`.  A run ends as `inner_failure` when an inner
+    solve fails its line search without moving x, and as `stagnation` when no later
+    step can move x; these and `max_outer` return the iterate of smallest residual.
     """
     if delta < 0.0:
         raise ValueError("delta must be >= 0")
@@ -160,13 +160,20 @@ def run(
     else:
         for n in range(1, stop.max_outer + 1):
             prev = states[-1]
-            states.append(step(op, theta, ydelta, schedule.alpha(n), prev, settings, r))
-            if crossed(states[-1].residual, threshold):
+            cur = step(op, theta, ydelta, schedule.alpha(n), prev, settings, r)
+            states.append(cur)
+            if crossed(cur.residual, threshold):
                 terminated_by, n_delta = stop.kind, (n - 1 if rule41 else n)
                 break
-            if (states[-1].inner_stats.line_search_failed
-                    and np.array_equal(states[-1].x.values, prev.x.values)):
+            if cur.inner_stats.line_search_failed and np.array_equal(cur.x.values, prev.x.values):
                 terminated_by = "inner_failure"
+                break
+            # No Newton step from x_{n-1}.  While x stays, later subproblem gradients lie
+            # between g_n and adj / (1 - q), adj = alpha_n (xi_{n-1} - xi_n): none moves x.
+            if (cur.inner_stats.converged and cur.inner_stats.iterations == 0
+                    and schedule.kind == "geometric" and norm(cur.alpha * (prev.xi - cur.xi))
+                    <= settings.grad_tol_rel * (1.0 - schedule.q)):
+                terminated_by = "stagnation"
                 break
     if n_delta is None:
         n_delta = int(np.argmin([s.residual for s in states]))

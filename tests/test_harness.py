@@ -424,10 +424,13 @@ class TestCli:
         "# dims=31 exponent=2 variance=primal\n0\n",
         "# dims=1 domain=0:1 exponent=2 variance=primal\n0\n",
         "# dims=31 domain=0:1 exponent=2 variance=dual\n" + "0\n" * 31,
+        "# dims=21 domain=0:1 exponent=2 variance=primal\n" + "0\n" * 21,
+        "0\n" * 31,
     ])
     def test_unreadable_exact_path_exit_code(self, tmp_path, capsys, content):
-        # a missing file, a header without domain=, a one-node axis, and a
-        # dual function on the problem's grid
+        # a missing file, a header without domain=, a one-node axis, a dual
+        # function on the problem's grid, a primal one on a 21-node grid, and
+        # values without a header line
         path = tmp_path / "xdag.csv"
         if content is not None:
             path.write_text(content)
@@ -452,6 +455,29 @@ class TestCli:
             assert capsys.readouterr().err.startswith(f"error: config file {path}")
         else:
             assert (tmp_path / "run%1_summary.csv").exists()
+
+    @pytest.mark.parametrize("command", ["run", "study"])
+    def test_uncreatable_out_dir_exit_code(self, tmp_path, config_file, capsys, monkeypatch,
+                                           command):
+        # the directory is created before the problem is built and solved
+        def no_problem(cfg):
+            raise AssertionError("the problem was built")
+
+        monkeypatch.setattr(harness, "make_problem", no_problem)
+        out = tmp_path / "taken"
+        out.write_text("")
+        rc = cli.main([command, str(config_file), "--out-dir", str(out), "--quiet"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: output directory {str(out)!r}")
+
+    def test_failed_run_exit_code(self, tmp_path, config_file, capsys, monkeypatch):
+        def failing_solve(cfg, op, ydelta):
+            raise RuntimeError("solve diverged")
+
+        monkeypatch.setattr(harness, "solve", failing_solve)
+        rc = cli.main(["run", str(config_file), "--out-dir", str(tmp_path), "--quiet"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: solve diverged\n"
 
     def test_check_subcommand(self, capsys):
         rc = cli.main(["check"])

@@ -46,7 +46,7 @@ class CappedIntegralOp(IntegralOp):
     def apply(self, x):
         if x.values.max() > self.cap:
             self.failures += 1
-            raise OperatorError("max(x) above the cap", x)
+            raise OperatorError("max(x) above the cap")
         return super().apply(x)
 
 

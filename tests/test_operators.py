@@ -172,9 +172,8 @@ class TestEllipticOp:
         # makes the 1x1 system exactly zero.
         op = EllipticOp(2, 2)
         c = GridFn(op.domain_space, np.full(op.domain_space.size, -16.0))
-        with pytest.raises(OperatorError, match="singular") as excinfo:
+        with pytest.raises(OperatorError, match="singular"):
             op.apply(c)
-        assert excinfo.value.coefficient is c
 
     def test_factorization_cache_reuse(self):
         op, c = make_elliptic()
@@ -187,8 +186,8 @@ class TestEllipticOp:
         lu3, _ = op._factorization(c2)
         assert lu3 is not lu1
 
-    def test_operator_error_carries_coefficient(self, monkeypatch):
-        # failed factorizations are wrapped with the offending coefficient
+    def test_failed_factorization_is_wrapped(self, monkeypatch):
+        # a RuntimeError of the factorization reaches callers as OperatorError
         from nitreg import operators as ops_mod
 
         op, c = make_elliptic(8, 8)
@@ -197,9 +196,8 @@ class TestEllipticOp:
             raise RuntimeError("singular")
 
         monkeypatch.setattr(ops_mod.spla, "splu", boom)
-        with pytest.raises(OperatorError) as excinfo:
+        with pytest.raises(OperatorError, match="elliptic solve failed: singular"):
             op.apply(c)
-        assert excinfo.value.coefficient is c
 
 
 class TestEstimateEta:

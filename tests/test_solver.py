@@ -275,6 +275,19 @@ class TestRun:
         assert np.array_equal(last.x.values, prev.x.values)
         assert report.n_delta == int(np.argmin(report.residuals))
 
+    def test_frozen_x_ends_the_run(self):
+        # exact data: from step 6 each inner solve stops at x_{n-1} and no later
+        # one can move x, while xi_n grows like 1/alpha_n until its norm overflows
+        op = IntegralOp(80)
+        y = op.apply(harness.spikes_1d(op.domain_space))
+        report = run(op, Penalty(mu=0.01, a=1.0), y, 0.0, AlphaSchedule(q=0.01), StoppingRule())
+        assert report.terminated_by == "stagnation"
+        assert len(report.states) == 7
+        last, prev = report.states[-1], report.states[-2]
+        assert last.inner_stats.converged and last.inner_stats.iterations == 0
+        assert np.array_equal(last.x.values, prev.x.values)
+        assert report.n_delta == int(np.argmin(report.residuals)) == 5
+
     def test_negative_delta_rejected(self):
         op, _xd, _y, ydelta = small_problem()
         with pytest.raises(ValueError):
