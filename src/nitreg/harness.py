@@ -16,7 +16,7 @@ from .inner_cg import InnerProblem, InnerSettings
 from .operators import EllipticOp, ForwardOp, IntegralOp
 from .penalties import Penalty
 from .solver import AlphaSchedule, RunReport, StoppingRule
-from .spaces import PRIMAL, GridFn, GridSpace, norm, read_csv, zeros
+from .spaces import GridFn, GridSpace, norm, zeros
 
 
 class ConfigError(ValueError):
@@ -42,7 +42,7 @@ class Problem:
 @dataclass(frozen=True)
 class Exact:
     selector: str = "spikes_1d"
-    path: str = ""  # CSV path when selector = file
+    path: str = ""  # reconstruction CSV path when selector = file
 
     def __post_init__(self):
         if self.selector not in EXACT_SOLUTIONS and self.selector != "file":
@@ -116,6 +116,15 @@ class ExperimentConfig:
     output: Output
     study: Study
 
+    def echo(self) -> dict:
+        """Every setting, keyed `section.key` by its INI name."""
+        return {
+            f"{section}.{key}": value
+            for attr, section in _section_names()
+            for key, value in asdict(getattr(self, attr)).items()
+        }
+
+    # Accessors read only by `bench/`; ROADMAP item 4's benchmark change deletes them.
     @property
     def delta(self) -> float:
         return self.noise.delta
@@ -127,14 +136,6 @@ class ExperimentConfig:
     @property
     def r(self) -> float:
         return self.method.r
-
-    def echo(self) -> dict:
-        """Every setting, keyed `section.key` by its INI name."""
-        return {
-            f"{section}.{key}": value
-            for attr, section in _section_names()
-            for key, value in asdict(getattr(self, attr)).items()
-        }
 
     def penalty(self) -> Penalty:
         return self.theta
@@ -239,7 +240,7 @@ def two_inclusions_2d(space: GridSpace) -> GridFn:
 
 
 # Built-in exact solutions: selector -> (builder, the problem kind it needs,
-# None for any kind).  `[exact] selector = file` reads one from a CSV instead.
+# None for any kind).  `[exact] selector = file` reads a reconstruction CSV instead.
 EXACT_SOLUTIONS = {
     "spikes_1d": (spikes_1d, "integral_1d"),
     "two_inclusions_2d": (two_inclusions_2d, "elliptic_2d"),
@@ -251,15 +252,15 @@ def exact_solution(exact: Exact, space: GridSpace) -> GridFn:
     if exact.selector in EXACT_SOLUTIONS:
         return EXACT_SOLUTIONS[exact.selector][0](space)
     try:
-        fn = read_csv(exact.path)
-    except (OSError, ValueError, KeyError) as exc:
-        raise ConfigError(f"[exact] path {exact.path!r} is unreadable: {exc}") from exc
-    if fn.variance != PRIMAL:
-        raise ConfigError(f"[exact] path {exact.path!r} holds a {fn.variance} function, "
-                          "not a primal one")
-    if fn.space != space:
-        raise ConfigError(f"[exact] path {exact.path!r} lives on a different grid")
-    return fn
+        table = np.loadtxt(exact.path, delimiter=",", skiprows=1, ndmin=2)
+        if (table.shape != (space.size, len(space.dims) + 1)
+                or not np.array_equal(table[:, :-1].T, space.coords())):
+            raise ValueError(f"it needs one row per node of the grid of dims {space.dims}: "
+                             "the node's coordinates, then the value")
+        return GridFn(space, table[:, -1])
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"[exact] path {exact.path!r} is not a reconstruction CSV on "
+                          f"the [problem] grid: {exc}") from exc
 
 
 def make_problem(cfg: ExperimentConfig) -> tuple[ForwardOp, GridFn, GridFn]:

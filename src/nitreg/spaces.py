@@ -1,4 +1,5 @@
-"""Discretized L^p function spaces on uniform interval and rectangle grids.
+"""Discretized L^p function spaces on uniform grids of the unit interval and
+the unit square.
 
 Functions are represented by their nodal values.  All norms, pairings and
 duality mappings are taken with respect to trapezoidal quadrature weights
@@ -19,8 +20,8 @@ PRIMAL = "primal"
 DUAL = "dual"
 
 
-def _trapezoid_weights(num_nodes: int, length: float) -> np.ndarray:
-    h = length / (num_nodes - 1)
+def _trapezoid_weights(num_nodes: int) -> np.ndarray:
+    h = 1.0 / (num_nodes - 1)
     w = np.full(num_nodes, h)
     w[0] = h / 2
     w[-1] = h / 2
@@ -29,14 +30,13 @@ def _trapezoid_weights(num_nodes: int, length: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GridSpace:
-    """A discretized L^p space on an interval or a rectangle.
+    """A discretized L^p space on the unit interval or the unit square.
 
     ``dims`` holds the node count per axis (N subintervals give N+1 nodes),
-    ``domain`` the bounding box, ``exponent`` the p of the underlying norm.
+    ``exponent`` the p of the underlying norm.
     """
 
     dims: tuple[int, ...]
-    domain: tuple[tuple[float, float], ...]
     exponent: float = 2.0
     weights: np.ndarray = field(init=False, repr=False, compare=False)
     size: int = field(init=False, repr=False, compare=False)
@@ -44,14 +44,9 @@ class GridSpace:
     def __post_init__(self):
         if self.exponent <= 1.0:
             raise ValueError(f"exponent must be > 1, got {self.exponent}")
-        if len(self.dims) != len(self.domain):
-            raise ValueError("dims and domain must have the same length")
         if min(self.dims) < 2:
             raise ValueError(f"every axis needs at least 2 nodes, got dims {self.dims}")
-        axis_w = [
-            _trapezoid_weights(n, hi - lo)
-            for n, (lo, hi) in zip(self.dims, self.domain)
-        ]
+        axis_w = [_trapezoid_weights(n) for n in self.dims]
         w = axis_w[0]
         for aw in axis_w[1:]:
             w = np.multiply.outer(w, aw)
@@ -61,12 +56,12 @@ class GridSpace:
     @classmethod
     def interval(cls, n: int, p: float = 2.0) -> "GridSpace":
         """Space on [0, 1] with n subintervals (n+1 nodes)."""
-        return cls((n + 1,), ((0.0, 1.0),), p)
+        return cls((n + 1,), p)
 
     @classmethod
     def rectangle(cls, nx: int, ny: int, p: float = 2.0) -> "GridSpace":
         """Space on the unit square with nx-by-ny subintervals."""
-        return cls((nx + 1, ny + 1), ((0.0, 1.0), (0.0, 1.0)), p)
+        return cls((nx + 1, ny + 1), p)
 
     @property
     def conjugate_exponent(self) -> float:
@@ -75,13 +70,10 @@ class GridSpace:
 
     @property
     def spacings(self) -> tuple[float, ...]:
-        return tuple(
-            (hi - lo) / (n - 1) for n, (lo, hi) in zip(self.dims, self.domain)
-        )
+        return tuple(1.0 / (n - 1) for n in self.dims)
 
     def axis_nodes(self, axis: int) -> np.ndarray:
-        lo, hi = self.domain[axis]
-        return np.linspace(lo, hi, self.dims[axis])
+        return np.linspace(0.0, 1.0, self.dims[axis])
 
     def coords(self) -> tuple[np.ndarray, ...]:
         """Node coordinates per axis, each flattened to `size`."""
@@ -181,27 +173,3 @@ def bregman_norm(fbar: GridFn, f: GridFn, r: float) -> float:
     jf = duality_map(f, r)
     return norm(fbar) ** r / r - norm(f) ** r / r - pairing(jf, fbar - f)
 
-
-def write_csv(f: GridFn, path) -> None:
-    """Serialize a grid function: header with space metadata, one value per line."""
-    dims = ",".join(str(d) for d in f.space.dims)
-    dom = ";".join(f"{lo:.17g}:{hi:.17g}" for lo, hi in f.space.domain)
-    header = (f"dims={dims} domain={dom} exponent={f.space.exponent:.17g} "
-              f"variance={f.variance}")
-    np.savetxt(path, f.values, fmt="%.17g", header=header)
-
-
-def read_csv(path) -> GridFn:
-    with open(path) as fh:
-        header = fh.readline()
-        if not header.startswith("#"):
-            raise ValueError(f"{path}: missing grid-function header")
-        meta = dict(tok.split("=", 1) for tok in header[1:].split())
-        dims = tuple(int(d) for d in meta["dims"].split(","))
-        domain = tuple(
-            tuple(float(v) for v in seg.split(":"))
-            for seg in meta["domain"].split(";")
-        )
-        space = GridSpace(dims, domain, float(meta["exponent"]))
-        values = np.loadtxt(fh, ndmin=1)
-    return GridFn(space, values, meta["variance"])

@@ -53,12 +53,12 @@ def _sweep(cfg, run, directory):
     descending.  The row at the config's own noise level is the summary of
     `run`, the stored solve of that same config and seed, so only the other
     deltas are solved here."""
-    assert cfg.delta in cfg.study.deltas
-    others = tuple(d for d in cfg.study.deltas if d != cfg.delta)
+    assert cfg.noise.delta in cfg.study.deltas
+    others = tuple(d for d in cfg.study.deltas if d != cfg.noise.delta)
     cfg = replace(cfg, study=replace(cfg.study, deltas=others))
     rows = harness.run_study(cfg, out_dir=str(directory), quiet=True)
     report, x_dag, theta, _op = run
-    rows.append({"delta": cfg.delta, **harness.summary(report, theta, x_dag)})
+    rows.append({"delta": cfg.noise.delta, **harness.summary(report, theta, x_dag)})
     return sorted(rows, key=lambda row: row["delta"], reverse=True)
 
 
@@ -230,18 +230,18 @@ def test_08_penalty_ordering(capsys, ex51_runs, ex52_runs):
 def test_09_stopping_rule_offset(capsys):
     cfg = example51_config("quadratic")
     op, x_dag, y_exact = make_problem(cfg)
-    theta = cfg.penalty()
-    schedule = cfg.schedule()
-    stop = cfg.stopping()
+    theta = cfg.theta
+    schedule = cfg.alpha_schedule
+    stop = cfg.stopping_rule
     ok = True
     for seed in range(1, 11):
-        ydelta = add_noise(y_exact, cfg.delta, seed)
+        ydelta = add_noise(y_exact, cfg.noise.delta, seed)
         dp = solver.run(
-            op, theta, ydelta, cfg.delta, schedule,
+            op, theta, ydelta, cfg.noise.delta, schedule,
             StoppingRule("discrepancy", stop.tau, stop.max_outer),
         )
         r41 = solver.run(
-            op, theta, ydelta, cfg.delta, schedule,
+            op, theta, ydelta, cfg.noise.delta, schedule,
             StoppingRule("rule41", stop.tau, stop.max_outer),
         )
         # deterministic trajectories agree where both exist

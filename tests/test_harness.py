@@ -28,6 +28,12 @@ from nitreg.spaces import GridFn, GridSpace, norm
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
+def _reconstruction(n, shift=0.0, value="0"):
+    """A reconstruction CSV of an n-interval 1-D grid with every value `value`."""
+    return "t,value\n" + "".join(f"{t + shift:.17g},{value}\n"
+                                  for t in np.linspace(0.0, 1.0, n + 1))
+
+
 SMALL_CONFIG = """\
 [problem]
 kind = integral_1d
@@ -67,15 +73,15 @@ class TestConfigParsing:
         cfg = load_config(config_file)
         assert cfg.problem.kind == "integral_1d"
         assert cfg.problem.n == 60
-        assert cfg.delta == 1e-3
-        assert cfg.schedule().kind == "geometric"  # default
-        assert cfg.schedule().alpha1 == 0.5
-        assert cfg.stopping().tau == 1.05
+        assert cfg.noise.delta == 1e-3
+        assert cfg.alpha_schedule.kind == "geometric"  # default
+        assert cfg.alpha_schedule.alpha1 == 0.5
+        assert cfg.stopping_rule.tau == 1.05
         assert cfg.study.deltas == (4e-3, 1e-3)
 
     def test_overrides(self, config_file):
         cfg = load_config(config_file, {("noise", "seed"): 9})
-        assert cfg.seed == 9
+        assert cfg.noise.seed == 9
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.ini"
@@ -101,10 +107,10 @@ class TestConfigParsing:
 
     def test_defaults_defined_once(self):
         cfg = config_from_dict({})
-        assert cfg.penalty() == Penalty()
-        assert cfg.schedule() == AlphaSchedule()
-        assert cfg.stopping() == StoppingRule()
-        assert cfg.inner_settings() == InnerSettings()
+        assert cfg.theta == Penalty()
+        assert cfg.alpha_schedule == AlphaSchedule()
+        assert cfg.stopping_rule == StoppingRule()
+        assert cfg.inner == InnerSettings()
 
     def test_smallest_grids_accepted(self):
         cfg = config_from_dict({"problem": {"n": 1, "nx": 2, "ny": 2}})
@@ -128,10 +134,10 @@ class TestConfigParsing:
 
     def test_factory_methods_round_trip(self, config_file):
         cfg = load_config(config_file)
-        assert (cfg.penalty().a, cfg.penalty().b) == (0.0, 0.0)
-        assert cfg.schedule().alpha(2) == pytest.approx(0.25)
-        assert cfg.stopping().tau == 1.05
-        assert cfg.inner_settings().max_iters == 2000
+        assert (cfg.theta.a, cfg.theta.b) == (0.0, 0.0)
+        assert cfg.alpha_schedule.alpha(2) == pytest.approx(0.25)
+        assert cfg.stopping_rule.tau == 1.05
+        assert cfg.inner.max_iters == 2000
 
 
 class TestPhantoms:
@@ -153,15 +159,17 @@ class TestPhantoms:
         assert grid[28, 14] == 0.5
         assert grid[0, 0] == 0.0
 
-    def test_exact_solution_from_file(self, tmp_path):
-        space = GridSpace.interval(30)
-        custom = GridFn(space, np.linspace(0, 1, space.size))
+    @pytest.mark.parametrize("problem, space", [
+        ({"n": 37}, GridSpace.interval(37)),
+        ({"kind": "elliptic_2d", "nx": 12, "ny": 9}, GridSpace.rectangle(12, 9)),
+    ], ids=["1d", "2d"])
+    def test_exact_solution_from_file(self, tmp_path, problem, space):
+        # a reconstruction CSV reads back bit for bit as the exact solution
+        custom = GridFn(space, np.random.default_rng(5).standard_normal(space.size))
         path = tmp_path / "xdag.csv"
-        spaces.write_csv(custom, path)
-        cfg = config_from_dict(
-            {"problem": {"kind": "integral_1d", "n": 30},
-             "exact": {"selector": "file", "path": str(path)}}
-        )
+        harness.write_reconstruction_csv(path, custom)
+        cfg = config_from_dict({"problem": problem,
+                                "exact": {"selector": "file", "path": str(path)}})
         _op, x_dag, _y = make_problem(cfg)
         assert np.array_equal(x_dag.values, custom.values)
 
@@ -246,7 +254,7 @@ class TestRunExperiment:
         solve, message = harness.solve, "values shape (5,) does not match (61,)"
 
         def failing_solve(cfg, op, ydelta):
-            if cfg.delta < 2e-3:
+            if cfg.noise.delta < 2e-3:
                 raise ValueError(message)
             return solve(cfg, op, ydelta)
 
@@ -307,7 +315,7 @@ class TestRunStudy:
         # as the summary CSV of the run at that noise level
         cfg = load_config(config_file)
         harness.run_experiment(cfg, out_dir=str(tmp_path), quiet=True)
-        cfg = replace(cfg, study=replace(cfg.study, deltas=(cfg.delta,)))
+        cfg = replace(cfg, study=replace(cfg.study, deltas=(cfg.noise.delta,)))
         harness.run_study(cfg, out_dir=str(tmp_path), quiet=True)
         summary = (tmp_path / "tiny_summary.csv").read_text().splitlines()[1:7]
         header, row = (tmp_path / "tiny_study.csv").read_text().splitlines()
@@ -319,17 +327,17 @@ class TestBuiltinConfigs:
     def test_example51_defaults(self):
         cfg = example51_config("l2_l1")
         assert cfg.problem.n == 400
-        assert cfg.delta == 5e-4
-        assert cfg.stopping().tau == 1.02
-        assert (cfg.penalty().a, cfg.penalty().b) == (1.0, 0.0)
-        assert cfg.penalty().mu == 0.01
+        assert cfg.noise.delta == 5e-4
+        assert cfg.stopping_rule.tau == 1.02
+        assert (cfg.theta.a, cfg.theta.b) == (1.0, 0.0)
+        assert cfg.theta.mu == 0.01
         assert cfg.study.deltas == (4e-3, 2e-3, 1e-3, 5e-4)
 
     def test_example52_defaults(self):
         cfg = example52_config("l2_tv", mu=1.0)
         assert (cfg.problem.nx, cfg.problem.ny) == (40, 40)
-        assert cfg.delta == 1e-4
-        assert cfg.stopping().tau == 1.05
+        assert cfg.noise.delta == 1e-4
+        assert cfg.stopping_rule.tau == 1.05
         assert cfg.output.name == "example52_l2_tv_mu1"
 
     def test_paper_configs(self):
@@ -426,11 +434,17 @@ class TestCli:
         "# dims=31 domain=0:1 exponent=2 variance=dual\n" + "0\n" * 31,
         "# dims=21 domain=0:1 exponent=2 variance=primal\n" + "0\n" * 21,
         "0\n" * 31,
+        pytest.param(_reconstruction(20), id="21-nodes"),
+        pytest.param(_reconstruction(30, shift=1e-3), id="shifted-nodes"),
+        pytest.param(_reconstruction(30, value="nan"), id="nan-value"),
+        pytest.param(_reconstruction(30, value="0,0"), id="three-columns"),
+        pytest.param(_reconstruction(30).split("\n", 1)[1], id="no-header"),
     ])
     def test_unreadable_exact_path_exit_code(self, tmp_path, capsys, content):
-        # a missing file, a header without domain=, a one-node axis, a dual
-        # function on the problem's grid, a primal one on a 21-node grid, and
-        # values without a header line
+        # a problem with n = 30 needs 31 rows `t,value` under one header line:
+        # a missing file, files in the old `# dims=` format (bare values), bare
+        # values without a header, and reconstruction CSVs on another grid, at
+        # shifted nodes, with a nan value, with three columns or without header
         path = tmp_path / "xdag.csv"
         if content is not None:
             path.write_text(content)

@@ -38,8 +38,8 @@ class TestWeights:
 
     def test_2d_weights_are_tensor_products(self):
         space = GridSpace.rectangle(4, 6)
-        wx = spaces._trapezoid_weights(5, 1.0)
-        wy = spaces._trapezoid_weights(7, 1.0)
+        wx = spaces._trapezoid_weights(5)
+        wy = spaces._trapezoid_weights(7)
         assert np.allclose(space.weights, np.outer(wx, wy).ravel())
 
     def test_exponent_validation(self):
@@ -49,7 +49,7 @@ class TestWeights:
     def test_one_node_axis_rejected(self):
         # a single node has no spacing, so no trapezoidal weights
         with pytest.raises(ValueError, match="at least 2 nodes"):
-            GridSpace((1,), ((0.0, 1.0),))
+            GridSpace((1,))
 
 
 class TestGridFn:
@@ -206,24 +206,3 @@ class TestLincomb:
         f = random_fn(interval, rng)
         assert np.all((0.0 * f).values == 0.0)
 
-
-class TestCsvRoundTrip:
-    def test_roundtrip(self, tmp_path, interval):
-        rng = np.random.default_rng(12)
-        f = random_fn(interval, rng)
-        path = tmp_path / "fn.csv"
-        spaces.write_csv(f, path)
-        g = spaces.read_csv(path)
-        assert g.space == interval
-        assert g.variance == f.variance
-        assert np.array_equal(g.values, f.values)
-
-    def test_roundtrip_2d_dual(self, tmp_path):
-        space = GridSpace.rectangle(5, 7, p=3.0)
-        rng = np.random.default_rng(13)
-        f = GridFn(space, rng.standard_normal(space.size), spaces.DUAL)
-        path = tmp_path / "fn2.csv"
-        spaces.write_csv(f, path)
-        g = spaces.read_csv(path)
-        assert g.space == space
-        assert np.array_equal(g.values, f.values)
