@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import configparser
 import csv
+import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import get_type_hints
@@ -252,7 +253,9 @@ def exact_solution(exact: Exact, space: GridSpace) -> GridFn:
     if exact.selector in EXACT_SOLUTIONS:
         return EXACT_SOLUTIONS[exact.selector][0](space)
     try:
-        table = np.loadtxt(exact.path, delimiter=",", skiprows=1, ndmin=2)
+        with warnings.catch_warnings():  # a header-only file is reported below, not warned of
+            warnings.simplefilter("ignore", UserWarning)
+            table = np.loadtxt(exact.path, delimiter=",", skiprows=1, ndmin=2)
         if (table.shape != (space.size, len(space.dims) + 1)
                 or not np.array_equal(table[:, :-1].T, space.coords())):
             raise ValueError(f"it needs one row per node of the grid of dims {space.dims}: "

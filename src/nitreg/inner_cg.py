@@ -4,11 +4,14 @@ Each outer step minimizes ``(1/r) ||F(x) - y||^r + alpha * D_xi Theta(x, x_prev)
 by truncated Gauss–Newton–CG with Armijo backtracking.  Each Newton system
 ``(F'(x)* J_r'(res) F'(x) + alpha W^-1 P(x)) h = -g``, with W the quadrature
 weights and P = `penalties.hessian`, is solved by CG in the quadrature-weighted
-inner product, preconditioned by a sparse LU of alpha P.  CG stops at the
-Eisenstat–Walker relative residual ``min(0.5, sqrt(||g|| / max(1, ||g_0||)))``,
-or at 1e-13 when the subproblem is linear-quadratic (F linear, a = b = 0,
-r = p = 2), which one Newton step then solves.  For TV, P uses the dual field
-of Chan, Golub & Mulet, updated after each accepted step.
+inner product, preconditioned by alpha P.  With TV (b > 0) the preconditioner
+is a sparse LU of alpha P.  Without TV, P is diagonal and is held as one vector
+(`penalties.pointwise_hessian`), so no matrix is built and the preconditioner
+is a division.  CG stops at the Eisenstat–Walker relative residual
+``min(0.5, sqrt(||g|| / max(1, ||g_0||)))``, or at 1e-13 when the subproblem
+is linear-quadratic (F linear, a = b = 0, r = p = 2), which one Newton step
+then solves.  For TV, P uses the dual field of Chan, Golub & Mulet, updated
+after each accepted step.
 
 F is applied once per point: the residual F(x) - y computed with the objective
 value is reused for the gradient, whose data term F'(x)* J_r(F(x) - y) also
@@ -120,17 +123,22 @@ def _newton_direction(p: InnerProblem, x: GridFn, res: GridFn, g: GridFn,
     rn = norm(res)
     scale = rn ** (p.r - 2.0) if rn > 0.0 else float(p.r == 2.0)
     rank1 = (p.r - 2.0) / rn**2 if rn > 0.0 else 0.0
-    hess = p.alpha * penalties.hessian(p.theta, x, cell)
+    if p.theta.b > 0.0:
+        hess = p.alpha * penalties.hessian(p.theta, x, cell)
+        apply_hess, precondition = (lambda v: hess @ v), spla.splu(hess).solve
+    else:  # P is diagonal, so its LU solve is a division
+        diag = p.alpha * penalties.pointwise_hessian(p.theta, x)
+        apply_hess, precondition = (lambda v: diag * v), (lambda v: v / diag)
 
     def matvec(v):
         fv = p.op.deriv(x, GridFn(space, v, PRIMAL)).values
         jv = scale * (fv + rank1 * np.sum(rspace.weights * res.values * fv) * res.values)
-        return space.weights * p.op.adjoint(x, GridFn(rspace, jv, DUAL)).values + hess @ v
+        return space.weights * p.op.adjoint(x, GridFn(rspace, jv, DUAL)).values + apply_hess(v)
 
     n = space.size
     h, _info = spla.cg(
         spla.LinearOperator((n, n), matvec=matvec), -space.weights * g.values, rtol=rtol,
-        M=spla.LinearOperator((n, n), matvec=spla.splu(hess).solve),
+        M=spla.LinearOperator((n, n), matvec=precondition),
     )
     return h
 

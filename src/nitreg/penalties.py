@@ -93,23 +93,30 @@ def gradient(theta: Penalty, x: GridFn) -> GridFn:
     return GridFn(x.space, g / w, DUAL)
 
 
-def hessian(theta: Penalty, x: GridFn, cell: np.ndarray | None = None) -> sp.csc_matrix:
-    """Euclidean Hessian of the smoothed penalty w.r.t. nodal values.
-
-    The TV part is ``b * area * D^T A D`` with the per-cell block
-    ``A = I/m - sym(cell d^T)/m^2``.  ``cell`` is the dual field of Chan,
-    Golub & Mulet (one row per axis, |cell| < 1); None means d/m, which makes
-    this the exact Hessian.
-    """
+def pointwise_hessian(theta: Penalty, x: GridFn) -> np.ndarray:
+    """Euclidean Hessian of the mu and L1 terms w.r.t. nodal values, which is
+    diagonal: the vector of its diagonal.  Without TV (b = 0) it is the whole
+    penalty Hessian."""
     w = x.space.weights
     v = x.values
     diag = 2.0 * theta.mu * w
     if theta.a > 0.0:
         s = v * v + theta.eps  # eps / s^1.5, written so that a large eps cannot overflow
         diag = diag + theta.a * w * (theta.eps / s) / np.sqrt(s)
-    hess = sp.diags(diag)
+    return diag
+
+
+def hessian(theta: Penalty, x: GridFn, cell: np.ndarray | None = None) -> sp.csc_matrix:
+    """Euclidean Hessian of the smoothed penalty w.r.t. nodal values.
+
+    It is `pointwise_hessian` on the diagonal plus, for TV, ``b * area * D^T A D``
+    with the per-cell block ``A = I/m - sym(cell d^T)/m^2``.  ``cell`` is the
+    dual field of Chan, Golub & Mulet (one row per axis, |cell| < 1); None
+    means d/m, which makes this the exact Hessian.
+    """
+    hess = sp.diags(pointwise_hessian(theta, x))
     if theta.b > 0.0:
-        diff, d, m = _cells(x.space, v, theta.eps)
+        diff, d, m = _cells(x.space, x.values, theta.eps)
         if cell is None:
             cell = d / m
         axes = range(len(d))

@@ -439,12 +439,14 @@ class TestCli:
         pytest.param(_reconstruction(30, value="nan"), id="nan-value"),
         pytest.param(_reconstruction(30, value="0,0"), id="three-columns"),
         pytest.param(_reconstruction(30).split("\n", 1)[1], id="no-header"),
+        pytest.param("t,value\n", id="header-only"),
     ])
     def test_unreadable_exact_path_exit_code(self, tmp_path, capsys, content):
         # a problem with n = 30 needs 31 rows `t,value` under one header line:
         # a missing file, files in the old `# dims=` format (bare values), bare
         # values without a header, and reconstruction CSVs on another grid, at
-        # shifted nodes, with a nan value, with three columns or without header
+        # shifted nodes, with a nan value, with three columns, without header or
+        # with nothing but the header; each gives the one error line, no warning
         path = tmp_path / "xdag.csv"
         if content is not None:
             path.write_text(content)
@@ -452,7 +454,9 @@ class TestCli:
         ini.write_text(f"[problem]\nn = 30\n[exact]\nselector = file\npath = {path}\n")
         rc = cli.main(["run", str(ini), "--out-dir", str(tmp_path), "--quiet"])
         assert rc == 2
-        assert capsys.readouterr().err.startswith("error: [exact]")
+        err = capsys.readouterr().err
+        assert err.startswith("error: [exact]")
+        assert "UserWarning" not in err
 
     @pytest.mark.parametrize("ini, rc", [
         ("[noise]\ndelta = 1e-3\ndelta = 2e-3\n", 2),

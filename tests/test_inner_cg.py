@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from nitreg import inner_cg, penalties, spaces
 from nitreg.harness import add_noise, example52_config, make_problem, spikes_1d
@@ -90,6 +91,26 @@ def quadratic_problem(n=60, alpha=0.1, mu=1.0, seed=0):
     xi_prev = penalties.gradient(theta, x_prev)
     y = GridFn(op.range_space, np.sin(2 * np.pi * op.range_space.axis_nodes(0)))
     return InnerProblem(op, y, theta, alpha, x_prev, xi_prev)
+
+
+def count_splu(monkeypatch):
+    """Make `scipy.sparse.linalg.splu` record each call in the returned list."""
+    calls = []
+    splu = spla.splu
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return splu(a, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counted)
+    return calls
+
+
+def start(p):
+    """The residual and the gradient at x_prev, as a solve begins; an operator
+    that factors a system makes its LU at x_prev here."""
+    res = inner_cg.objective(p, p.x_prev)[1]
+    return res, inner_cg.grad_objective(p, p.x_prev, res)[0]
 
 
 def value(p, x):
@@ -300,6 +321,35 @@ class TestMinimize:
         x1 = minimize(p, InnerSettings(max_iters=50))[0]
         x2 = minimize(p, InnerSettings(max_iters=50))[0]
         assert np.array_equal(x1.values, x2.values)
+
+
+class TestPreconditioner:
+    @pytest.mark.parametrize("theta", [Penalty(mu=1.0), Penalty(mu=1.0, a=0.5, eps=1e-3)],
+                             ids=["quadratic", "l2_l1"])
+    def test_without_tv_divides_and_makes_no_lu(self, monkeypatch, theta):
+        # the penalty Hessian is diagonal; the direction still solves the
+        # Newton system (W A* A + alpha P) d = -W g, assembled densely
+        p = quadratic_problem(n=40)
+        p = replace(p, theta=theta, xi_prev=penalties.gradient(theta, p.x_prev))
+        calls = count_splu(monkeypatch)
+        res, g = start(p)
+        d = inner_cg._newton_direction(p, p.x_prev, res, g, None, 1e-12)
+        assert calls == []
+        w = p.op.domain_space.weights
+        A, Astar = p.op.kernel * w[None, :], p.op.kernel.T * w[None, :]
+        newton = w[:, None] * (Astar @ A) + p.alpha * penalties.hessian(theta, p.x_prev).toarray()
+        exact = np.linalg.solve(newton, -w * g.values)
+        assert np.linalg.norm(d - exact) <= 1e-8 * np.linalg.norm(exact)
+        minimize(p, InnerSettings(max_iters=1))
+        assert calls == []
+
+    def test_tv_factors_the_penalty_hessian_once_per_newton_step(self, monkeypatch):
+        p = tv_problem()
+        res, g = start(p)
+        calls = count_splu(monkeypatch)
+        inner_cg._newton_direction(p, p.x_prev, res, g, None, 0.5)
+        n = p.x_prev.space.size
+        assert calls == [(n, n)]
 
 
 class TestExactRoute:
