@@ -4,10 +4,11 @@ Each outer step minimizes ``(1/r) ||F(x) - y||^r + alpha * D_xi Theta(x, x_prev)
 by truncated Gauss–Newton–CG with Armijo backtracking.  Each Newton system
 ``(F'(x)* J_r'(res) F'(x) + alpha W^-1 P(x)) h = -g``, with W the quadrature
 weights and P = `penalties.hessian`, is solved by CG in the quadrature-weighted
-inner product, preconditioned by alpha P.  With TV (b > 0) the preconditioner
-is a sparse LU of alpha P.  Without TV, P is diagonal and is held as one vector
-(`penalties.pointwise_hessian`), so no matrix is built and the preconditioner
-is a division.  CG stops at the Eisenstat–Walker relative residual
+inner product, preconditioned by alpha P.  With TV (b > 0), alpha P is a
+banded positive definite matrix, and the preconditioner is its banded Cholesky
+factorization (LAPACK ``pbtrf``).  Without TV, P is diagonal and is held as one
+vector (`penalties.pointwise_hessian`), so no matrix is built and the
+preconditioner is a division.  CG stops at the Eisenstat–Walker relative residual
 ``min(0.5, sqrt(||g|| / max(1, ||g_0||)))``, or at 1e-13 when the subproblem
 is linear-quadratic (F linear, a = b = 0, r = p = 2), which one Newton step
 then solves.  For TV, P uses the dual field of Chan, Golub & Mulet, updated
@@ -29,7 +30,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from . import penalties
-from .operators import ForwardOp, OperatorError
+from .operators import ForwardOp, OperatorError, banded_cholesky, upper_band
 from .penalties import Penalty
 from .spaces import DUAL, PRIMAL, GridFn, duality_map, norm
 
@@ -110,6 +111,23 @@ def is_linear_quadratic(p: InnerProblem) -> bool:
     )
 
 
+def _penalty_hessian(p: InnerProblem, x: GridFn, cell: np.ndarray | None):
+    """``alpha P`` at x as a matvec, and its inverse, the CG preconditioner.
+
+    With TV, P is banded and positive definite (mu > 0, |cell| < 1), and is
+    factored by banded Cholesky.  Without TV it is diagonal, so its inverse is
+    a division.
+    """
+    if p.theta.b > 0.0:
+        hess = p.alpha * penalties.hessian(p.theta, x, cell)
+        solve = banded_cholesky(upper_band(hess))
+        if solve is None:
+            raise np.linalg.LinAlgError("alpha P is not positive definite")
+        return (lambda v: hess @ v), solve
+    diag = p.alpha * penalties.pointwise_hessian(p.theta, x)
+    return (lambda v: diag * v), (lambda v: v / diag)
+
+
 def _newton_direction(p: InnerProblem, x: GridFn, res: GridFn, g: GridFn,
                       cell: np.ndarray | None, rtol: float) -> np.ndarray:
     """CG on ``W F'* J_r'(res) F' + alpha P`` with right-hand side ``-W g``.
@@ -123,12 +141,7 @@ def _newton_direction(p: InnerProblem, x: GridFn, res: GridFn, g: GridFn,
     rn = norm(res)
     scale = rn ** (p.r - 2.0) if rn > 0.0 else float(p.r == 2.0)
     rank1 = (p.r - 2.0) / rn**2 if rn > 0.0 else 0.0
-    if p.theta.b > 0.0:
-        hess = p.alpha * penalties.hessian(p.theta, x, cell)
-        apply_hess, precondition = (lambda v: hess @ v), spla.splu(hess).solve
-    else:  # P is diagonal, so its LU solve is a division
-        diag = p.alpha * penalties.pointwise_hessian(p.theta, x)
-        apply_hess, precondition = (lambda v: diag * v), (lambda v: v / diag)
+    apply_hess, precondition = _penalty_hessian(p, x, cell)
 
     def matvec(v):
         fv = p.op.deriv(x, GridFn(space, v, PRIMAL)).values

@@ -8,12 +8,35 @@ import abc
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from .spaces import DUAL, PRIMAL, GridFn, GridSpace, norm
 
 
 class OperatorError(RuntimeError):
     """Operator evaluation failed."""
+
+
+def upper_band(matrix) -> np.ndarray:
+    """LAPACK upper band storage of a symmetric sparse matrix without duplicate
+    entries (such as a canonical CSC matrix), as `lapack.dpbtrf` takes it: row
+    ``kd + i - j`` of column j holds entry (i, j) for i <= j, where kd is the
+    half-bandwidth.  The lower triangle is not read."""
+    upper = sp.triu(matrix, format="coo")
+    offset = upper.col - upper.row
+    band = np.zeros((offset.max(initial=0) + 1, matrix.shape[0]), order="F")
+    band[-1 - offset, upper.col] = upper.data
+    return band
+
+
+def banded_cholesky(band: np.ndarray):
+    """The solve ``b -> A^-1 b`` of a symmetric matrix A in `upper_band`
+    storage, factored in place by LAPACK's banded Cholesky; None if A is not
+    positive definite."""
+    factor, info = lapack.dpbtrf(band, overwrite_ab=1)
+    if info != 0:
+        return None
+    return lambda b: lapack.dpbtrs(factor, b)[0]
 
 
 class ForwardOp(abc.ABC):
@@ -78,9 +101,11 @@ class EllipticOp(ForwardOp):
     The system for the interior state is the interior block of one 5-point
     -Lap matrix on all grid nodes, plus diag(c); the boundary columns of that
     matrix lift g into the right-hand side. The measurement is the whole
-    state on the grid. The system is symmetric, so its sparse LU uses a
-    symmetric minimum-degree ordering (of A + A^T, diagonal pivots preferred);
-    it is refactorized whenever c changes.
+    state on the grid. Whenever c changes the system is refactorized: by
+    banded Cholesky (LAPACK ``pbtrf``), since it is symmetric positive definite
+    for c >= 0 and its half-bandwidth in natural order is ny - 1. Where a
+    line-search trial c makes it indefinite, Cholesky fails, and that system
+    falls back to a pivoted sparse LU.
     """
 
     is_linear = False
@@ -99,8 +124,9 @@ class EllipticOp(ForwardOp):
         self._inner = np.arange(space.size).reshape(space.dims)[1:-1, 1:-1].ravel()
         rows = lap.tocsr()[self._inner]
         self._laplacian = rows[:, self._inner].tocsc()
+        self._band = upper_band(self._laplacian)
         self._rhs0 = f[self._inner] - rows @ self._embed(0.0, self.g)
-        self._cache = None  # (c_bytes, lu, u_int)
+        self._cache = None  # (c_bytes, solve, u_int)
 
     def _embed(self, values, base: np.ndarray) -> np.ndarray:
         """Copy of a full-grid array with its interior nodes set to values."""
@@ -109,40 +135,43 @@ class EllipticOp(ForwardOp):
         return full
 
     def _factorization(self, c: GridFn):
+        """The solve of the system at c, and the interior state u; cached for
+        the last c."""
         key = c.values.tobytes()
         if self._cache is not None and self._cache[0] == key:
             return self._cache[1], self._cache[2]
-        matrix = self._laplacian + sp.diags(c.values[self._inner])
-        try:
-            # Pivoting stays on: a line-search trial c can make the system indefinite.
-            lu = spla.splu(
-                matrix.tocsc(), permc_spec="MMD_AT_PLUS_A", options=dict(SymmetricMode=True)
-            )
-            u_int = lu.solve(self._rhs0)
-        except RuntimeError as exc:
-            raise OperatorError(f"elliptic solve failed: {exc}") from exc
+        c_int = c.values[self._inner]
+        band = self._band.copy(order="F")
+        band[-1] += c_int
+        solve = banded_cholesky(band)
+        if solve is None:  # not positive definite, as at an indefinite trial c: pivoted LU
+            try:
+                solve = spla.splu((self._laplacian + sp.diags(c_int)).tocsc()).solve
+            except RuntimeError as exc:
+                raise OperatorError(f"elliptic solve failed: {exc}") from exc
+        u_int = solve(self._rhs0)
         if not np.all(np.isfinite(u_int)):
             raise OperatorError("elliptic solve produced non-finite state")
-        self._cache = (key, lu, u_int)
-        return lu, u_int
+        self._cache = (key, solve, u_int)
+        return solve, u_int
 
     def apply(self, c: GridFn) -> GridFn:
         self._check_domain(c)
-        _lu, u_int = self._factorization(c)
+        _solve, u_int = self._factorization(c)
         return GridFn(self.range_space, self._embed(u_int, self.g), PRIMAL)
 
     def deriv(self, c: GridFn, h: GridFn) -> GridFn:
         self._check_domain(c)
         self._check_domain(h)
-        lu, u_int = self._factorization(c)
-        v_int = lu.solve(-h.values[self._inner] * u_int)
+        solve, u_int = self._factorization(c)
+        v_int = solve(-h.values[self._inner] * u_int)
         return GridFn(self.range_space, self._embed(v_int, np.zeros_like(self.g)), PRIMAL)
 
     def adjoint(self, c: GridFn, w: GridFn) -> GridFn:
         self._check_domain(c)
         self._check_range_dual(w)
-        lu, u_int = self._factorization(c)
-        psi = lu.solve((self.range_space.weights * w.values)[self._inner])
+        solve, u_int = self._factorization(c)
+        psi = solve((self.range_space.weights * w.values)[self._inner])
         z_int = -u_int * psi / self.domain_space.weights[self._inner]
         return GridFn(self.domain_space, self._embed(z_int, np.zeros_like(self.g)), DUAL)
 

@@ -106,7 +106,7 @@ def pointwise_hessian(theta: Penalty, x: GridFn) -> np.ndarray:
     return diag
 
 
-def hessian(theta: Penalty, x: GridFn, cell: np.ndarray | None = None) -> sp.csc_matrix:
+def hessian(theta: Penalty, x: GridFn, cell: np.ndarray | None = None) -> sp.spmatrix:
     """Euclidean Hessian of the smoothed penalty w.r.t. nodal values.
 
     It is `pointwise_hessian` on the diagonal plus, for TV, ``b * area * D^T A D``
@@ -123,7 +123,7 @@ def hessian(theta: Penalty, x: GridFn, cell: np.ndarray | None = None) -> sp.csc
         a = sp.bmat([[sp.diags(float(i == j) / m - (cell[i] * d[j] + cell[j] * d[i]) / (2 * m**2))
                       for j in axes] for i in axes])
         hess = hess + theta.b * math.prod(x.space.spacings) * (diff.T @ a @ diff)
-    return sp.csc_matrix(hess)
+    return hess
 
 
 def tv_field_step(theta: Penalty, x: GridFn, cell: np.ndarray | None,

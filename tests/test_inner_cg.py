@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from nitreg import inner_cg, penalties, spaces
 from nitreg.harness import add_noise, example52_config, make_problem, spikes_1d
@@ -93,22 +94,29 @@ def quadratic_problem(n=60, alpha=0.1, mu=1.0, seed=0):
     return InnerProblem(op, y, theta, alpha, x_prev, xi_prev)
 
 
-def count_splu(monkeypatch):
-    """Make `scipy.sparse.linalg.splu` record each call in the returned list."""
+def count_factorizations(monkeypatch):
+    """Make `scipy.sparse.linalg.splu` and LAPACK's banded Cholesky `dpbtrf`
+    record each call in the returned list, as ("splu", rows) or
+    ("dpbtrf", columns)."""
     calls = []
-    splu = spla.splu
+    splu, dpbtrf = spla.splu, lapack.dpbtrf
 
-    def counted(a, *args, **kwargs):
-        calls.append(a.shape)
+    def counted_splu(a, *args, **kwargs):
+        calls.append(("splu", a.shape[0]))
         return splu(a, *args, **kwargs)
 
-    monkeypatch.setattr(spla, "splu", counted)
+    def counted_dpbtrf(ab, *args, **kwargs):
+        calls.append(("dpbtrf", ab.shape[1]))
+        return dpbtrf(ab, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counted_splu)
+    monkeypatch.setattr(lapack, "dpbtrf", counted_dpbtrf)
     return calls
 
 
 def start(p):
     """The residual and the gradient at x_prev, as a solve begins; an operator
-    that factors a system makes its LU at x_prev here."""
+    that factors a system factors it at x_prev here."""
     res = inner_cg.objective(p, p.x_prev)[1]
     return res, inner_cg.grad_objective(p, p.x_prev, res)[0]
 
@@ -331,7 +339,7 @@ class TestPreconditioner:
         # Newton system (W A* A + alpha P) d = -W g, assembled densely
         p = quadratic_problem(n=40)
         p = replace(p, theta=theta, xi_prev=penalties.gradient(theta, p.x_prev))
-        calls = count_splu(monkeypatch)
+        calls = count_factorizations(monkeypatch)
         res, g = start(p)
         d = inner_cg._newton_direction(p, p.x_prev, res, g, None, 1e-12)
         assert calls == []
@@ -344,12 +352,39 @@ class TestPreconditioner:
         assert calls == []
 
     def test_tv_factors_the_penalty_hessian_once_per_newton_step(self, monkeypatch):
+        # the elliptic system at x_prev is factored by `start`; its interior
+        # has fewer nodes than the grid
         p = tv_problem()
         res, g = start(p)
-        calls = count_splu(monkeypatch)
+        calls = count_factorizations(monkeypatch)
         inner_cg._newton_direction(p, p.x_prev, res, g, None, 0.5)
         n = p.x_prev.space.size
-        assert calls == [(n, n)]
+        assert calls == [("dpbtrf", n)]
+        calls.clear()
+        stats = minimize(p)[2]
+        assert stats.converged and stats.iterations >= 2
+        assert [c for c in calls if c[1] == n] == [("dpbtrf", n)] * stats.iterations
+
+    def test_tv_hessian_not_positive_definite_raises(self, monkeypatch):
+        # alpha P is positive definite for mu > 0, so a failed Cholesky is a bug
+        monkeypatch.setattr(lapack, "dpbtrf", lambda ab, **kwargs: (ab, 1))
+        p = tv_problem()
+        with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+            inner_cg._penalty_hessian(p, p.x_prev, None)
+
+    @pytest.mark.parametrize("problem", [spikes_l1_problem, tv_problem], ids=["1d", "2d"])
+    def test_tv_preconditioner_inverts_alpha_p(self, problem):
+        p = problem()
+        p = replace(p, theta=replace(p.theta, a=0.0, b=0.5))
+        rng = np.random.default_rng(8)
+        n = p.x_prev.space.size
+        x = GridFn(p.x_prev.space, rng.uniform(0.0, 2.0, n))
+        apply_hess, precondition = inner_cg._penalty_hessian(p, x, None)
+        dense = p.alpha * penalties.hessian(p.theta, x).toarray()
+        v = rng.standard_normal(n)
+        assert np.linalg.norm(apply_hess(v) - dense @ v) <= 1e-12 * np.linalg.norm(dense @ v)
+        exact = np.linalg.solve(dense, v)
+        assert np.linalg.norm(precondition(v) - exact) <= 1e-10 * np.linalg.norm(exact)
 
 
 class TestExactRoute:

@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from nitreg import spaces
+from nitreg import operators, spaces
 from nitreg.operators import EllipticOp, IntegralOp, OperatorError, estimate_eta
 from nitreg.spaces import DUAL, GridFn, norm, pairing
 
@@ -84,6 +87,25 @@ class TestIntegralOp:
             )
 
 
+def dense_system(space, f, g, c):
+    """The interior 5-point system of -Lap(u) + c u = f, u = g on the
+    boundary, as a dense matrix, with g's boundary values lifted into the
+    right-hand side."""
+    (hx, hy), (mx, my) = space.spacings, (n - 2 for n in space.dims)
+
+    def second_difference(m, h):
+        return (2 * np.eye(m) - np.eye(m, k=1) - np.eye(m, k=-1)) / h**2
+
+    matrix = (np.kron(second_difference(mx, hx), np.eye(my))
+              + np.kron(np.eye(mx), second_difference(my, hy))
+              + np.diag(c.reshape(space.dims)[1:-1, 1:-1].ravel()))
+    edge = g.reshape(space.dims).copy()
+    edge[1:-1, 1:-1] = 0.0
+    lift = ((edge[:-2, 1:-1] + edge[2:, 1:-1]) / hx**2
+            + (edge[1:-1, :-2] + edge[1:-1, 2:]) / hy**2)
+    return matrix, (f.reshape(space.dims)[1:-1, 1:-1] + lift).ravel()
+
+
 def make_elliptic(nx=20, ny=20):
     """Elliptic operator whose exact state for c(x,y)=x+y is u=x+y."""
     space = spaces.GridSpace.rectangle(nx, ny)
@@ -93,6 +115,20 @@ def make_elliptic(nx=20, ny=20):
     f = c_true * (xs + ys)
     op = EllipticOp(nx, ny, f=f, g=g)
     return op, GridFn(space, c_true)
+
+
+def test_upper_band_layout():
+    # row kd + i - j of column j holds entry (i, j) of the upper triangle;
+    # the entries outside the band are zero
+    rng = np.random.default_rng(9)
+    lower = np.tril(np.triu(rng.standard_normal((7, 7)), -2))
+    dense = lower + lower.T
+    band = operators.upper_band(sp.csc_matrix(dense))
+    expected = np.zeros((3, 7))
+    for i, j in zip(*np.triu_indices(7)):
+        if j - i <= 2:
+            expected[2 + i - j, j] = dense[i, j]
+    assert np.array_equal(band, expected)
 
 
 class TestEllipticOp:
@@ -178,26 +214,82 @@ class TestEllipticOp:
     def test_factorization_cache_reuse(self):
         op, c = make_elliptic()
         op.apply(c)
-        lu1, _ = op._factorization(c)
-        lu2, _ = op._factorization(c)
-        assert lu1 is lu2
+        solve1, _ = op._factorization(c)
+        solve2, _ = op._factorization(c)
+        assert solve1 is solve2
         rng = np.random.default_rng(4)
         c2 = c + 0.1 * random_fn(op.domain_space, rng)
-        lu3, _ = op._factorization(c2)
-        assert lu3 is not lu1
+        solve3, _ = op._factorization(c2)
+        assert solve3 is not solve1
 
     def test_failed_factorization_is_wrapped(self, monkeypatch):
-        # a RuntimeError of the factorization reaches callers as OperatorError
-        from nitreg import operators as ops_mod
-
+        # Cholesky reports the system not positive definite, and the pivoted
+        # LU it falls back to raises: callers see an OperatorError
         op, c = make_elliptic(8, 8)
+
+        def not_positive_definite(ab, *args, **kwargs):
+            return ab, 1
 
         def boom(*args, **kwargs):
             raise RuntimeError("singular")
 
-        monkeypatch.setattr(ops_mod.spla, "splu", boom)
+        monkeypatch.setattr(operators.lapack, "dpbtrf", not_positive_definite)
+        monkeypatch.setattr(operators.spla, "splu", boom)
         with pytest.raises(OperatorError, match="elliptic solve failed: singular"):
             op.apply(c)
+
+    @pytest.mark.parametrize("nx, ny", [(40, 40), (20, 80)])
+    def test_matches_dense_solves(self, nx, ny):
+        # (20, 80) has the half-bandwidth of the 80x80 grid, 79, on a system
+        # small enough to solve densely
+        space = spaces.GridSpace.rectangle(nx, ny)
+        xs, ys = space.coords()
+        rng = np.random.default_rng(6)
+        f, g = np.cos(3 * xs) * ys, xs - ys**2
+        c = GridFn(space, 1.0 + np.sin(5 * xs * ys))
+        op = EllipticOp(nx, ny, f=f, g=g)
+        matrix, rhs = dense_system(space, f, g, c.values)
+        inner = np.zeros(space.dims, dtype=bool)
+        inner[1:-1, 1:-1] = True
+        inner = inner.ravel()
+        w = space.weights
+
+        def close(got, want):
+            return np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+        u = g.copy()
+        u[inner] = np.linalg.solve(matrix, rhs)
+        assert close(op.apply(c).values, u)
+
+        h, dual = random_fn(space, rng), random_fn(space, rng, DUAL)
+        v = np.zeros(space.size)
+        v[inner] = np.linalg.solve(matrix, -h.values[inner] * u[inner])
+        assert close(op.deriv(c, h).values, v)
+
+        z = np.zeros(space.size)
+        z[inner] = -u[inner] * np.linalg.solve(matrix.T, (w * dual.values)[inner]) / w[inner]
+        assert close(op.adjoint(c, dual).values, z)
+
+    def test_positive_coefficient_makes_no_lu(self, monkeypatch):
+        def no_lu(*args, **kwargs):
+            raise AssertionError("splu called for a positive definite system")
+
+        monkeypatch.setattr(operators.spla, "splu", no_lu)
+        op, c = make_elliptic()
+        rng = np.random.default_rng(7)
+        for coeff in (c, c + 0.5 * GridFn(op.domain_space, rng.uniform(size=c.space.size))):
+            op.deriv(coeff, random_fn(op.domain_space, rng))
+            op.adjoint(coeff, random_fn(op.range_space, rng, DUAL))
+
+    def test_nan_coefficient_raises_operator_error(self):
+        # GridFn refuses a NaN when it is built, so this one is written in
+        # place; the factorization must still not return a state
+        op, c = make_elliptic()
+        c.values[c.space.size // 2] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OperatorError):
+                op.apply(c)
 
 
 class TestEstimateEta:
