@@ -1,0 +1,20 @@
+import numpy as np
+import pytest
+
+
+def trapezoid_matrices(n):
+    """Node-values matrices of the trapezoid rule, on n intervals of [0, 1], of
+    the integral operator with kernel k(s,t) = 40*min(s,t)*(1-max(s,t)) and of
+    its adjoint in the weighted pairing, assembled densely from the closed-form
+    kernel: (A x)_i = sum_j w_j k(t_i, t_j) x_j and (A* y)_j = sum_i w_i k(t_i, t_j) y_i."""
+    t = np.linspace(0.0, 1.0, n + 1)
+    kernel = 40.0 * np.minimum.outer(t, t) * (1.0 - np.maximum.outer(t, t))
+    w = np.full(n + 1, 1.0 / n)
+    w[[0, -1]] /= 2
+    return kernel * w[None, :], kernel.T * w[None, :]
+
+
+@pytest.fixture
+def integral_matrices():
+    """`trapezoid_matrices`: a dense oracle that does not read `IntegralOp`."""
+    return trapezoid_matrices

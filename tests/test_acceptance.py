@@ -138,7 +138,7 @@ def test_03_elliptic_taylor_order(capsys):
     _verdict(capsys, 3, "elliptic Taylor-remainder slope >= 1.9", ok)
 
 
-def test_04_inner_solver_oracle(capsys):
+def test_04_inner_solver_oracle(capsys, integral_matrices):
     op = IntegralOp(120)
     theta = Penalty(mu=1.0)
     rng = np.random.default_rng(3)
@@ -150,8 +150,7 @@ def test_04_inner_solver_oracle(capsys):
     p = InnerProblem(op, ydelta, theta, alpha, x_prev, xi_prev)
 
     w = op.domain_space.weights
-    A = op.kernel * w[None, :]
-    Astar = op.kernel.T * w[None, :]
+    A, Astar = integral_matrices(120)
     M = Astar @ A + 2.0 * theta.mu * alpha * np.eye(len(w))
     exact = np.linalg.solve(M, Astar @ ydelta.values + alpha * xi_prev.values)
 

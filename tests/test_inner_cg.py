@@ -129,13 +129,11 @@ def gradient(p, x):
     return inner_cg.grad_objective(p, x, inner_cg.objective(p, x)[1])[0]
 
 
-def dense_minimizer(p):
+def dense_minimizer(p, A, Astar):
     """Independent oracle: assemble (A*A + 2 mu alpha I) x = A*y + alpha xi
-    densely in the node basis and solve directly."""
+    densely in the node basis and solve directly; A and Astar are the
+    node-values matrices of the operator and of its adjoint."""
     w = p.op.domain_space.weights
-    K = p.op.kernel
-    A = K * w[None, :]  # node-values matrix of the trapezoid operator
-    Astar = K.T * w[None, :]  # adjoint in the weighted pairing
     M = Astar @ A + 2.0 * p.theta.mu * p.alpha * np.eye(len(w))
     rhs = Astar @ p.ydelta.values + p.alpha * p.xi_prev.values
     return np.linalg.solve(M, rhs)
@@ -217,9 +215,9 @@ class TestDiagonalToy:
 
 
 class TestOracle:
-    def test_against_dense_normal_equations(self):
+    def test_against_dense_normal_equations(self, integral_matrices):
         p = quadratic_problem(n=60, alpha=0.05, mu=1.0)
-        exact = dense_minimizer(p)
+        exact = dense_minimizer(p, *integral_matrices(60))
         scale = np.linalg.norm(exact)
 
         x_lin, _xi, stats_lin = minimize(p)
@@ -229,11 +227,11 @@ class TestOracle:
         x_cg = minimize(p, InnerSettings(grad_tol_rel=1e-10, max_iters=5000))[0]
         assert np.linalg.norm(x_cg.values - exact) <= 1e-6 * scale
 
-    def test_stops_when_steps_no_longer_move_x(self):
+    def test_stops_when_steps_no_longer_move_x(self, integral_matrices):
         # the subproblem of acceptance test 04 with a gradient tolerance below
         # rounding, so steps eventually leave x unchanged
         p = quadratic_problem(n=120, alpha=0.05, mu=1.0, seed=3)
-        exact = dense_minimizer(p)
+        exact = dense_minimizer(p, *integral_matrices(120))
         x, _xi, stats = minimize(p, InnerSettings(grad_tol_rel=1e-20, max_iters=5000))
         assert stats.iterations < 5000
         assert not stats.converged
@@ -334,7 +332,7 @@ class TestMinimize:
 class TestPreconditioner:
     @pytest.mark.parametrize("theta", [Penalty(mu=1.0), Penalty(mu=1.0, a=0.5, eps=1e-3)],
                              ids=["quadratic", "l2_l1"])
-    def test_without_tv_divides_and_makes_no_lu(self, monkeypatch, theta):
+    def test_without_tv_divides_and_makes_no_lu(self, monkeypatch, integral_matrices, theta):
         # the penalty Hessian is diagonal; the direction still solves the
         # Newton system (W A* A + alpha P) d = -W g, assembled densely
         p = quadratic_problem(n=40)
@@ -344,7 +342,7 @@ class TestPreconditioner:
         d = inner_cg._newton_direction(p, p.x_prev, res, g, None, 1e-12)
         assert calls == []
         w = p.op.domain_space.weights
-        A, Astar = p.op.kernel * w[None, :], p.op.kernel.T * w[None, :]
+        A, Astar = integral_matrices(40)
         newton = w[:, None] * (Astar @ A) + p.alpha * penalties.hessian(theta, p.x_prev).toarray()
         exact = np.linalg.solve(newton, -w * g.values)
         assert np.linalg.norm(d - exact) <= 1e-8 * np.linalg.norm(exact)

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -74,7 +75,32 @@ class TestIntegralOp:
         x = random_fn(op.domain_space, rng)
         for _ in range(10):
             gap, scale = adjoint_gap(op, x, rng)
-            assert gap <= 1e-8 * scale
+            assert gap <= 1e-13 * scale
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("n", [1, 2, 3, 80, 400])
+    def test_equals_its_quadrature(self, integral_matrices, n, p):
+        # the 3-point solve is the trapezoid rule of the closed-form kernel
+        op = IntegralOp(n, p)
+        A, Astar = integral_matrices(n)
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            x, w = random_fn(op.domain_space, rng), random_fn(op.range_space, rng, DUAL)
+            for out, exact in ((op.apply(x), A @ x.values), (op.adjoint(x, w), Astar @ w.values)):
+                assert np.linalg.norm(out.values - exact) <= 1e-12 * np.linalg.norm(exact)
+                if n == 1:  # no interior node: the kernel vanishes on the boundary
+                    assert np.all(out.values == 0.0)
+
+    def test_memory_is_linear_in_n(self):
+        # a dense 4001x4001 kernel alone would take 128 MB
+        tracemalloc.start()
+        try:
+            op = IntegralOp(4000)
+            op.apply(GridFn(op.domain_space, np.ones(op.domain_space.size)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
 
     def test_variance_checks(self):
         op = IntegralOp(30)
