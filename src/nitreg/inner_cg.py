@@ -16,10 +16,10 @@ after each accepted step.
 
 F is applied once per point: the residual F(x) - y computed with the objective
 value is reused for the gradient, whose data term F'(x)* J_r(F(x) - y) also
-gives the returned dual update xi_n, and CG takes derivatives at x.  A trial
-point where the operator fails, or where the objective is not finite, is
-rejected like any other trial.  A solve stops when an accepted step no longer
-moves x.
+gives the returned dual update xi_n.  CG applies the linearization at x, taken
+once per Newton direction, to nodal arrays.  A trial point where the operator
+fails, or where the objective is not finite, is rejected like any other trial.
+A solve stops when an accepted step no longer moves x.
 """
 
 from __future__ import annotations
@@ -142,11 +142,12 @@ def _newton_direction(p: InnerProblem, x: GridFn, res: GridFn, g: GridFn,
     scale = rn ** (p.r - 2.0) if rn > 0.0 else float(p.r == 2.0)
     rank1 = (p.r - 2.0) / rn**2 if rn > 0.0 else 0.0
     apply_hess, precondition = _penalty_hessian(p, x, cell)
+    deriv, adjoint = p.op.linearized(x)
 
     def matvec(v):
-        fv = p.op.deriv(x, GridFn(space, v, PRIMAL)).values
+        fv = deriv(v)
         jv = scale * (fv + rank1 * np.sum(rspace.weights * res.values * fv) * res.values)
-        return space.weights * p.op.adjoint(x, GridFn(rspace, jv, DUAL)).values + apply_hess(v)
+        return space.weights * adjoint(jv) + apply_hess(v)
 
     n = space.size
     h, _info = spla.cg(

@@ -40,7 +40,7 @@ def banded_cholesky(band: np.ndarray):
 
 
 class ForwardOp(abc.ABC):
-    """Operator F between two grid spaces with derivative and adjoint."""
+    """Operator F between two grid spaces, defined by F and its linearization."""
 
     domain_space: GridSpace
     range_space: GridSpace
@@ -51,20 +51,24 @@ class ForwardOp(abc.ABC):
         """Evaluate F(x)."""
 
     @abc.abstractmethod
+    def linearized(self, x: GridFn):
+        """Check x once; return the maps h -> F'(x)h and w -> F'(x)* w on nodal
+        arrays, the adjoint taken w.r.t. the quadrature pairings."""
+
     def deriv(self, x: GridFn, h: GridFn) -> GridFn:
         """Directional derivative F'(x)h."""
+        self._check_domain(h)
+        return GridFn(self.range_space, self.linearized(x)[0](h.values), PRIMAL)
 
-    @abc.abstractmethod
     def adjoint(self, x: GridFn, w: GridFn) -> GridFn:
         """Adjoint F'(x)* w w.r.t. the quadrature pairings."""
+        if w.space != self.range_space or w.variance != DUAL:
+            raise ValueError("argument is not a dual element of the range space")
+        return GridFn(self.domain_space, self.linearized(x)[1](w.values), DUAL)
 
     def _check_domain(self, x: GridFn) -> None:
         if x.space != self.domain_space or x.variance != PRIMAL:
             raise ValueError("argument is not a primal element of the domain space")
-
-    def _check_range_dual(self, w: GridFn) -> None:
-        if w.space != self.range_space or w.variance != DUAL:
-            raise ValueError("argument is not a dual element of the range space")
 
 
 class IntegralOp(ForwardOp):
@@ -85,13 +89,9 @@ class IntegralOp(ForwardOp):
     def apply(self, x: GridFn) -> GridFn:
         return self.deriv(x, x)
 
-    def deriv(self, x: GridFn, h: GridFn) -> GridFn:
-        self._check_domain(h)
-        return GridFn(self.range_space, self._green(h.values), PRIMAL)
-
-    def adjoint(self, x: GridFn, w: GridFn) -> GridFn:
-        self._check_range_dual(w)
-        return GridFn(self.domain_space, self._green(w.values), DUAL)
+    def linearized(self, x: GridFn):
+        self._check_domain(x)
+        return self._green, self._green
 
 
 class EllipticOp(ForwardOp):
@@ -160,20 +160,19 @@ class EllipticOp(ForwardOp):
         _solve, u_int = self._factorization(c)
         return GridFn(self.range_space, self._embed(u_int, self.g), PRIMAL)
 
-    def deriv(self, c: GridFn, h: GridFn) -> GridFn:
+    def linearized(self, c: GridFn):
         self._check_domain(c)
-        self._check_domain(h)
         solve, u_int = self._factorization(c)
-        v_int = solve(-h.values[self._inner] * u_int)
-        return GridFn(self.range_space, self._embed(v_int, np.zeros_like(self.g)), PRIMAL)
+        zero, w_int = np.zeros_like(self.g), self.domain_space.weights[self._inner]
 
-    def adjoint(self, c: GridFn, w: GridFn) -> GridFn:
-        self._check_domain(c)
-        self._check_range_dual(w)
-        solve, u_int = self._factorization(c)
-        psi = solve((self.range_space.weights * w.values)[self._inner])
-        z_int = -u_int * psi / self.domain_space.weights[self._inner]
-        return GridFn(self.domain_space, self._embed(z_int, np.zeros_like(self.g)), DUAL)
+        def deriv(h):
+            return self._embed(solve(-h[self._inner] * u_int), zero)
+
+        def adjoint(w):
+            psi = solve((self.range_space.weights * w)[self._inner])
+            return self._embed(-u_int * psi / w_int, zero)
+
+        return deriv, adjoint
 
 
 def estimate_eta(

@@ -98,7 +98,7 @@ class GridFn:
                 f"values shape {vals.shape} does not match space size "
                 f"{self.space.size}"
             )
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise ValueError("GridFn values must be finite")
         if self.variance not in (PRIMAL, DUAL):
             raise ValueError(f"unknown variance tag {self.variance!r}")

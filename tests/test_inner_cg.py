@@ -28,12 +28,28 @@ class DiagOp(ForwardOp):
         self._check_domain(x)
         return GridFn(self.range_space, self.diag * x.values, PRIMAL)
 
-    def deriv(self, x, h):
-        return self.apply(h)
+    def linearized(self, x):
+        self._check_domain(x)
+        return (lambda h: self.diag * h), (lambda w: self.diag * w)
 
-    def adjoint(self, x, w):
-        self._check_range_dual(w)
-        return GridFn(self.domain_space, self.diag * w.values, DUAL)
+
+class NaNAdjointOp(DiagOp):
+    """Diagonal operator whose linearized adjoint returns NaN after its first
+    `finite_calls` calls."""
+
+    def __init__(self, space, diag, finite_calls):
+        super().__init__(space, diag)
+        self.calls = 0
+        self.finite_calls = finite_calls
+
+    def linearized(self, x):
+        deriv, adjoint = super().linearized(x)
+
+        def nan_adjoint(w):
+            self.calls += 1
+            return adjoint(w) if self.calls <= self.finite_calls else np.full_like(w, np.nan)
+
+        return deriv, nan_adjoint
 
 
 class CappedIntegralOp(IntegralOp):
@@ -321,6 +337,45 @@ class TestMinimize:
         p = replace(spikes_l1_problem(), op=op)
         stats = minimize(p)[2]
         assert op.applies == 1 + stats.iterations + stats.backtracks
+
+    @pytest.mark.parametrize("finite_calls", [0, 1])
+    def test_non_finite_adjoint_raises(self, finite_calls):
+        # NaN at the first gradient (0), or only inside CG's matvecs (1): the
+        # matvecs build no GridFn, so the NaN direction is refused at the trial
+        space = GridSpace.interval(10)
+        op = NaNAdjointOp(space, np.linspace(0.5, 2.0, space.size), finite_calls)
+        theta = Penalty(mu=1.0, a=0.5, eps=1e-3)
+        x_prev = spaces.zeros(space)
+        y = GridFn(space, np.sin(3.0 * space.axis_nodes(0)))
+        p = InnerProblem(op, y, theta, 0.1, x_prev, penalties.gradient(theta, x_prev))
+        with pytest.raises(ValueError, match="GridFn values must be finite"):
+            minimize(p)
+        assert op.calls > finite_calls
+
+    def test_builds_no_grid_function_in_cg(self, monkeypatch):
+        # GridFn constructions scale with Newton steps and trial points, not
+        # with CG iterations
+        count = {"all": 0, "in_cg": 0}
+        post_init, cg = GridFn.__post_init__, spla.cg
+        in_cg = []
+
+        def counted_post_init(self):
+            count["all"] += 1
+            count["in_cg"] += bool(in_cg)
+            post_init(self)
+
+        def flagged_cg(*args, **kwargs):
+            in_cg.append(True)
+            try:
+                return cg(*args, **kwargs)
+            finally:
+                in_cg.pop()
+
+        monkeypatch.setattr(GridFn, "__post_init__", counted_post_init)
+        monkeypatch.setattr(inner_cg.spla, "cg", flagged_cg)
+        stats = minimize(spikes_l1_problem())[2]
+        assert count["in_cg"] == 0
+        assert count["all"] <= 8 * (stats.iterations + stats.backtracks + 1)
 
     def test_deterministic(self):
         p = quadratic_problem(n=40)

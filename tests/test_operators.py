@@ -24,6 +24,20 @@ def adjoint_gap(op, x, rng):
     return abs(lhs - rhs), scale
 
 
+def assert_linearization(op, x, closures, rng):
+    """The closures of `op.linearized(x)` give `deriv` and `adjoint` at x bit
+    for bit, and satisfy <F'(x)h, w> = <h, F'(x)* w> to rounding."""
+    deriv, adjoint = closures
+    h = random_fn(op.domain_space, rng)
+    w = random_fn(op.range_space, rng, DUAL)
+    fh = GridFn(op.range_space, deriv(h.values))
+    fw = GridFn(op.domain_space, adjoint(w.values), DUAL)
+    assert np.array_equal(fh.values, op.deriv(x, h).values)
+    assert np.array_equal(fw.values, op.adjoint(x, w).values)
+    gap = abs(pairing(w, fh) - pairing(fw, h))
+    assert gap <= 1e-13 * (norm(w) * norm(fh) + 1e-300)
+
+
 def taylor_slope(op, x, h, steps=(1e-2, 1e-3, 1e-4)):
     """Log-log slope of ||F(x+t h) - F(x) - t F'(x)h|| against t."""
     errs = []
@@ -68,6 +82,14 @@ class TestIntegralOp:
         rng = np.random.default_rng(0)
         x, h = random_fn(op.domain_space, rng), random_fn(op.domain_space, rng)
         assert np.array_equal(op.deriv(x, h).values, op.apply(h).values)
+
+    @pytest.mark.parametrize("n", [1, 2, 80, 400])
+    def test_linearized_matches_deriv_and_adjoint(self, n):
+        op = IntegralOp(n)
+        rng = np.random.default_rng(n)
+        x = random_fn(op.domain_space, rng)
+        for _ in range(3):
+            assert_linearization(op, x, op.linearized(x), rng)
 
     def test_adjoint_consistency(self):
         op = IntegralOp(120)
@@ -193,6 +215,15 @@ class TestEllipticOp:
         for _ in range(10):
             gap, scale = adjoint_gap(op, c, rng)
             assert gap <= 1e-8 * scale
+
+    def test_linearized_keeps_its_factor(self):
+        # the closures at c still use c's factor after the cache moved to c2
+        op, c = make_elliptic()
+        rng = np.random.default_rng(8)
+        c2 = c + 0.5 * GridFn(op.domain_space, rng.uniform(size=c.space.size))
+        closures = [(x, op.linearized(x)) for x in (c, c2)]
+        for x, lin in closures + closures[::-1]:
+            assert_linearization(op, x, lin, rng)
 
     def test_taylor_second_order(self):
         op, c = make_elliptic()
