@@ -125,7 +125,7 @@ class ExperimentConfig:
             for key, value in asdict(getattr(self, attr)).items()
         }
 
-    # Accessors read only by `bench/`; ROADMAP item 4's benchmark change deletes them.
+    # Accessors read only by `bench/`; ROADMAP item 1's benchmark change deletes them.
     @property
     def delta(self) -> float:
         return self.noise.delta

@@ -3,12 +3,13 @@
 Each outer step minimizes ``(1/r) ||F(x) - y||^r + alpha * D_xi Theta(x, x_prev)``
 by truncated Gauss–Newton–CG with Armijo backtracking.  Each Newton system
 ``(F'(x)* J_r'(res) F'(x) + alpha W^-1 P(x)) h = -g``, with W the quadrature
-weights and P = `penalties.hessian`, is solved by CG in the quadrature-weighted
-inner product, preconditioned by alpha P.  With TV (b > 0), alpha P is a
-banded positive definite matrix, and the preconditioner is its banded Cholesky
-factorization (LAPACK ``pbtrf``).  Without TV, P is diagonal and is held as one
-vector (`penalties.pointwise_hessian`), so no matrix is built and the
-preconditioner is a division.  CG stops at the Eisenstat–Walker relative residual
+weights and P the penalty Hessian, is solved by CG in the quadrature-weighted
+inner product, preconditioned by alpha P.  P is a diagonal, held as one vector
+(`penalties.pointwise_hessian`), plus with TV (b > 0) the banded TV term
+(`penalties.tv_hessian`).  With TV the preconditioner factors the TV band with
+that diagonal added by banded Cholesky (LAPACK ``pbtrf``); without TV no
+matrix is built and the preconditioner is a division.  CG stops at the
+Eisenstat–Walker relative residual
 ``min(0.5, sqrt(||g|| / max(1, ||g_0||)))``, or at 1e-13 when the subproblem
 is linear-quadratic (F linear, a = b = 0, r = p = 2), which one Newton step
 then solves.  For TV, P uses the dual field of Chan, Golub & Mulet, updated
@@ -114,17 +115,19 @@ def is_linear_quadratic(p: InnerProblem) -> bool:
 def _penalty_hessian(p: InnerProblem, x: GridFn, cell: np.ndarray | None):
     """``alpha P`` at x as a matvec, and its inverse, the CG preconditioner.
 
-    With TV, P is banded and positive definite (mu > 0, |cell| < 1), and is
-    factored by banded Cholesky.  Without TV it is diagonal, so its inverse is
-    a division.
+    With TV, P is the banded TV term plus a diagonal, positive definite for
+    mu > 0 and |cell| < 1, and is factored by banded Cholesky.  Without TV it
+    is diagonal, so its inverse is a division.
     """
+    diag = p.alpha * penalties.pointwise_hessian(p.theta, x)
     if p.theta.b > 0.0:
-        hess = p.alpha * penalties.hessian(p.theta, x, cell)
-        solve = banded_cholesky(upper_band(hess))
+        tv = p.alpha * penalties.tv_hessian(p.theta, x, cell)
+        band = upper_band(tv)
+        band[-1] += diag
+        solve = banded_cholesky(band)
         if solve is None:
             raise np.linalg.LinAlgError("alpha P is not positive definite")
-        return (lambda v: hess @ v), solve
-    diag = p.alpha * penalties.pointwise_hessian(p.theta, x)
+        return (lambda v: diag * v + tv @ v), solve
     return (lambda v: diag * v), (lambda v: v / diag)
 
 

@@ -10,7 +10,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
-from .spaces import DUAL, PRIMAL, GridFn, GridSpace, norm
+from .spaces import DUAL, PRIMAL, GridFn, GridSpace, differences, norm
 
 
 class OperatorError(RuntimeError):
@@ -98,14 +98,15 @@ class EllipticOp(ForwardOp):
     """Parameter-to-state map c -> u for -Lap(u) + c u = f, u = g on the
     boundary, discretized with the 5-point stencil on a uniform grid.
 
-    The system for the interior state is the interior block of one 5-point
-    -Lap matrix on all grid nodes, plus diag(c); the boundary columns of that
-    matrix lift g into the right-hand side. The measurement is the whole
-    state on the grid. Whenever c changes the system is refactorized: by
-    banded Cholesky (LAPACK ``pbtrf``), since it is symmetric positive definite
-    for c >= 0 and its half-bandwidth in natural order is ny - 1. Where a
-    line-search trial c makes it indefinite, Cholesky fails, and that system
-    falls back to a pivoted sparse LU.
+    -Lap at the interior nodes is those rows of ``D^T D``, D the grid's
+    forward differences that also define TV (`spaces.differences`): the
+    5-point stencil. Their interior block plus diag(c) is the system for the
+    interior state; their boundary columns lift g into the right-hand side.
+    The measurement is the whole state on the grid. Whenever c changes the
+    system is refactorized by banded Cholesky (LAPACK ``pbtrf``), since it is
+    symmetric positive definite for c >= 0 and its half-bandwidth in natural
+    order is ny - 1. Where a line-search trial c makes it indefinite,
+    Cholesky fails, and that system falls back to a pivoted sparse LU.
     """
 
     is_linear = False
@@ -116,13 +117,9 @@ class EllipticOp(ForwardOp):
         f = np.zeros(space.size) if f is None else np.asarray(f, float).reshape(space.size)
         self.g = np.zeros(space.size) if g is None else np.asarray(g, float).reshape(space.size)
 
-        tx, ty = (
-            sp.diags([-1.0, 2.0, -1.0], (-1, 0, 1), shape=(n, n)) / h**2
-            for n, h in zip(space.dims, space.spacings)
-        )
-        lap = sp.kron(tx, sp.identity(ny + 1)) + sp.kron(sp.identity(nx + 1), ty)
+        diff = differences(space)
         self._inner = np.arange(space.size).reshape(space.dims)[1:-1, 1:-1].ravel()
-        rows = lap.tocsr()[self._inner]
+        rows = (diff.T @ diff).tocsr()[self._inner]  # -Lap at the interior nodes
         self._laplacian = rows[:, self._inner].tocsc()
         self._band = upper_band(self._laplacian)
         self._rhs0 = f[self._inner] - rows @ self._embed(0.0, self.g)

@@ -5,21 +5,21 @@ terms are replaced by the smooth surrogates ``int sqrt(x^2 + eps)`` and
 ``int sqrt(|grad x|^2 + eps)``.  The quadratic part (mu > 0) supplies a
 2-uniform convexity modulus regardless of a and b.
 
-TV is defined through one sparse forward-difference operator D per space,
-which maps nodal values to one difference per cell and axis; it gives the
-value, the gradient and the Hessian.
+TV is defined through the grid's forward differences D
+(`spaces.differences`), one difference per cell and axis.  The Hessian is the
+diagonal of the mu and L1 terms (`pointwise_hessian`) plus the TV term
+(`tv_hessian`).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .spaces import DUAL, GridFn, GridSpace, pairing
+from .spaces import DUAL, GridFn, GridSpace, differences, pairing
 
 
 @dataclass(frozen=True)
@@ -40,25 +40,9 @@ class Penalty:
             raise ValueError("a and b must be nonnegative")
 
 
-@functools.lru_cache(maxsize=8)
-def _differences(space: GridSpace) -> sp.csr_matrix:
-    """Forward differences D on the cell grid, one block of rows per axis.
-
-    Each cell has its lower corner at a node that is not last on any axis;
-    block k holds (v[node + e_k] - v[node]) / h_k for every such node.
-    """
-    first = [sp.eye(n - 1, n) for n in space.dims]  # drops the last node of an axis
-    blocks = []
-    for k, (n, h) in enumerate(zip(space.dims, space.spacings)):
-        factors = first.copy()
-        factors[k] = (sp.eye(n - 1, n, k=1) - sp.eye(n - 1, n)) / h
-        blocks.append(functools.reduce(sp.kron, factors))
-    return sp.vstack(blocks).tocsr()
-
-
 def _cells(space: GridSpace, vals: np.ndarray, eps: float):
     """D, the differences d = D v (one row per axis) and m = sqrt(|d|^2 + eps)."""
-    diff = _differences(space)
+    diff = differences(space)
     d = (diff @ vals).reshape(len(space.dims), -1)
     return diff, d, np.sqrt(np.sum(d * d, axis=0) + eps)
 
@@ -106,24 +90,19 @@ def pointwise_hessian(theta: Penalty, x: GridFn) -> np.ndarray:
     return diag
 
 
-def hessian(theta: Penalty, x: GridFn, cell: np.ndarray | None = None) -> sp.spmatrix:
-    """Euclidean Hessian of the smoothed penalty w.r.t. nodal values.
-
-    It is `pointwise_hessian` on the diagonal plus, for TV, ``b * area * D^T A D``
+def tv_hessian(theta: Penalty, x: GridFn, cell: np.ndarray | None = None) -> sp.spmatrix:
+    """Euclidean Hessian of the TV term w.r.t. nodal values, ``b * area * D^T A D``
     with the per-cell block ``A = I/m - sym(cell d^T)/m^2``.  ``cell`` is the
     dual field of Chan, Golub & Mulet (one row per axis, |cell| < 1); None
     means d/m, which makes this the exact Hessian.
     """
-    hess = sp.diags(pointwise_hessian(theta, x))
-    if theta.b > 0.0:
-        diff, d, m = _cells(x.space, x.values, theta.eps)
-        if cell is None:
-            cell = d / m
-        axes = range(len(d))
-        a = sp.bmat([[sp.diags(float(i == j) / m - (cell[i] * d[j] + cell[j] * d[i]) / (2 * m**2))
-                      for j in axes] for i in axes])
-        hess = hess + theta.b * math.prod(x.space.spacings) * (diff.T @ a @ diff)
-    return hess
+    diff, d, m = _cells(x.space, x.values, theta.eps)
+    if cell is None:
+        cell = d / m
+    axes = range(len(d))
+    a = sp.bmat([[sp.diags(float(i == j) / m - (cell[i] * d[j] + cell[j] * d[i]) / (2 * m**2))
+                  for j in axes] for i in axes])
+    return theta.b * math.prod(x.space.spacings) * (diff.T @ a @ diff)
 
 
 def tv_field_step(theta: Penalty, x: GridFn, cell: np.ndarray | None,

@@ -7,14 +7,17 @@ baked into the space, so quantities are consistent across grid resolutions.
 Dual-space elements are stored in the same nodal representation with a
 ``variance`` tag; the pairing is the quadrature-weighted bilinear form
 ``<xi, x> = sum_i w_i xi_i x_i``, under which the dual norm is the one with
-the conjugate exponent.
+the conjugate exponent.  `differences` is the grid's one discrete gradient D,
+for TV and for the elliptic operator's Laplacian ``D^T D``.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 PRIMAL = "primal"
 DUAL = "dual"
@@ -81,6 +84,22 @@ class GridSpace:
             *(self.axis_nodes(a) for a in range(len(self.dims))), indexing="ij"
         )
         return tuple(g.ravel() for g in grids)
+
+
+@functools.lru_cache(maxsize=8)
+def differences(space: GridSpace) -> sp.csr_matrix:
+    """Forward differences D on the cell grid, one block of rows per axis.
+
+    Each cell has its lower corner at a node that is not last on any axis;
+    block k holds (v[node + e_k] - v[node]) / h_k for every such node.
+    """
+    first = [sp.eye(n - 1, n) for n in space.dims]  # drops the last node of an axis
+    blocks = []
+    for k, (n, h) in enumerate(zip(space.dims, space.spacings)):
+        factors = first.copy()
+        factors[k] = (sp.eye(n - 1, n, k=1) - sp.eye(n - 1, n)) / h
+        blocks.append(functools.reduce(sp.kron, factors))
+    return sp.vstack(blocks).tocsr()
 
 
 @dataclass(frozen=True)

@@ -398,7 +398,8 @@ class TestPreconditioner:
         assert calls == []
         w = p.op.domain_space.weights
         A, Astar = integral_matrices(40)
-        newton = w[:, None] * (Astar @ A) + p.alpha * penalties.hessian(theta, p.x_prev).toarray()
+        newton = w[:, None] * (Astar @ A) + p.alpha * np.diag(
+            penalties.pointwise_hessian(theta, p.x_prev))
         exact = np.linalg.solve(newton, -w * g.values)
         assert np.linalg.norm(d - exact) <= 1e-8 * np.linalg.norm(exact)
         minimize(p, InnerSettings(max_iters=1))
@@ -433,7 +434,8 @@ class TestPreconditioner:
         n = p.x_prev.space.size
         x = GridFn(p.x_prev.space, rng.uniform(0.0, 2.0, n))
         apply_hess, precondition = inner_cg._penalty_hessian(p, x, None)
-        dense = p.alpha * penalties.hessian(p.theta, x).toarray()
+        dense = p.alpha * (np.diag(penalties.pointwise_hessian(p.theta, x))
+                           + penalties.tv_hessian(p.theta, x).toarray())
         v = rng.standard_normal(n)
         assert np.linalg.norm(apply_hess(v) - dense @ v) <= 1e-12 * np.linalg.norm(dense @ v)
         exact = np.linalg.solve(dense, v)

@@ -327,6 +327,26 @@ class TestEllipticOp:
         z[inner] = -u[inner] * np.linalg.solve(matrix.T, (w * dual.values)[inner]) / w[inner]
         assert close(op.adjoint(c, dual).values, z)
 
+    @pytest.mark.parametrize("nx, ny", [(2, 2), (9, 7), (40, 40)])
+    def test_laplacian_is_the_five_point_stencil(self, nx, ny):
+        # -Lap is D^T D of TV's forward differences; its interior rows must be
+        # the 5-point stencil, built here from sp.kron as the reference
+        space = spaces.GridSpace.rectangle(nx, ny)
+        tx, ty = (sp.diags([-1.0, 2.0, -1.0], (-1, 0, 1), shape=(n, n)) / h**2
+                  for n, h in zip(space.dims, space.spacings))
+        five_point = sp.kron(tx, sp.identity(ny + 1)) + sp.kron(sp.identity(nx + 1), ty)
+        inner = np.arange(space.size).reshape(space.dims)[1:-1, 1:-1].ravel()
+        rows = five_point.tocsr()[inner]
+        g = np.random.default_rng(10).standard_normal(space.size)
+        op = EllipticOp(nx, ny, g=g)
+
+        system, want = op._laplacian, rows[:, inner]
+        assert abs(system - want).max() <= 1e-12 * abs(want).max()
+        assert abs(system - system.T).max() == 0.0
+        g[inner] = 0.0  # the boundary columns lift g
+        lift = -(rows @ g)
+        assert np.linalg.norm(op._rhs0 - lift) <= 1e-12 * np.linalg.norm(lift)
+
     def test_positive_coefficient_makes_no_lu(self, monkeypatch):
         def no_lu(*args, **kwargs):
             raise AssertionError("splu called for a positive definite system")
