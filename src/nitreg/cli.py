@@ -5,11 +5,11 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
-from . import harness, inner_cg, penalties, spaces
+from . import harness
 from .harness import ConfigError
-from .operators import IntegralOp, estimate_eta
+
+# the grids of `nitreg check`: small, so that its five runs take seconds
+CHECK_GRID = {("problem", "n"): 80, ("problem", "nx"): 10, ("problem", "ny"): 10}
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -38,66 +38,22 @@ def cmd_example(args) -> int:
 
 
 def cmd_check(args) -> int:
-    """Fast invariant checks on small instances; exit 0 iff all pass."""
-    rng = np.random.default_rng(0)
-    failures = []
-
-    def check(label, ok):
-        print(f"{'ok  ' if ok else 'FAIL'} {label}")
-        if not ok:
-            failures.append(label)
-
-    space = spaces.GridSpace.interval(50)
-    f = spaces.GridFn(space, rng.standard_normal(space.size))
-    for r in (1.5, 2.0, 3.0):
-        jf = spaces.duality_map(f, r)
-        nf = spaces.norm(f)
-        check(
-            f"duality identities r={r}",
-            abs(spaces.norm(jf) - nf ** (r - 1)) <= 1e-10 * (1 + nf ** (r - 1))
-            and abs(spaces.pairing(jf, f) - nf**r) <= 1e-10 * (1 + nf**r),
-        )
-
-    op = IntegralOp(n=80)
-    h = spaces.GridFn(op.domain_space, rng.standard_normal(op.domain_space.size))
-    w = spaces.GridFn(op.range_space, rng.standard_normal(op.range_space.size), spaces.DUAL)
-    lhs = spaces.pairing(w, op.apply(h))
-    rhs = spaces.pairing(op.adjoint(h, w), h)
-    check("integral adjoint consistency", abs(lhs - rhs) <= 1e-10 * (1 + abs(lhs)))
-
-    l1 = penalties.Penalty(mu=0.01, a=1.0)
-    x = spaces.GridFn(space, rng.standard_normal(space.size))
-    d = spaces.GridFn(space, rng.standard_normal(space.size))
-    t = 1e-6
-    fd = (penalties.value(l1, x + t * d) - penalties.value(l1, x - t * d)) / (2 * t)
-    pred = spaces.pairing(penalties.gradient(l1, x), d)
-    check("penalty gradient vs finite differences", abs(fd - pred) <= 1e-4 * (1 + abs(fd)))
-
-    # example 5.2 on a 10x10 grid
-    cfg = harness.example52_config(overrides={("problem", "nx"): 10, ("problem", "ny"): 10})
-    pde, _c_dagger, y = harness.make_problem(cfg)
-    c = spaces.GridFn(pde.domain_space, np.abs(rng.standard_normal(pde.domain_space.size)))
-    h2 = spaces.GridFn(pde.domain_space, rng.standard_normal(pde.domain_space.size))
-    w2 = spaces.GridFn(pde.range_space, rng.standard_normal(pde.range_space.size), spaces.DUAL)
-    lhs = spaces.pairing(w2, pde.deriv(c, h2))
-    rhs = spaces.pairing(pde.adjoint(c, w2), h2)
-    check("elliptic adjoint consistency", abs(lhs - rhs) <= 1e-8 * (1 + abs(lhs)))
-
-    check("tangential cone of the elliptic operator", estimate_eta(pde, c, 1e-4, 3) <= 1e-4)
-
-    x0 = spaces.zeros(op.domain_space)
-    ydelta = harness.add_noise(op.apply(harness.spikes_1d(op.domain_space)), 5e-4, 1)
-    sub = inner_cg.InnerProblem(op, ydelta, l1, 0.05, x0, penalties.gradient(l1, x0))
-    check("inner solver converges on a smoothed-L1 subproblem",
-          inner_cg.minimize(sub)[2].converged)
-
-    # first outer step of its TV reconstruction
-    c0 = spaces.zeros(pde.domain_space)
-    sub = inner_cg.InnerProblem(pde, harness.add_noise(y, 1e-3, 1), cfg.theta, 0.5, c0,
-                                penalties.gradient(cfg.theta, c0))
-    check("inner solver converges on a TV subproblem", inner_cg.minimize(sub)[2].converged)
-
-    return 0 if not failures else 1
+    """Run the paper's five runs on small grids; exit 0 iff each is healthy: it
+    stops by the discrepancy principle with every inner solve converged."""
+    failed = False
+    for example in ("example51", "example52"):
+        for cfg in harness.paper_configs(example, CHECK_GRID):
+            op, _x_dagger, y = harness.make_problem(cfg)
+            report = harness.solve(cfg, op, harness.add_noise(y, cfg.noise.delta,
+                                                              cfg.noise.seed))
+            # a failed line search leaves its inner solve unconverged
+            converged = [s.inner_stats.converged for s in report.states[1:]]
+            ok = report.terminated_by == "discrepancy" and all(converged)
+            failed |= not ok
+            print(f"{'ok  ' if ok else 'FAIL'} {cfg.output.name}: "
+                  f"terminated_by={report.terminated_by} n_delta={report.n_delta} "
+                  f"converged={sum(converged)}/{len(converged)}")
+    return 1 if failed else 0
 
 
 def main(argv=None) -> int:
@@ -121,7 +77,7 @@ def main(argv=None) -> int:
         _add_common(p_ex)
         p_ex.set_defaults(func=cmd_example)
 
-    p_check = sub.add_parser("check", help="fast invariant checks on small instances")
+    p_check = sub.add_parser("check", help="check the health of the paper runs on small grids")
     p_check.set_defaults(func=cmd_check)
 
     args = parser.parse_args(argv)

@@ -212,7 +212,7 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
     parser = configparser.ConfigParser(interpolation=None)
     try:
         read = parser.read(path)
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"config file {path} is malformed: {exc}") from exc
     if not read:
         raise ConfigError(f"config file not found: {path}")

@@ -459,15 +459,16 @@ class TestCli:
         assert "UserWarning" not in err
 
     @pytest.mark.parametrize("ini, rc", [
-        ("[noise]\ndelta = 1e-3\ndelta = 2e-3\n", 2),
-        ("[noise]\ndelta = 1e-3\n[noise]\nseed = 2\n", 2),
-        ("delta = 1e-3\n", 2),
-        ("[problem]\nn = 30\n[output]\nname = run%1\n", 0),
+        (b"[noise]\ndelta = 1e-3\ndelta = 2e-3\n", 2),
+        (b"[noise]\ndelta = 1e-3\n[noise]\nseed = 2\n", 2),
+        (b"delta = 1e-3\n", 2),
+        (b"[noise]\ndelta = 1e-3\xff\n", 2),
+        (b"[problem]\nn = 30\n[output]\nname = run%1\n", 0),
     ])
     def test_malformed_ini_exit_code(self, tmp_path, capsys, ini, rc):
-        # duplicate key, duplicate section, no section header; a `%` is text
+        # duplicate key, duplicate section, no section header, not UTF-8; a `%` is text
         path = tmp_path / "run.ini"
-        path.write_text(ini)
+        path.write_bytes(ini)
         assert cli.main(["run", str(path), "--out-dir", str(tmp_path), "--quiet"]) == rc
         if rc == 2:
             assert capsys.readouterr().err.startswith(f"error: config file {path}")
@@ -501,16 +502,19 @@ class TestCli:
         rc = cli.main(["check"])
         out = capsys.readouterr().out
         assert rc == 0
-        assert "ok   inner solver converges on a smoothed-L1 subproblem" in out
-        assert "ok   inner solver converges on a TV subproblem" in out
+        for example in ("example51", "example52"):
+            for cfg in harness.paper_configs(example):
+                assert f"ok   {cfg.output.name}: terminated_by=discrepancy" in out
         assert "FAIL" not in out
 
     def test_check_catches_wrong_elliptic_adjoint(self, capsys, monkeypatch):
         adjoint = EllipticOp.adjoint
         monkeypatch.setattr(EllipticOp, "adjoint", lambda self, c, w: -adjoint(self, c, w))
         rc = cli.main(["check"])
+        out = capsys.readouterr().out
         assert rc == 1
-        assert "FAIL elliptic adjoint consistency" in capsys.readouterr().out
+        assert "FAIL example52_quadratic" in out
+        assert "ok   example51_quadratic" in out and "ok   example51_l2_l1" in out
 
     def test_seed_override(self, tmp_path, config_file):
         rc = cli.main(["run", str(config_file), "--out-dir", str(tmp_path / "s3"),
