@@ -10,7 +10,7 @@ from .spaces import (
     pairing,
 )
 from .penalties import Penalty
-from .operators import EllipticOp, ForwardOp, IntegralOp, OperatorError, estimate_eta
+from .operators import EllipticOp, ForwardOp, IntegralOp, OperatorError
 from .inner_cg import InnerProblem, InnerSettings, minimize
 from .solver import AlphaSchedule, NitState, RunReport, StoppingRule, run, step
 from .harness import (
@@ -39,7 +39,6 @@ __all__ = [
     "IntegralOp",
     "EllipticOp",
     "OperatorError",
-    "estimate_eta",
     "InnerProblem",
     "InnerSettings",
     "minimize",

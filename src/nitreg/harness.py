@@ -17,7 +17,7 @@ from .inner_cg import InnerProblem, InnerSettings
 from .operators import EllipticOp, ForwardOp, IntegralOp
 from .penalties import Penalty
 from .solver import AlphaSchedule, RunReport, StoppingRule
-from .spaces import GridFn, GridSpace, norm, zeros
+from .spaces import GridFn, GridSpace, norm
 
 
 class ConfigError(ValueError):
@@ -200,8 +200,8 @@ def config_from_dict(raw: dict, overrides: dict | None = None) -> ExperimentConf
     if raw:
         raise ConfigError(f"unknown config section [{next(iter(raw))}]")
     selector, kind = sections["exact"].selector, sections["problem"].kind
-    _build, needs = EXACT_SOLUTIONS.get(selector, (None, None))
-    if needs not in (None, kind):
+    needs = EXACT_SOLUTIONS.get(selector, (None, kind))[1]
+    if needs != kind:
         raise ConfigError(f"[exact] selector = {selector} needs [problem] kind = "
                           f"{needs}, not {kind}")
     return ExperimentConfig(**sections)
@@ -240,12 +240,11 @@ def two_inclusions_2d(space: GridSpace) -> GridFn:
     return GridFn(space, v)
 
 
-# Built-in exact solutions: selector -> (builder, the problem kind it needs,
-# None for any kind).  `[exact] selector = file` reads a reconstruction CSV instead.
+# Built-in exact solutions: selector -> (builder, the problem kind it needs).
+# `[exact] selector = file` reads a reconstruction CSV instead.
 EXACT_SOLUTIONS = {
     "spikes_1d": (spikes_1d, "integral_1d"),
     "two_inclusions_2d": (two_inclusions_2d, "elliptic_2d"),
-    "zero": (zeros, None),
 }
 
 

@@ -10,7 +10,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
-from .spaces import DUAL, PRIMAL, GridFn, GridSpace, differences, norm
+from .spaces import DUAL, PRIMAL, GridFn, GridSpace, differences
 
 
 class OperatorError(RuntimeError):
@@ -170,38 +170,3 @@ class EllipticOp(ForwardOp):
             return self._embed(-u_int * psi / w_int, zero)
 
         return deriv, adjoint
-
-
-def estimate_eta(
-    op: ForwardOp,
-    x0: GridFn,
-    radius: float,
-    samples: int,
-    seed: int = 0,
-) -> float:
-    """Sampled estimate of the tangential-cone constant around x0.
-
-    Maximizes ||F(xb) - F(x) - F'(x)(xb - x)|| / ||F(xb) - F(x)|| over random
-    pairs in the ball; degenerate pairs with F(xb) = F(x) are skipped.
-    """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    if op.is_linear:
-        return 0.0
-    rng = np.random.default_rng(seed)
-    best = 0.0
-    for _ in range(samples):
-        pair = []
-        for _i in range(2):
-            e = rng.standard_normal(x0.space.size)
-            step = GridFn(x0.space, e, PRIMAL)
-            step = (radius * rng.uniform() / max(norm(step), 1e-300)) * step
-            pair.append(x0 + step)
-        xb, x = pair
-        fxb, fx = op.apply(xb), op.apply(x)
-        den = norm(fxb - fx)
-        if den < 1e-14:
-            continue
-        num = norm(fxb - fx - op.deriv(x, xb - x))
-        best = max(best, num / den)
-    return best

@@ -411,6 +411,8 @@ class TestCli:
         "[exact]\nselector = file\n",
         "[problem]\nkind = elliptic_2d\nnx = 4\nny = 4\n",
         "[problem]\nkind = integral_1d\n[exact]\nselector = two_inclusions_2d\n",
+        "[problem]\nkind = elliptic_2d\n[exact]\nselector = spikes_1d\n",
+        "[exact]\nselector = zero\n",
         "[study]\ndeltas = -1e-3 1e-3\n",
         "[stopping]\ntau = nan\n",
         "[inner]\ngrad_tol_rel = nan\n",

@@ -420,9 +420,10 @@ class TestPreconditioner:
         assert [c for c in calls if c[1] == n] == [("dpbtrf", n)] * stats.iterations
 
     def test_tv_hessian_not_positive_definite_raises(self, monkeypatch):
-        # alpha P is positive definite for mu > 0, so a failed Cholesky is a bug
-        monkeypatch.setattr(lapack, "dpbtrf", lambda ab, **kwargs: (ab, 1))
+        # alpha P is positive definite for mu > 0, so a failed Cholesky is a bug;
+        # the problem is built first, so that its EllipticOp factors normally
         p = tv_problem()
+        monkeypatch.setattr(lapack, "dpbtrf", lambda ab, **kwargs: (ab, 1))
         with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
             inner_cg._penalty_hessian(p, p.x_prev, None)
 

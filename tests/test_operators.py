@@ -6,8 +6,8 @@ import pytest
 import scipy.sparse as sp
 
 from nitreg import operators, spaces
-from nitreg.operators import EllipticOp, IntegralOp, OperatorError, estimate_eta
-from nitreg.spaces import DUAL, GridFn, norm, pairing
+from nitreg.operators import EllipticOp, ForwardOp, IntegralOp, OperatorError
+from nitreg.spaces import DUAL, PRIMAL, GridFn, norm, pairing
 
 
 def random_fn(space, rng, variance=spaces.PRIMAL):
@@ -369,7 +369,44 @@ class TestEllipticOp:
                 op.apply(c)
 
 
+def estimate_eta(
+    op: ForwardOp,
+    x0: GridFn,
+    radius: float,
+    samples: int,
+    seed: int = 0,
+) -> float:
+    """Sampled estimate of the tangential-cone constant around x0.
+
+    Maximizes ||F(xb) - F(x) - F'(x)(xb - x)|| / ||F(xb) - F(x)|| over random
+    pairs in the ball; degenerate pairs with F(xb) = F(x) are skipped.
+    """
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    if op.is_linear:
+        return 0.0
+    rng = np.random.default_rng(seed)
+    best = 0.0
+    for _ in range(samples):
+        pair = []
+        for _i in range(2):
+            e = rng.standard_normal(x0.space.size)
+            step = GridFn(x0.space, e, PRIMAL)
+            step = (radius * rng.uniform() / max(norm(step), 1e-300)) * step
+            pair.append(x0 + step)
+        xb, x = pair
+        fxb, fx = op.apply(xb), op.apply(x)
+        den = norm(fxb - fx)
+        if den < 1e-14:
+            continue
+        num = norm(fxb - fx - op.deriv(x, xb - x))
+        best = max(best, num / den)
+    return best
+
+
 class TestEstimateEta:
+    """Paper's tangential-cone condition: ||F(x̄) − F(x) − F'(x)(x̄ − x)|| ≤ η ||F(x̄) − F(x)||."""
+
     def test_linear_operator_is_zero(self):
         op = IntegralOp(40)
         x0 = spaces.zeros(op.domain_space)
