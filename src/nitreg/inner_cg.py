@@ -4,12 +4,13 @@ Each outer step minimizes ``(1/r) ||F(x) - y||^r + alpha * D_xi Theta(x, x_prev)
 by truncated Gauss–Newton–CG with Armijo backtracking.  Each Newton system
 ``(F'(x)* J_r'(res) F'(x) + alpha W^-1 P(x)) h = -g``, with W the quadrature
 weights and P the penalty Hessian, is solved by CG in the quadrature-weighted
-inner product, preconditioned by alpha P.  P is a diagonal, held as one vector
-(`penalties.pointwise_hessian`), plus with TV (b > 0) the banded TV term
-(`penalties.tv_hessian`).  With TV the preconditioner factors the TV band with
-that diagonal added by banded Cholesky (LAPACK ``pbtrf``); without TV no
-matrix is built and the preconditioner is a division.  CG stops at the
-Eisenstat–Walker relative residual
+inner product.  P is a diagonal, held as one vector (`penalties.pointwise_hessian`),
+plus with TV (b > 0) the banded TV term (`penalties.tv_hessian`).  With TV, CG
+is preconditioned by alpha P, its TV band with that diagonal added factored by
+banded Cholesky (LAPACK ``pbtrf``).  Without TV, the preconditioner is the
+operator's exact inverse of the Newton matrix (`ForwardOp.newton_inverse`;
+`IntegralOp` factors a pentadiagonal band) or, if it has none, alpha P, a
+division.  CG stops at the Eisenstat–Walker relative residual
 ``min(0.5, sqrt(||g|| / max(1, ||g_0||)))``, or at 1e-13 when the subproblem
 is linear-quadratic (F linear, a = b = 0, r = p = 2), which one Newton step
 then solves.  For TV, P uses the dual field of Chan, Golub & Mulet, updated
@@ -112,14 +113,14 @@ def is_linear_quadratic(p: InnerProblem) -> bool:
     )
 
 
-def _penalty_hessian(p: InnerProblem, x: GridFn, cell: np.ndarray | None):
-    """``alpha P`` at x as a matvec, and its inverse, the CG preconditioner.
+def _penalty_hessian(p: InnerProblem, x: GridFn, cell: np.ndarray | None, diag: np.ndarray):
+    """``alpha P`` at x as a matvec, and its inverse, given its diagonal part
+    ``diag = alpha * pointwise_hessian``.
 
     With TV, P is the banded TV term plus a diagonal, positive definite for
     mu > 0 and |cell| < 1, and is factored by banded Cholesky.  Without TV it
     is diagonal, so its inverse is a division.
     """
-    diag = p.alpha * penalties.pointwise_hessian(p.theta, x)
     if p.theta.b > 0.0:
         tv = p.alpha * penalties.tv_hessian(p.theta, x, cell)
         band = upper_band(tv)
@@ -133,7 +134,8 @@ def _penalty_hessian(p: InnerProblem, x: GridFn, cell: np.ndarray | None):
 
 def _newton_direction(p: InnerProblem, x: GridFn, res: GridFn, g: GridFn,
                       cell: np.ndarray | None, rtol: float) -> np.ndarray:
-    """CG on ``W F'* J_r'(res) F' + alpha P`` with right-hand side ``-W g``.
+    """CG on ``W F'* J_r'(res) F' + alpha P`` with right-hand side ``-W g``,
+    preconditioned without TV by `ForwardOp.newton_inverse` if not None.
 
     ``J_r'(u) h = ||u||^(r-2) (h + (r-2) <u, h> u / ||u||^2)`` is the
     derivative of the duality mapping on a p = 2 space; it is symmetric
@@ -144,7 +146,10 @@ def _newton_direction(p: InnerProblem, x: GridFn, res: GridFn, g: GridFn,
     rn = norm(res)
     scale = rn ** (p.r - 2.0) if rn > 0.0 else float(p.r == 2.0)
     rank1 = (p.r - 2.0) / rn**2 if rn > 0.0 else 0.0
-    apply_hess, precondition = _penalty_hessian(p, x, cell)
+    diag = p.alpha * penalties.pointwise_hessian(p.theta, x)
+    apply_hess, precondition = _penalty_hessian(p, x, cell, diag)
+    if p.theta.b == 0.0:
+        precondition = p.op.newton_inverse(x, diag, scale, rank1, res.values) or precondition
     deriv, adjoint = p.op.linearized(x)
 
     def matvec(v):

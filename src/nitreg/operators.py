@@ -55,6 +55,12 @@ class ForwardOp(abc.ABC):
         """Check x once; return the maps h -> F'(x)h and w -> F'(x)* w on nodal
         arrays, the adjoint taken w.r.t. the quadrature pairings."""
 
+    def newton_inverse(self, x: GridFn, diag: np.ndarray, scale: float, rank1: float, res):
+        """The inverse, on nodal arrays, of `inner_cg`'s Newton matrix
+        ``W F'(x)* S F'(x) + diag(diag)``, W the weights and ``S = scale (I + rank1
+        res <res, .>_W)`` its ``J_r'`` model; None keeps the penalty preconditioner."""
+        return None
+
     def deriv(self, x: GridFn, h: GridFn) -> GridFn:
         """Directional derivative F'(x)h."""
         self._check_domain(h)
@@ -76,15 +82,23 @@ class IntegralOp(ForwardOp):
     kernel 40*min(s,t)*(1-max(s,t)) is the Green's function of -u'' = 40 x,
     u(0) = u(1) = 0. The kernel vanishes on the boundary and every interior
     weight is h, so the rule is exactly the 3-point solve of that problem, in
-    O(n) by one banded Cholesky factor; it is self-adjoint in the weighted pairing."""
+    O(n) by one banded Cholesky factor; it is self-adjoint in the weighted pairing.
+    On the interior nodes F' = A^-1, A = tridiag(-1, 2, -1) / (40 h^2), so the Newton
+    matrix ``A^-1 (h S + A D A) A^-1`` there is inverted by one pentadiagonal banded
+    Cholesky factor, with Sherman–Morrison for S's rank-one term; on the boundary it is D."""
 
     is_linear = True
 
     def __init__(self, n: int, p: float = 2.0):
         self.domain_space = self.range_space = GridSpace.interval(n, p)
-        # upper band of tridiag(-1, 2, -1) / (40 h^2) on the n - 1 interior nodes, h = 1/n
-        solve = banded_cholesky(np.outer([-1.0, 2.0], np.full(n - 1, n**2 / 40.0)))
+        self._k = n**2 / 40.0  # A = k tridiag(-1, 2, -1) on the n - 1 interior nodes
+        solve = banded_cholesky(np.outer([-1.0, 2.0], np.full(n - 1, self._k)))
         self._green = lambda v: np.concatenate(([0.0], solve(v[1:-1]), [0.0]))
+
+    def _stiffness(self, u: np.ndarray) -> np.ndarray:
+        """A u on the interior nodes."""
+        up = np.concatenate(([0.0], u, [0.0]))
+        return self._k * (2.0 * u - up[:-2] - up[2:])
 
     def apply(self, x: GridFn) -> GridFn:
         return self.deriv(x, x)
@@ -92,6 +106,27 @@ class IntegralOp(ForwardOp):
     def linearized(self, x: GridFn):
         self._check_domain(x)
         return self._green, self._green
+
+    def newton_inverse(self, x, diag, scale, rank1, res):
+        h = 1.0 / (x.space.size - 1)
+        d = np.concatenate(([0.0], self._k**2 * diag[1:-1], [0.0]))  # k^2 D, zero-padded
+        band = np.zeros((3, d.size - 2), order="F")  # upper band of h scale I + A D A
+        band[0, 2:] = d[2:-2]
+        band[1, 1:] = -2.0 * (d[1:-2] + d[2:-1])
+        band[2] = h * scale + 4.0 * d[1:-1] + d[:-2] + d[2:]
+        solve = banded_cholesky(band)
+        if solve is None:
+            return None
+        z, c = solve(res[1:-1]), h * h * scale * rank1  # h S = h scale I + c u u^T, u = res
+        coef = c / (1.0 + c * (res[1:-1] @ z))  # Sherman–Morrison
+
+        def inverse(v):
+            av = self._stiffness(v[1:-1])
+            out = v / diag
+            out[1:-1] = self._stiffness(solve(av) - coef * (z @ av) * z)
+            return out
+
+        return inverse
 
 
 class EllipticOp(ForwardOp):

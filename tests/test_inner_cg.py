@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
-from nitreg import inner_cg, penalties, spaces
+from nitreg import harness, inner_cg, penalties, spaces
 from nitreg.harness import add_noise, example52_config, make_problem, spikes_1d
 from nitreg.inner_cg import InnerProblem, InnerSettings, is_linear_quadratic, minimize
 from nitreg.operators import ForwardOp, IntegralOp, OperatorError
@@ -66,6 +66,14 @@ class CappedIntegralOp(IntegralOp):
             self.failures += 1
             raise OperatorError("max(x) above the cap")
         return super().apply(x)
+
+
+class PenaltyPreconditionedIntegralOp(IntegralOp):
+    """Integral operator without a Newton inverse, so that its Newton–CG is
+    preconditioned by the penalty Hessian alone."""
+
+    def newton_inverse(self, x, diag, scale, rank1, res):
+        return None
 
 
 class CountingIntegralOp(IntegralOp):
@@ -384,26 +392,90 @@ class TestMinimize:
         assert np.array_equal(x1.values, x2.values)
 
 
+def record_preconditioners(monkeypatch):
+    """Make `spla.cg` in `inner_cg` record the preconditioner M of each call,
+    and count its matvecs, in the returned list of [M, matvecs] pairs."""
+    calls = []
+    cg = spla.cg
+
+    def recorded_cg(A, b, **kwargs):
+        call = [kwargs["M"], 0]
+        calls.append(call)
+
+        def matvec(v):
+            call[1] += 1
+            return A.matvec(v)
+
+        return cg(spla.LinearOperator(A.shape, matvec=matvec), b, **kwargs)
+
+    monkeypatch.setattr(inner_cg.spla, "cg", recorded_cg)
+    return calls
+
+
+def without_tv_problem(op, theta):
+    p = replace(quadratic_problem(n=40), op=op, theta=theta)
+    return replace(p, xi_prev=penalties.gradient(theta, p.x_prev))
+
+
+def assert_solves_dense_newton_system(p, g, d, integral_matrices):
+    """d solves the Newton system (W A* A + alpha P) d = -W g, assembled densely."""
+    w = p.op.domain_space.weights
+    A, Astar = integral_matrices(p.op.domain_space.size - 1)
+    newton = w[:, None] * (Astar @ A) + p.alpha * np.diag(
+        penalties.pointwise_hessian(p.theta, p.x_prev))
+    exact = np.linalg.solve(newton, -w * g.values)
+    assert np.linalg.norm(d - exact) <= 1e-8 * np.linalg.norm(exact)
+
+
+WITHOUT_TV = pytest.mark.parametrize(
+    "theta", [Penalty(mu=1.0), Penalty(mu=1.0, a=0.5, eps=1e-3)], ids=["quadratic", "l2_l1"])
+
+
 class TestPreconditioner:
-    @pytest.mark.parametrize("theta", [Penalty(mu=1.0), Penalty(mu=1.0, a=0.5, eps=1e-3)],
-                             ids=["quadratic", "l2_l1"])
+    @WITHOUT_TV
     def test_without_tv_divides_and_makes_no_lu(self, monkeypatch, integral_matrices, theta):
-        # the penalty Hessian is diagonal; the direction still solves the
-        # Newton system (W A* A + alpha P) d = -W g, assembled densely
-        p = quadratic_problem(n=40)
-        p = replace(p, theta=theta, xi_prev=penalties.gradient(theta, p.x_prev))
+        # an operator without a Newton inverse: the penalty Hessian is
+        # diagonal, and CG's preconditioner divides by it
+        p = without_tv_problem(PenaltyPreconditionedIntegralOp(40), theta)
         calls = count_factorizations(monkeypatch)
+        preconditioners = record_preconditioners(monkeypatch)
         res, g = start(p)
         d = inner_cg._newton_direction(p, p.x_prev, res, g, None, 1e-12)
         assert calls == []
-        w = p.op.domain_space.weights
-        A, Astar = integral_matrices(40)
-        newton = w[:, None] * (Astar @ A) + p.alpha * np.diag(
-            penalties.pointwise_hessian(theta, p.x_prev))
-        exact = np.linalg.solve(newton, -w * g.values)
-        assert np.linalg.norm(d - exact) <= 1e-8 * np.linalg.norm(exact)
+        assert_solves_dense_newton_system(p, g, d, integral_matrices)
+        v = np.random.default_rng(3).standard_normal(d.size)
+        diag = p.alpha * penalties.pointwise_hessian(p.theta, p.x_prev)
+        assert np.array_equal(preconditioners[0][0].matvec(v), v / diag)
         minimize(p, InnerSettings(max_iters=1))
         assert calls == []
+
+    @WITHOUT_TV
+    def test_integral_newton_inverse_factors_once_per_direction(self, monkeypatch,
+                                                               integral_matrices, theta):
+        # IntegralOp's inverse of the Newton matrix factors one pentadiagonal
+        # band on the n - 1 interior nodes per Newton direction
+        p = without_tv_problem(IntegralOp(40), theta)
+        calls = count_factorizations(monkeypatch)
+        res, g = start(p)
+        d = inner_cg._newton_direction(p, p.x_prev, res, g, None, 1e-12)
+        assert calls == [("dpbtrf", 39)]
+        assert_solves_dense_newton_system(p, g, d, integral_matrices)
+        calls.clear()
+        stats = minimize(p, InnerSettings(max_iters=3))[2]
+        assert stats.iterations >= 1 and not stats.line_search_failed
+        assert calls == [("dpbtrf", 39)] * stats.iterations
+
+    def test_integral_newton_inverse_keeps_cg_short(self, monkeypatch):
+        # example 5.1 with the quadratic penalty: as alpha_n falls, CG
+        # preconditioned by alpha P alone took up to 127 matvecs per direction
+        cfg = harness.example51_config("quadratic")
+        op, _x_dagger, y = make_problem(cfg)
+        ydelta = add_noise(y, cfg.noise.delta, cfg.noise.seed)
+        preconditioners = record_preconditioners(monkeypatch)
+        report = harness.solve(cfg, op, ydelta)
+        assert report.terminated_by == "discrepancy"
+        assert len(preconditioners) >= len(report.states) - 1
+        assert max(matvecs for _m, matvecs in preconditioners) <= 4
 
     def test_tv_factors_the_penalty_hessian_once_per_newton_step(self, monkeypatch):
         # the elliptic system at x_prev is factored by `start`; its interior
@@ -425,7 +497,7 @@ class TestPreconditioner:
         p = tv_problem()
         monkeypatch.setattr(lapack, "dpbtrf", lambda ab, **kwargs: (ab, 1))
         with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
-            inner_cg._penalty_hessian(p, p.x_prev, None)
+            inner_cg._penalty_hessian(p, p.x_prev, None, np.ones(p.x_prev.space.size))
 
     @pytest.mark.parametrize("problem", [spikes_l1_problem, tv_problem], ids=["1d", "2d"])
     def test_tv_preconditioner_inverts_alpha_p(self, problem):
@@ -434,9 +506,9 @@ class TestPreconditioner:
         rng = np.random.default_rng(8)
         n = p.x_prev.space.size
         x = GridFn(p.x_prev.space, rng.uniform(0.0, 2.0, n))
-        apply_hess, precondition = inner_cg._penalty_hessian(p, x, None)
-        dense = p.alpha * (np.diag(penalties.pointwise_hessian(p.theta, x))
-                           + penalties.tv_hessian(p.theta, x).toarray())
+        diag = p.alpha * penalties.pointwise_hessian(p.theta, x)
+        apply_hess, precondition = inner_cg._penalty_hessian(p, x, None, diag)
+        dense = np.diag(diag) + p.alpha * penalties.tv_hessian(p.theta, x).toarray()
         v = rng.standard_normal(n)
         assert np.linalg.norm(apply_hess(v) - dense @ v) <= 1e-12 * np.linalg.norm(dense @ v)
         exact = np.linalg.solve(dense, v)

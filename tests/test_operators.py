@@ -113,6 +113,32 @@ class TestIntegralOp:
                 if n == 1:  # no interior node: the kernel vanishes on the boundary
                     assert np.all(out.values == 0.0)
 
+    @pytest.mark.parametrize("zero_residual", [False, True], ids=["residual", "zero_residual"])
+    @pytest.mark.parametrize("p", [1.5, 2.0])
+    @pytest.mark.parametrize("r", [1.5, 2.0, 3.0])
+    def test_newton_inverse_inverts_the_dense_newton_matrix(self, integral_matrices, r, p,
+                                                            zero_residual):
+        # W A* S A + D, S = scale (I + rank1 res <res, .>) the J_r' model of
+        # inner_cg._newton_direction, assembled from the quadrature oracle
+        rng = np.random.default_rng(7)
+        for n in (1, 2, 40):
+            op = IntegralOp(n, p)
+            space, w = op.domain_space, op.domain_space.weights
+            x = random_fn(space, rng)
+            diag = rng.uniform(1e-4, 1.0, space.size) * w
+            res = np.zeros(space.size) if zero_residual else rng.standard_normal(space.size)
+            rn = norm(GridFn(space, res))
+            scale = rn ** (r - 2.0) if rn > 0.0 else float(r == 2.0)
+            rank1 = (r - 2.0) / rn**2 if rn > 0.0 else 0.0
+            A, Astar = integral_matrices(n)
+            jr = scale * (np.eye(space.size) + rank1 * np.outer(res, w * res))
+            newton = w[:, None] * (Astar @ jr @ A) + np.diag(diag)
+            inverse = op.newton_inverse(x, diag, scale, rank1, res)
+            for _ in range(3):
+                v = rng.standard_normal(space.size)
+                exact = np.linalg.solve(newton, v)
+                assert np.linalg.norm(inverse(v) - exact) <= 1e-10 * np.linalg.norm(exact)
+
     def test_memory_is_linear_in_n(self):
         # a dense 4001x4001 kernel alone would take 128 MB
         tracemalloc.start()
@@ -180,6 +206,12 @@ def test_upper_band_layout():
 
 
 class TestEllipticOp:
+    def test_has_no_newton_inverse(self):
+        # its Newton–CG keeps the penalty Hessian as preconditioner
+        op, c = make_elliptic()
+        n = op.domain_space.size
+        assert op.newton_inverse(c, np.ones(n), 1.0, 0.0, np.zeros(n)) is None
+
     def test_harmonic_exact_solution(self):
         # u = x + y is discretely harmonic, so the 5-point scheme reproduces
         # it to machine precision.

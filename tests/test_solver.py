@@ -33,6 +33,14 @@ class NegatedAdjointOp(IntegralOp):
         return -1.0 * super().adjoint(x, w)
 
 
+class PenaltyPreconditionedOp(IntegralOp):
+    """Integral operator without a Newton inverse, so that its Newton–CG is
+    preconditioned by the penalty Hessian alone."""
+
+    def newton_inverse(self, x, diag, scale, rank1, res):
+        return None
+
+
 class CountingOp(IntegralOp):
     """Integral operator that counts its applications."""
 
@@ -264,8 +272,11 @@ class TestRun:
 
     def test_stalled_inner_solve_ends_the_run(self):
         # on L^1.2 with r = 1.2, step 2's line search fails without moving x;
-        # the steps after it would not move x either, and their duals overflow
-        op = IntegralOp(400, 1.2)
+        # the steps after it would not move x either, and their duals overflow.
+        # Preconditioned by IntegralOp's Newton inverse, the same data end as
+        # discrepancy instead, after 2,419 Newton iterations and with no inner
+        # solve converged, so this route is kept on the penalty preconditioner
+        op = PenaltyPreconditionedOp(400, 1.2)
         ydelta = harness.add_noise(op.apply(harness.spikes_1d(op.domain_space)), 5e-4, 1)
         report = run(op, Penalty(mu=0.01, a=1.0), ydelta, 5e-4, GEOM, StoppingRule(), r=1.2)
         assert report.terminated_by == "inner_failure"
