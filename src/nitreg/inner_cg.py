@@ -18,15 +18,16 @@ after each accepted step.
 
 F is applied once per point: the residual F(x) - y computed with the objective
 value is reused for the gradient, whose data term F'(x)* J_r(F(x) - y) also
-gives the returned dual update xi_n.  CG applies the linearization at x, taken
-once per Newton direction, to nodal arrays.  A trial point where the operator
-fails, or where the objective is not finite, is rejected like any other trial.
-A solve stops when an accepted step no longer moves x.
+gives the returned dual update xi_n.  Theta(x_prev), a constant of the Bregman
+term, is computed once per subproblem.  CG applies the linearization at x,
+taken once per Newton direction, to nodal arrays.  A trial point where the
+operator fails, or where the objective is not finite, is rejected like any
+other trial.  A solve stops when an accepted step no longer moves x.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -34,7 +35,7 @@ import scipy.sparse.linalg as spla
 from . import penalties
 from .operators import ForwardOp, OperatorError, banded_cholesky, upper_band
 from .penalties import Penalty
-from .spaces import DUAL, PRIMAL, GridFn, duality_map, norm
+from .spaces import DUAL, PRIMAL, GridFn, duality_map, norm, pairing
 
 ARMIJO = 1e-4  # sufficient-decrease constant
 BACKTRACK = 0.5  # step-length factor per rejected trial
@@ -51,6 +52,7 @@ class InnerProblem:
     x_prev: GridFn
     xi_prev: GridFn
     r: float = 2.0
+    theta_prev: float = field(init=False)  # Theta(x_prev), constant over the subproblem
 
     def __post_init__(self):
         if self.alpha <= 0.0:
@@ -63,6 +65,7 @@ class InnerProblem:
             raise ValueError("xi_prev must be a dual element")
         if self.ydelta.space != self.op.range_space:
             raise ValueError("ydelta must live on the operator range space")
+        object.__setattr__(self, "theta_prev", penalties.value(self.theta, self.x_prev))
 
 
 @dataclass(frozen=True)
@@ -90,8 +93,8 @@ class InnerStats:
 def objective(p: InnerProblem, x: GridFn) -> tuple[float, GridFn]:
     """The subproblem functional at x, and the residual res = F(x) - y."""
     res = p.op.apply(x) - p.ydelta
-    fit = norm(res) ** p.r / p.r
-    return fit + p.alpha * penalties.bregman(p.theta, x, p.x_prev, p.xi_prev), res
+    bregman = penalties.value(p.theta, x) - p.theta_prev - pairing(p.xi_prev, x - p.x_prev)
+    return norm(res) ** p.r / p.r + p.alpha * bregman, res
 
 
 def grad_objective(p: InnerProblem, x: GridFn, res: GridFn) -> tuple[GridFn, GridFn]:
@@ -159,8 +162,8 @@ def _newton_direction(p: InnerProblem, x: GridFn, res: GridFn, g: GridFn,
 
     n = space.size
     h, _info = spla.cg(
-        spla.LinearOperator((n, n), matvec=matvec), -space.weights * g.values, rtol=rtol,
-        M=spla.LinearOperator((n, n), matvec=precondition),
+        spla.LinearOperator((n, n), matvec=matvec, dtype=float), -space.weights * g.values,
+        rtol=rtol, M=spla.LinearOperator((n, n), matvec=precondition, dtype=float),
     )
     return h
 

@@ -346,6 +346,25 @@ class TestMinimize:
         stats = minimize(p)[2]
         assert op.applies == 1 + stats.iterations + stats.backtracks
 
+    def test_evaluates_theta_at_x_prev_once(self, monkeypatch):
+        # Theta(x_prev) in the Bregman term is a constant of the subproblem
+        count = {"value": 0, "objective": 0}
+        value, objective = penalties.value, inner_cg.objective
+
+        def counted_value(*args):
+            count["value"] += 1
+            return value(*args)
+
+        def counted_objective(*args):
+            count["objective"] += 1
+            return objective(*args)
+
+        monkeypatch.setattr(penalties, "value", counted_value)
+        monkeypatch.setattr(inner_cg, "objective", counted_objective)
+        stats = minimize(spikes_l1_problem())[2]
+        assert stats.converged and count["objective"] >= 2
+        assert count["value"] <= count["objective"] + 1
+
     @pytest.mark.parametrize("finite_calls", [0, 1])
     def test_non_finite_adjoint_raises(self, finite_calls):
         # NaN at the first gradient (0), or only inside CG's matvecs (1): the
@@ -406,10 +425,49 @@ def record_preconditioners(monkeypatch):
             call[1] += 1
             return A.matvec(v)
 
-        return cg(spla.LinearOperator(A.shape, matvec=matvec), b, **kwargs)
+        return cg(spla.LinearOperator(A.shape, matvec=matvec, dtype=A.dtype), b, **kwargs)
 
     monkeypatch.setattr(inner_cg.spla, "cg", recorded_cg)
     return calls
+
+
+def count_cg_work(monkeypatch, op):
+    """Count, in the returned dict, the iterations of `spla.cg` in `inner_cg`,
+    the calls of the deriv map that `op.linearized` returns, and the calls of
+    CG's preconditioner, whether `op.newton_inverse` or `_penalty_hessian`
+    made it."""
+    count = {"iterations": 0, "deriv": 0, "precondition": 0}
+    linearized, newton_inverse = op.linearized, op.newton_inverse
+    penalty_hessian, cg = inner_cg._penalty_hessian, spla.cg
+
+    def counted(fn, key):
+        def counted_fn(v):
+            count[key] += 1
+            return fn(v)
+        return counted_fn
+
+    def counted_linearized(x):
+        deriv, adjoint = linearized(x)
+        return counted(deriv, "deriv"), adjoint
+
+    def counted_newton_inverse(*args):
+        inverse = newton_inverse(*args)
+        return None if inverse is None else counted(inverse, "precondition")
+
+    def counted_penalty_hessian(*args):
+        apply_hess, precondition = penalty_hessian(*args)
+        return apply_hess, counted(precondition, "precondition")
+
+    def counted_cg(A, b, **kwargs):
+        def callback(_x):
+            count["iterations"] += 1
+        return cg(A, b, callback=callback, **kwargs)
+
+    monkeypatch.setattr(op, "linearized", counted_linearized)
+    monkeypatch.setattr(op, "newton_inverse", counted_newton_inverse)
+    monkeypatch.setattr(inner_cg, "_penalty_hessian", counted_penalty_hessian)
+    monkeypatch.setattr(inner_cg.spla, "cg", counted_cg)
+    return count
 
 
 def without_tv_problem(op, theta):
@@ -475,7 +533,25 @@ class TestPreconditioner:
         report = harness.solve(cfg, op, ydelta)
         assert report.terminated_by == "discrepancy"
         assert len(preconditioners) >= len(report.states) - 1
-        assert max(matvecs for _m, matvecs in preconditioners) <= 4
+        assert max(matvecs for _m, matvecs in preconditioners) <= 2
+
+    @pytest.mark.parametrize("problem", [
+        lambda: without_tv_problem(IntegralOp(40), Penalty(mu=1.0, a=0.5, eps=1e-3)),
+        lambda: without_tv_problem(PenaltyPreconditionedIntegralOp(40),
+                                   Penalty(mu=1.0, a=0.5, eps=1e-3)),
+        tv_problem,
+    ], ids=["newton_inverse", "penalty_diagonal", "tv_band"])
+    def test_no_operator_work_outside_cg_iterations(self, monkeypatch, problem):
+        # each CG iteration is one Newton matvec and one preconditioner apply;
+        # a LinearOperator built without a dtype would spend one more of each
+        # per direction on scipy's dtype probe
+        p = problem()
+        res, g = start(p)
+        count = count_cg_work(monkeypatch, p.op)
+        inner_cg._newton_direction(p, p.x_prev, res, g, None, 1e-12)
+        assert count["iterations"] >= 1
+        assert count["deriv"] == count["iterations"]
+        assert count["precondition"] == count["iterations"]
 
     def test_tv_factors_the_penalty_hessian_once_per_newton_step(self, monkeypatch):
         # the elliptic system at x_prev is factored by `start`; its interior
