@@ -14,28 +14,31 @@ division.  CG stops at the Eisenstat–Walker relative residual
 ``min(0.5, sqrt(||g|| / max(1, ||g_0||)))``, or at 1e-13 when the subproblem
 is linear-quadratic (F linear, a = b = 0, r = p = 2), which one Newton step
 then solves.  For TV, P uses the dual field of Chan, Golub & Mulet, updated
-after each accepted step.
+after each accepted step.  CG is this module's own loop, `_cg`, the iteration
+of scipy's ``cg`` update for update: without scipy's set-up around what is
+mostly one iteration per direction, ``integral_l1`` solves take about 30% less
+time (``BENCH_inner_arrays.json``).
 
 F is applied once per point: the residual F(x) - y computed with the objective
 value is reused for the gradient, whose data term F'(x)* J_r(F(x) - y) also
 gives the returned dual update xi_n.  Theta(x_prev), a constant of the Bregman
-term, is computed once per subproblem.  CG applies the linearization at x,
-taken once per Newton direction, to nodal arrays.  A trial point where the
-operator fails, or where the objective is not finite, is rejected like any
-other trial.  A solve stops when an accepted step no longer moves x.
+term, is computed once per subproblem.  Residuals, gradients and directions are
+nodal arrays; a trial point is a grid function, which refuses non-finite values.
+A trial where the operator fails or the objective is not finite is rejected.
+A solve stops when an accepted step no longer moves x.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from . import penalties
 from .operators import ForwardOp, OperatorError, banded_cholesky, upper_band
 from .penalties import Penalty
-from .spaces import DUAL, PRIMAL, GridFn, duality_map, norm, pairing
+from .spaces import DUAL, PRIMAL, GridFn, duality_map, values_norm
 
 ARMIJO = 1e-4  # sufficient-decrease constant
 BACKTRACK = 0.5  # step-length factor per rejected trial
@@ -81,6 +84,7 @@ class InnerSettings:
 @dataclass
 class InnerStats:
     iterations: int = 0
+    cg_iterations: int = 0  # summed over the Newton directions
     converged: bool = False
     line_search_failed: bool = False
     grad_norm: float = np.nan
@@ -90,30 +94,25 @@ class InnerStats:
     residual: float = np.nan  # ||F(x) - y|| at the returned x
 
 
-def objective(p: InnerProblem, x: GridFn) -> tuple[float, GridFn]:
+def objective(p: InnerProblem, x: GridFn) -> tuple[float, np.ndarray]:
     """The subproblem functional at x, and the residual res = F(x) - y."""
-    res = p.op.apply(x) - p.ydelta
-    bregman = penalties.value(p.theta, x) - p.theta_prev - pairing(p.xi_prev, x - p.x_prev)
-    return norm(res) ** p.r / p.r + p.alpha * bregman, res
+    res = p.op.apply(x).values - p.ydelta.values
+    bregman = (penalties.value(p.theta, x) - p.theta_prev  # - <xi_prev, x - x_prev>
+               - float((x.space.weights * p.xi_prev.values * (x.values - p.x_prev.values)).sum()))
+    return values_norm(p.ydelta.space, res) ** p.r / p.r + p.alpha * bregman, res
 
 
-def grad_objective(p: InnerProblem, x: GridFn, res: GridFn) -> tuple[GridFn, GridFn]:
+def grad_objective(p: InnerProblem, x: GridFn, res: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gradient in the dual representation, given res = F(x) - y:
     F'(x)* J_r(res) + alpha * (grad Theta(x) - xi_prev); and its data term
     adj = F'(x)* J_r(res)."""
-    adj = p.op.adjoint(x, duality_map(res, p.r))
-    return adj + p.alpha * (penalties.gradient(p.theta, x) - p.xi_prev), adj
+    adj = p.op.adjoint(x, duality_map(GridFn(p.ydelta.space, res), p.r)).values
+    return adj + p.alpha * (penalties.gradient(p.theta, x).values - p.xi_prev.values), adj
 
 
 def is_linear_quadratic(p: InnerProblem) -> bool:
-    return (
-        p.op.is_linear
-        and p.theta.a == 0.0
-        and p.theta.b == 0.0
-        and p.r == 2.0
-        and p.x_prev.space.exponent == 2.0
-        and p.ydelta.space.exponent == 2.0
-    )
+    return (p.op.is_linear and p.theta.a == p.theta.b == 0.0 and p.r == 2.0
+            and p.x_prev.space.exponent == p.ydelta.space.exponent == 2.0)
 
 
 def _penalty_hessian(p: InnerProblem, x: GridFn, cell: np.ndarray | None, diag: np.ndarray):
@@ -135,37 +134,55 @@ def _penalty_hessian(p: InnerProblem, x: GridFn, cell: np.ndarray | None, diag: 
     return (lambda v: diag * v), (lambda v: v / diag)
 
 
-def _newton_direction(p: InnerProblem, x: GridFn, res: GridFn, g: GridFn,
-                      cell: np.ndarray | None, rtol: float) -> np.ndarray:
-    """CG on ``W F'* J_r'(res) F' + alpha P`` with right-hand side ``-W g``,
-    preconditioned without TV by `ForwardOp.newton_inverse` if not None.
+def _newton_direction(p: InnerProblem, x: GridFn, res: np.ndarray, g: np.ndarray,
+                      cell: np.ndarray | None, rtol: float) -> tuple[np.ndarray, int]:
+    """The direction by CG on ``W F'* J_r'(res) F' + alpha P`` with right-hand side ``-W g``,
+    preconditioned without TV by `ForwardOp.newton_inverse` if not None; and CG's iterations.
 
     ``J_r'(u) h = ||u||^(r-2) (h + (r-2) <u, h> u / ||u||^2)`` is the
     derivative of the duality mapping on a p = 2 space; it is symmetric
     positive definite for every r > 1, so the matrix is too.  For p != 2 it is
     a Gauss–Newton model, and the line search keeps descent.
     """
-    space, rspace = x.space, res.space
-    rn = norm(res)
+    w, rw = x.space.weights, p.ydelta.space.weights
+    rn = values_norm(p.ydelta.space, res)
     scale = rn ** (p.r - 2.0) if rn > 0.0 else float(p.r == 2.0)
     rank1 = (p.r - 2.0) / rn**2 if rn > 0.0 else 0.0
     diag = p.alpha * penalties.pointwise_hessian(p.theta, x)
     apply_hess, precondition = _penalty_hessian(p, x, cell, diag)
     if p.theta.b == 0.0:
-        precondition = p.op.newton_inverse(x, diag, scale, rank1, res.values) or precondition
+        precondition = p.op.newton_inverse(x, diag, scale, rank1, res) or precondition
     deriv, adjoint = p.op.linearized(x)
 
     def matvec(v):
         fv = deriv(v)
-        jv = scale * (fv + rank1 * np.sum(rspace.weights * res.values * fv) * res.values)
-        return space.weights * adjoint(jv) + apply_hess(v)
+        jv = scale * (fv + rank1 * (rw * res * fv).sum() * res)
+        return w * adjoint(jv) + apply_hess(v)
 
-    n = space.size
-    h, _info = spla.cg(
-        spla.LinearOperator((n, n), matvec=matvec, dtype=float), -space.weights * g.values,
-        rtol=rtol, M=spla.LinearOperator((n, n), matvec=precondition, dtype=float),
-    )
-    return h
+    return _cg(matvec, precondition, -w * g, rtol)
+
+
+def _cg(matvec, precondition, b: np.ndarray, rtol: float) -> tuple[np.ndarray, int]:
+    """Preconditioned CG for ``A x = b`` from x = 0, and its iteration count: the
+    updates, order, names and stops (``||r|| < rtol ||b||``, 10 n iterations) of scipy
+    1.17's ``cg``, and a stop at the first non-finite ``alpha``, with that step taken."""
+    x, r, bnorm = np.zeros_like(b), b.copy(), math.sqrt(b.dot(b))
+    if bnorm == 0.0:
+        return x, 0
+    for k in range(10 * b.size):
+        if math.sqrt(r.dot(r)) < rtol * bnorm:
+            return x, k
+        z = precondition(r)
+        rho = r.dot(z)
+        p = z if k == 0 else (rho / rho_prev) * p + z
+        q = matvec(p)
+        alpha = rho / p.dot(q)
+        x += alpha * p
+        if not math.isfinite(alpha):
+            return x, k + 1
+        r -= alpha * q
+        rho_prev = rho
+    return x, 10 * b.size
 
 
 def minimize(p: InnerProblem,
@@ -180,13 +197,10 @@ def minimize(p: InnerProblem,
     ``xi = xi_prev - (1/alpha) F'(x)* J_r(F(x) - y)`` taken from the last
     gradient evaluation at x, and the statistics.
     """
-    x = p.x_prev
-    w = x.space.weights
-
-    stats = InnerStats()
+    x, space, stats = p.x_prev, p.x_prev.space, InnerStats()
     f_cur, res = objective(p, x)
     g, adj = grad_objective(p, x, res)
-    gn = stats.initial_grad_norm = norm(g)
+    gn = stats.initial_grad_norm = values_norm(space, g, DUAL)
     g0 = max(1.0, gn)
     tol = s.grad_tol_rel * g0
     exact = is_linear_quadratic(p)
@@ -196,11 +210,12 @@ def minimize(p: InnerProblem,
         if gn <= tol:
             break
         rtol = EXACT_RTOL if exact else min(0.5, np.sqrt(gn / g0))  # Eisenstat–Walker
-        d = _newton_direction(p, x, res, g, cell, rtol)
-        slope = float(np.sum(w * g.values * d))
+        d, cg_iterations = _newton_direction(p, x, res, g, cell, rtol)
+        stats.cg_iterations += cg_iterations
+        slope = float((space.weights * g * d).sum())
         t = 1.0
         for _bt in range(MAX_BACKTRACKS):
-            trial = GridFn(x.space, x.values + t * d, PRIMAL)
+            trial = GridFn(space, x.values + t * d, PRIMAL)
             try:
                 f_trial, res_trial = objective(p, trial)
             except OperatorError:
@@ -218,10 +233,10 @@ def minimize(p: InnerProblem,
             cell = penalties.tv_field_step(p.theta, x, cell, trial - x)
         x, f_cur, res = trial, f_trial, res_trial
         g, adj = grad_objective(p, x, res)
-        gn = norm(g)
+        gn = values_norm(space, g, DUAL)
         stats.iterations = k + 1
     stats.converged = gn <= tol
     stats.grad_norm = gn
     stats.objective = f_cur
-    stats.residual = norm(res)
-    return x, p.xi_prev - (1.0 / p.alpha) * adj, stats
+    stats.residual = values_norm(p.ydelta.space, res)
+    return x, GridFn(space, p.xi_prev.values - (1.0 / p.alpha) * adj, DUAL), stats

@@ -117,13 +117,14 @@ class IntegralOp(ForwardOp):
         solve = banded_cholesky(band)
         if solve is None:
             return None
-        z, c = solve(res[1:-1]), h * h * scale * rank1  # h S = h scale I + c u u^T, u = res
-        coef = c / (1.0 + c * (res[1:-1] @ z))  # Sherman–Morrison
+        if rank1 != 0.0:  # r != 2: h S = h scale I + c u u^T, u = res, by Sherman–Morrison
+            z, c = solve(res[1:-1]), h * h * scale * rank1
+            coef = c / (1.0 + c * (res[1:-1] @ z))
 
         def inverse(v):
             av = self._stiffness(v[1:-1])
-            out = v / diag
-            out[1:-1] = self._stiffness(solve(av) - coef * (z @ av) * z)
+            out, u = v / diag, solve(av)
+            out[1:-1] = self._stiffness(u - coef * (z @ av) * z if rank1 != 0.0 else u)
             return out
 
         return inverse

@@ -48,14 +48,13 @@ def _cells(space: GridSpace, vals: np.ndarray, eps: float):
 
 
 def value(theta: Penalty, x: GridFn) -> float:
-    w = x.space.weights
-    v = x.values
-    total = theta.mu * float(np.sum(w * v * v))
+    w, v = x.space.weights, x.values
+    total = theta.mu * float((w * v * v).sum())
     if theta.a > 0.0:
-        total += theta.a * float(np.sum(w * np.sqrt(v * v + theta.eps)))
+        total += theta.a * float((w * np.sqrt(v * v + theta.eps)).sum())
     if theta.b > 0.0:
         _diff, _d, m = _cells(x.space, v, theta.eps)
-        total += theta.b * math.prod(x.space.spacings) * float(np.sum(m))
+        total += theta.b * math.prod(x.space.spacings) * float(m.sum())
     return total
 
 

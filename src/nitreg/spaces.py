@@ -14,6 +14,7 @@ for TV and for the elliptic operator's Laplacian ``D^T D``.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -150,12 +151,16 @@ def zeros(space: GridSpace, variance: str = PRIMAL) -> GridFn:
     return GridFn(space, np.zeros(space.size), variance)
 
 
-def norm(f: GridFn) -> float:
+def values_norm(space: GridSpace, values: np.ndarray, variance: str = PRIMAL) -> float:
     """Quadrature-weighted p-norm; dual elements use the conjugate exponent."""
-    p = f.space.exponent if f.variance == PRIMAL else f.space.conjugate_exponent
+    p = space.exponent if variance == PRIMAL else space.conjugate_exponent
     if p == 2.0:
-        return float(np.sqrt(np.sum(f.space.weights * f.values**2)))
-    return float(np.sum(f.space.weights * np.abs(f.values) ** p) ** (1.0 / p))
+        return math.sqrt((space.weights * values**2).sum())
+    return float((space.weights * np.abs(values) ** p).sum() ** (1.0 / p))
+
+
+def norm(f: GridFn) -> float:
+    return values_norm(f.space, f.values, f.variance)
 
 
 def pairing(xi: GridFn, x: GridFn) -> float:

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import lapack
 
 from nitreg import operators, spaces
 from nitreg.operators import EllipticOp, ForwardOp, IntegralOp, OperatorError
@@ -138,6 +139,26 @@ class TestIntegralOp:
                 v = rng.standard_normal(space.size)
                 exact = np.linalg.solve(newton, v)
                 assert np.linalg.norm(inverse(v) - exact) <= 1e-10 * np.linalg.norm(exact)
+
+    def test_newton_inverse_at_r2_solves_no_rank_one_term(self, monkeypatch):
+        # at r = 2, rank1 = 0: one factorization, and no Sherman–Morrison solve
+        op = IntegralOp(40)
+        space = op.domain_space
+        calls = []
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return call
+
+        for name in ("dpbtrf", "dpbtrs"):
+            monkeypatch.setattr(lapack, name, counted(name, getattr(lapack, name)))
+        res = np.random.default_rng(5).standard_normal(space.size)
+        inverse = op.newton_inverse(spaces.zeros(space), space.weights, 1.0, 0.0, res)
+        assert calls == ["dpbtrf"]
+        inverse(res)
+        assert calls == ["dpbtrf", "dpbtrs"]
 
     def test_memory_is_linear_in_n(self):
         # a dense 4001x4001 kernel alone would take 128 MB
