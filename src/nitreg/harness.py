@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import configparser
 import csv
+import sys
 import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
@@ -327,6 +328,14 @@ def summary(report: RunReport, theta: Penalty, x_dagger: GridFn) -> dict:
         final.theta_value, penalties.bregman(theta, x_dagger, final.x, final.xi))))
 
 
+def health(report: RunReport) -> tuple[bool, str]:
+    """Whether a run stopped by its rule with every inner solve converged, and how it ended."""
+    converged = [s.inner_stats.converged for s in report.states[1:]]
+    return (report.terminated_by in ("discrepancy", "rule41") and all(converged),
+            f"terminated_by={report.terminated_by} n_delta={report.n_delta} "
+            f"converged={sum(converged)}/{len(converged)}")
+
+
 def write_iteration_csv(path, report: RunReport, theta: Penalty, x_ref: GridFn) -> None:
     breg = solver.diagnostics_bregman(report, theta, x_ref)
     rows = (
@@ -369,13 +378,16 @@ def solve(cfg: ExperimentConfig, op: ForwardOp, ydelta: GridFn) -> RunReport:
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
                    quiet: bool = False) -> RunReport:
-    """Run a configured experiment and emit the CSV file set."""
+    """Run a configured experiment, emit the CSV file set, and warn if it is not healthy."""
     base = resolve_out_dir(cfg, out_dir) / cfg.output.name
     op, x_dag, y_exact = make_problem(cfg)
     report = solve(cfg, op, add_noise(y_exact, cfg.noise.delta, cfg.noise.seed))
     write_iteration_csv(f"{base}_iterations.csv", report, cfg.theta, x_dag)
     write_reconstruction_csv(f"{base}_reconstruction.csv", report.x_out)
     write_summary_csv(f"{base}_summary.csv", report, cfg.theta, x_dag)
+    healthy, how = health(report)
+    if not healthy:
+        print(f"warning: {cfg.output.name} is not healthy: {how}", file=sys.stderr)
     if not quiet:
         result = summary(report, cfg.theta, x_dag)
         print(f"{cfg.output.name}: n_delta={result['n_delta']} "

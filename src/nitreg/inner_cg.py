@@ -19,13 +19,13 @@ of scipy's ``cg`` update for update: without scipy's set-up around what is
 mostly one iteration per direction, ``integral_l1`` solves take about 30% less
 time (``BENCH_inner_arrays.json``).
 
-F is applied once per point: the residual F(x) - y computed with the objective
-value is reused for the gradient, whose data term F'(x)* J_r(F(x) - y) also
-gives the returned dual update xi_n.  Theta(x_prev), a constant of the Bregman
-term, is computed once per subproblem.  Residuals, gradients and directions are
-nodal arrays; a trial point is a grid function, which refuses non-finite values.
-A trial where the operator fails or the objective is not finite is rejected.
-A solve stops when an accepted step no longer moves x.
+F and Theta are evaluated once per point: the residual F(x) - y of the objective
+value is reused for the gradient, whose data term F'(x)* J_r(F(x) - y) also gives
+the returned dual update xi_n; Theta(x_prev) is computed once per subproblem, and
+the stats report Theta and ||g||_* at the returned x.  Residuals, gradients and
+directions are nodal arrays; a trial point is a grid function, which refuses
+non-finite values, and a trial where the operator fails or the objective is not
+finite is rejected.  A solve stops when an accepted step no longer moves x.
 """
 
 from __future__ import annotations
@@ -87,19 +87,21 @@ class InnerStats:
     cg_iterations: int = 0  # summed over the Newton directions
     converged: bool = False
     line_search_failed: bool = False
-    grad_norm: float = np.nan
+    grad_norm: float = np.nan  # ||g||_* = alpha ||xi - grad Theta(x)||_* at the returned x
     initial_grad_norm: float = np.nan
     backtracks: int = 0
     objective: float = np.nan
     residual: float = np.nan  # ||F(x) - y|| at the returned x
+    theta: float = np.nan  # Theta(x) at the returned x
 
 
-def objective(p: InnerProblem, x: GridFn) -> tuple[float, np.ndarray]:
-    """The subproblem functional at x, and the residual res = F(x) - y."""
+def objective(p: InnerProblem, x: GridFn) -> tuple[float, np.ndarray, float]:
+    """The subproblem functional at x, the residual res = F(x) - y, and Theta(x)."""
     res = p.op.apply(x).values - p.ydelta.values
-    bregman = (penalties.value(p.theta, x) - p.theta_prev  # - <xi_prev, x - x_prev>
+    theta_x = p.theta_prev if x is p.x_prev else penalties.value(p.theta, x)
+    bregman = (theta_x - p.theta_prev  # - <xi_prev, x - x_prev>
                - float((x.space.weights * p.xi_prev.values * (x.values - p.x_prev.values)).sum()))
-    return values_norm(p.ydelta.space, res) ** p.r / p.r + p.alpha * bregman, res
+    return values_norm(p.ydelta.space, res) ** p.r / p.r + p.alpha * bregman, res, theta_x
 
 
 def grad_objective(p: InnerProblem, x: GridFn, res: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -198,7 +200,7 @@ def minimize(p: InnerProblem,
     gradient evaluation at x, and the statistics.
     """
     x, space, stats = p.x_prev, p.x_prev.space, InnerStats()
-    f_cur, res = objective(p, x)
+    f_cur, res, theta_cur = objective(p, x)
     g, adj = grad_objective(p, x, res)
     gn = stats.initial_grad_norm = values_norm(space, g, DUAL)
     g0 = max(1.0, gn)
@@ -217,7 +219,7 @@ def minimize(p: InnerProblem,
         for _bt in range(MAX_BACKTRACKS):
             trial = GridFn(space, x.values + t * d, PRIMAL)
             try:
-                f_trial, res_trial = objective(p, trial)
+                f_trial, res_trial, theta_trial = objective(p, trial)
             except OperatorError:
                 f_trial = np.nan
             if np.isfinite(f_trial) and f_trial <= f_cur + ARMIJO * t * slope:
@@ -231,7 +233,7 @@ def minimize(p: InnerProblem,
             break  # x and g are unchanged: this step would repeat
         if p.theta.b > 0.0:
             cell = penalties.tv_field_step(p.theta, x, cell, trial - x)
-        x, f_cur, res = trial, f_trial, res_trial
+        x, f_cur, res, theta_cur = trial, f_trial, res_trial, theta_trial
         g, adj = grad_objective(p, x, res)
         gn = values_norm(space, g, DUAL)
         stats.iterations = k + 1
@@ -239,4 +241,5 @@ def minimize(p: InnerProblem,
     stats.grad_norm = gn
     stats.objective = f_cur
     stats.residual = values_norm(p.ydelta.space, res)
+    stats.theta = theta_cur
     return x, GridFn(space, p.xi_prev.values - (1.0 / p.alpha) * adj, DUAL), stats

@@ -67,7 +67,7 @@ class NitState:
     residual: float
     alpha: float | None = None
     inner_stats: InnerStats | None = None
-    dual_gap: float = np.nan  # ||xi_n - grad Theta(x_n)||_* (diagnostic)
+    dual_gap: float = np.nan  # ||xi_n - grad Theta(x_n)||_* = ||g_n||_* / alpha_n (diagnostic)
     theta_value: float = np.nan
 
 
@@ -100,7 +100,7 @@ def step(
     xi_n = xi_{n-1} - (1/alpha_n) F'(x_n)* J_r(F(x_n) - ydelta).
 
     The subproblem is minimized by Newton–CG warm-started at x_{n-1}, which
-    returns xi_n from its last gradient evaluation at x_n."""
+    returns xi_n, Theta(x_n) and the dual gap from its last evaluations at x_n."""
     problem = InnerProblem(op, ydelta, theta, alpha_n, prev.x, prev.xi, r)
     x_n, xi_n, stats = inner_cg.minimize(problem, settings)
     return NitState(
@@ -110,8 +110,8 @@ def step(
         residual=stats.residual,
         alpha=alpha_n,
         inner_stats=stats,
-        dual_gap=norm(xi_n - penalties.gradient(theta, x_n)),
-        theta_value=penalties.value(theta, x_n),
+        dual_gap=stats.grad_norm / alpha_n,
+        theta_value=stats.theta,
     )
 
 

@@ -361,6 +361,37 @@ class TestCli:
         assert rc == 0
         assert (tmp_path / "tiny_summary.csv").exists()
 
+    def test_healthy_run_writes_nothing_to_stderr(self, tmp_path, config_file, capsys):
+        rc = cli.main(["run", str(config_file), "--out-dir", str(tmp_path)])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("quiet", [[], ["--quiet"]])
+    def test_unhealthy_run_warns(self, tmp_path, capsys, quiet):
+        # one Newton iteration per inner solve: the run still meets the
+        # discrepancy principle, with no inner solve converged
+        path = tmp_path / "capped.ini"
+        path.write_text("[problem]\nn = 80\n[penalty]\nmu = 0.01\na = 1\n"
+                        "[inner]\nmax_iters = 1\n[output]\nname = capped\n")
+        rc = cli.main(["run", str(path), "--out-dir", str(tmp_path), *quiet])
+        assert rc == 0
+        assert capsys.readouterr().err == ("warning: capped is not healthy: "
+                                           "terminated_by=discrepancy n_delta=19 converged=0/19\n")
+        assert all((tmp_path / f"capped_{table}.csv").exists()
+                   for table in ("iterations", "reconstruction", "summary"))
+
+    def test_health(self):
+        cfg = harness.example51_config("l2_l1", {("problem", "n"): 80})
+        op, _x_dagger, y = harness.make_problem(cfg)
+        ydelta = harness.add_noise(y, cfg.noise.delta, cfg.noise.seed)
+        report = harness.solve(cfg, op, ydelta)
+        ok, how = harness.health(report)
+        n = len(report.states) - 1
+        assert ok and how == f"terminated_by=discrepancy n_delta={n} converged={n}/{n}"
+        for kind in ("max_outer", "inner_failure", "stagnation"):
+            assert not harness.health(replace(report, terminated_by=kind))[0]
+        assert harness.health(replace(report, terminated_by="rule41"))[0]
+
     def test_run_prints_progress(self, tmp_path, config_file, capsys):
         rc = cli.main(["run", str(config_file), "--out-dir", str(tmp_path)])
         assert rc == 0

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nitreg import harness, penalties, solver, spaces
+from nitreg import harness, inner_cg, penalties, solver, spaces
 from nitreg.inner_cg import InnerSettings
 from nitreg.operators import IntegralOp
 from nitreg.penalties import Penalty
@@ -56,6 +56,27 @@ def spikes_start(op):
     theta = Penalty(mu=0.01, a=1.0)
     ydelta = harness.add_noise(op.apply(harness.spikes_1d(op.domain_space)), 5e-4, 1)
     return theta, ydelta, solver._initial_state(op, theta, ydelta)
+
+
+def small_paper_run(penalty):
+    """The config, operator and noisy data of a paper run on a small grid:
+    example 5.1 with the smoothed-L1 penalty (n = 80), or example 5.2 with TV,
+    mu = 0.01 (10x10)."""
+    if penalty == "l2_l1":
+        cfg = harness.example51_config("l2_l1", {("problem", "n"): 80})
+    else:
+        cfg = harness.example52_config("l2_tv", 0.01, {("problem", "nx"): 10,
+                                                      ("problem", "ny"): 10})
+    op, _x_dagger, y = harness.make_problem(cfg)
+    return cfg, op, harness.add_noise(y, cfg.noise.delta, cfg.noise.seed)
+
+
+def assert_reports_the_iterate(out, theta):
+    """Theta(x_n) and the dual gap ||xi_n - grad Theta(x_n)||_* of a step, taken
+    from the inner solve, match their definitions at the returned x_n."""
+    gap = norm(out.xi - penalties.gradient(theta, out.x))
+    assert out.dual_gap == pytest.approx(gap, rel=1e-6, abs=1e-12 * max(1.0, norm(out.xi)))
+    assert out.theta_value == penalties.value(theta, out.x)
 
 
 GEOM = AlphaSchedule("geometric", alpha1=0.5, q=0.5)
@@ -119,6 +140,7 @@ class TestStep:
         out = step(op, theta, op.apply(x_dagger), 0.5, prev)
         assert out.residual <= 1e-10
         assert np.allclose(out.xi.values, xi.values, atol=1e-10)
+        assert_reports_the_iterate(out, theta)
 
     def test_dual_update_formula(self):
         op, x_dagger, y, ydelta = small_problem()
@@ -144,6 +166,20 @@ class TestStep:
         assert out.residual == norm(res)
         expected = prev.xi - (1.0 / alpha) * op.adjoint(out.x, duality_map(res, 2.0))
         assert np.array_equal(out.xi.values, expected.values)
+        assert_reports_the_iterate(out, theta)
+
+    @pytest.mark.parametrize("penalty", ["l2_l1", "tv"])
+    def test_reports_theta_and_dual_gap_of_the_iterate(self, penalty):
+        # two steps, so that the second starts from xi_1 != grad Theta(x_1)
+        cfg, op, ydelta = small_paper_run(penalty)
+        state = solver._initial_state(op, cfg.theta, ydelta)
+        for n in (1, 2):
+            state = step(op, cfg.theta, ydelta, cfg.alpha_schedule.alpha(n), state,
+                         cfg.inner, cfg.method.r)
+            assert state.inner_stats.iterations > 0
+            assert_reports_the_iterate(state, cfg.theta)
+            # the reported gap is the one the inner stopping test bounds
+            assert state.dual_gap == state.inner_stats.grad_norm / state.alpha
 
     def test_applies_operator_only_in_the_inner_solve(self):
         # the initial point, then one trial point per accepted step or backtrack
@@ -165,6 +201,30 @@ class TestStep:
 
 
 class TestRun:
+    @pytest.mark.parametrize("penalty", ["l2_l1", "tv"])
+    def test_evaluates_the_penalty_once_per_point(self, monkeypatch, penalty):
+        # Theta and grad Theta once at x_0, then only inside the objective and
+        # its gradient; Theta(x_prev) of each subproblem stands in for the
+        # objective at x_prev, and the outer step evaluates neither
+        cfg, op, ydelta = small_paper_run(penalty)
+        calls = dict.fromkeys(["value", "gradient", "objective", "grad_objective"], 0)
+
+        def counted(module, name):
+            function = getattr(module, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return function(*args)
+            monkeypatch.setattr(module, name, wrapper)
+
+        for module, name in ((penalties, "value"), (penalties, "gradient"),
+                             (inner_cg, "objective"), (inner_cg, "grad_objective")):
+            counted(module, name)
+        report = harness.solve(cfg, op, ydelta)
+        assert report.terminated_by == "discrepancy" and report.n_delta > 1
+        assert calls["value"] == calls["objective"] + 1
+        assert calls["gradient"] == calls["grad_objective"] + 1
+
     def test_discrepancy_terminates(self):
         op, x_dagger, y, ydelta = small_problem()
         report = run(
