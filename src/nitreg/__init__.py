@@ -1,60 +1,30 @@
 """Nonstationary iterated Tikhonov regularization with uniformly convex
-penalties on discretized L^p spaces."""
+penalties on discretized L^p spaces.
 
-from .spaces import (
-    GridFn,
-    GridSpace,
-    bregman_norm,
-    duality_map,
-    norm,
-    pairing,
-)
-from .penalties import Penalty
-from .operators import EllipticOp, ForwardOp, IntegralOp, OperatorError
-from .inner_cg import InnerProblem, InnerSettings, minimize
-from .solver import AlphaSchedule, NitState, RunReport, StoppingRule, run, step
-from .harness import (
-    ExperimentConfig,
-    add_noise,
-    example51_config,
-    example52_config,
-    load_config,
-    run_experiment,
-    run_study,
-    spikes_1d,
-    two_inclusions_2d,
-)
+The public names are loaded from their modules on first use (PEP 562), so
+`import nitreg` loads no numpy and `nitreg.cli` can set BLAS threads first."""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "GridFn",
-    "GridSpace",
-    "bregman_norm",
-    "duality_map",
-    "norm",
-    "pairing",
-    "Penalty",
-    "ForwardOp",
-    "IntegralOp",
-    "EllipticOp",
-    "OperatorError",
-    "InnerProblem",
-    "InnerSettings",
-    "minimize",
-    "AlphaSchedule",
-    "StoppingRule",
-    "NitState",
-    "RunReport",
-    "run",
-    "step",
-    "ExperimentConfig",
-    "add_noise",
-    "example51_config",
-    "example52_config",
-    "load_config",
-    "run_experiment",
-    "run_study",
-    "spikes_1d",
-    "two_inclusions_2d",
-]
+# module -> the public names it defines
+_EXPORTS = {
+    "spaces": "GridFn GridSpace bregman_norm duality_map norm pairing",
+    "penalties": "Penalty",
+    "operators": "ForwardOp IntegralOp EllipticOp OperatorError",
+    "inner_cg": "InnerProblem InnerSettings minimize",
+    "solver": "AlphaSchedule StoppingRule NitState RunReport run step",
+    "harness": "ExperimentConfig add_noise example51_config example52_config load_config "
+               "run_experiment run_study spikes_1d two_inclusions_2d",
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name):
+    if name in _MODULE_OF:
+        return getattr(importlib.import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    if name in _EXPORTS:  # a submodule, e.g. `nitreg.harness` after a bare `import nitreg`
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

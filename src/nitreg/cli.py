@@ -3,10 +3,18 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
-from . import harness
-from .harness import ConfigError
+# One BLAS thread, set before numpy loads OpenBLAS, which reads it only then:
+# two threads make the small banded Cholesky factorizations about 4x slower.
+# A count set in any variable OpenBLAS reads is kept; OPENBLAS_NUM_THREADS
+# would override the other two.
+if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+from . import harness  # noqa: E402
+from .harness import ConfigError  # noqa: E402
 
 # the grids of `nitreg check`: small, so that its five runs take seconds
 CHECK_GRID = {("problem", "n"): 80, ("problem", "nx"): 10, ("problem", "ny"): 10}

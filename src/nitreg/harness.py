@@ -15,7 +15,7 @@ import numpy as np
 
 from . import penalties, solver
 from .inner_cg import InnerProblem, InnerSettings
-from .operators import EllipticOp, ForwardOp, IntegralOp
+from .operators import EllipticOp, ForwardOp, IntegralOp, OperatorError
 from .penalties import Penalty
 from .solver import AlphaSchedule, RunReport, StoppingRule
 from .spaces import GridFn, GridSpace, norm
@@ -400,8 +400,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
 def run_study(cfg: ExperimentConfig, out_dir: str | None = None,
               quiet: bool = False) -> list[dict]:
     """Noise-level sweep: one full run per delta, largest delta first, and one
-    CSV table out.  A delta whose run fails gets an `error_message` and the
-    sweep goes on."""
+    CSV table out.  A delta whose run fails (an operator, value or linear
+    algebra error) gets an `error_message` and the sweep goes on."""
     if not cfg.study.deltas:
         raise ConfigError("[study] deltas is empty; nothing to sweep")
     directory = resolve_out_dir(cfg, out_dir)
@@ -412,7 +412,7 @@ def run_study(cfg: ExperimentConfig, out_dir: str | None = None,
             report = solve(replace(cfg, noise=replace(cfg.noise, delta=d)), op,
                            add_noise(y_exact, d, cfg.noise.seed))
             rows.append({"delta": d, **summary(report, cfg.theta, x_dag)})
-        except Exception as exc:  # per-delta failure, study continues
+        except (OperatorError, ValueError, np.linalg.LinAlgError) as exc:  # a failed run
             rows.append({"delta": d, "error_message": str(exc)})
     cols = ["delta", *RESULT_KEYS, "error_message"]
     _write_table(directory / f"{cfg.output.name}_study.csv", cols,

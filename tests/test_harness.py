@@ -20,7 +20,7 @@ from nitreg.harness import (
     two_inclusions_2d,
 )
 from nitreg.inner_cg import InnerSettings
-from nitreg.operators import EllipticOp, IntegralOp
+from nitreg.operators import EllipticOp, IntegralOp, OperatorError
 from nitreg.penalties import Penalty
 from nitreg.solver import AlphaSchedule, StoppingRule
 from nitreg.spaces import GridFn, GridSpace, norm
@@ -299,7 +299,7 @@ class TestRunStudy:
 
         def flaky_noise(y, delta, seed):
             if delta < 2e-3:
-                raise RuntimeError("data source unavailable")
+                raise OperatorError("data source unavailable")
             return add(y, delta, seed)
 
         monkeypatch.setattr(harness, "add_noise", flaky_noise)
@@ -309,6 +309,15 @@ class TestRunStudy:
         assert rows[1] == {"delta": 1e-3, "error_message": "data source unavailable"}
         lines = (tmp_path / "tiny_study.csv").read_text().splitlines()
         assert lines[2] == "0.001," + "," * 6 + "data source unavailable"
+
+    def test_programming_error_propagates(self, tmp_path, config_file, monkeypatch):
+        # only the errors a run can raise become rows; a bug stops the study
+        def broken_noise(y, delta, seed):
+            raise TypeError("unsupported operand")
+
+        monkeypatch.setattr(harness, "add_noise", broken_noise)
+        with pytest.raises(TypeError, match="unsupported operand"):
+            harness.run_study(load_config(config_file), out_dir=str(tmp_path), quiet=True)
 
     def test_study_row_matches_summary(self, tmp_path, config_file):
         # a study row reports the same result, in the same order and format,

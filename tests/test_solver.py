@@ -384,3 +384,27 @@ class TestRun:
         assert st.dual_gap == 0.0
         assert st.residual == pytest.approx(norm(ydelta))
 
+
+
+class TestTrajectoryOracle:
+    def test_quadratic_run_is_classical_iterated_tikhonov(self, integral_matrices):
+        # With Theta = mu ||x||^2, r = 2 and linear F the method is classical
+        # nonstationary iterated Tikhonov (Hanke & Groetsch 1998):
+        #   (F*F + 2 alpha_n mu I) x_n = F*y + alpha_n xi_{n-1},
+        #   xi_n = xi_{n-1} - F*(F x_n - y) / alpha_n,
+        # with F and its weight-adjoint F* built densely from the quadrature.
+        cfg = harness.example51_config("quadratic", {("problem", "n"): 80})
+        op, _x_dagger, y = harness.make_problem(cfg)
+        ydelta = harness.add_noise(y, cfg.noise.delta, cfg.noise.seed)
+        report = harness.solve(cfg, op, ydelta)
+        assert report.terminated_by == "discrepancy" and len(report.states) > 10
+        A, Astar = integral_matrices(80)
+        mu, y = cfg.theta.mu, ydelta.values
+        x, xi = np.zeros_like(y), np.zeros_like(y)
+        for state in report.states[1:]:
+            alpha = state.alpha
+            x = np.linalg.solve(Astar @ A + 2.0 * alpha * mu * np.eye(len(y)),
+                                Astar @ y + alpha * xi)
+            xi = xi - Astar @ (A @ x - y) / alpha
+            for got, exact in ((state.x.values, x), (state.xi.values, xi)):
+                assert np.linalg.norm(got - exact) <= 1e-9 * np.linalg.norm(exact)
