@@ -89,7 +89,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:
+    except (*harness.RUN_ERRORS, OSError) as exc:  # a failed run; a bug keeps its traceback
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -25,6 +25,10 @@ class ConfigError(ValueError):
     pass
 
 
+# what a failed run raises: an operator failure, a value out of range, a singular system
+RUN_ERRORS = (OperatorError, ValueError, np.linalg.LinAlgError)
+
+
 @dataclass(frozen=True)
 class Problem:
     kind: str = "integral_1d"
@@ -336,6 +340,12 @@ def health(report: RunReport) -> tuple[bool, str]:
             f"converged={sum(converged)}/{len(converged)}")
 
 
+def _warn_if_unhealthy(label: str, report: RunReport) -> None:
+    healthy, how = health(report)
+    if not healthy:
+        print(f"warning: {label} is not healthy: {how}", file=sys.stderr)
+
+
 def write_iteration_csv(path, report: RunReport, theta: Penalty, x_ref: GridFn) -> None:
     breg = solver.diagnostics_bregman(report, theta, x_ref)
     rows = (
@@ -385,9 +395,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
     write_iteration_csv(f"{base}_iterations.csv", report, cfg.theta, x_dag)
     write_reconstruction_csv(f"{base}_reconstruction.csv", report.x_out)
     write_summary_csv(f"{base}_summary.csv", report, cfg.theta, x_dag)
-    healthy, how = health(report)
-    if not healthy:
-        print(f"warning: {cfg.output.name} is not healthy: {how}", file=sys.stderr)
+    _warn_if_unhealthy(cfg.output.name, report)
     if not quiet:
         result = summary(report, cfg.theta, x_dag)
         print(f"{cfg.output.name}: n_delta={result['n_delta']} "
@@ -401,7 +409,8 @@ def run_study(cfg: ExperimentConfig, out_dir: str | None = None,
               quiet: bool = False) -> list[dict]:
     """Noise-level sweep: one full run per delta, largest delta first, and one
     CSV table out.  A delta whose run fails (an operator, value or linear
-    algebra error) gets an `error_message` and the sweep goes on."""
+    algebra error) gets an `error_message` and the sweep goes on; a run that
+    is not healthy is warned of on stderr, as by `run_experiment`."""
     if not cfg.study.deltas:
         raise ConfigError("[study] deltas is empty; nothing to sweep")
     directory = resolve_out_dir(cfg, out_dir)
@@ -412,7 +421,8 @@ def run_study(cfg: ExperimentConfig, out_dir: str | None = None,
             report = solve(replace(cfg, noise=replace(cfg.noise, delta=d)), op,
                            add_noise(y_exact, d, cfg.noise.seed))
             rows.append({"delta": d, **summary(report, cfg.theta, x_dag)})
-        except (OperatorError, ValueError, np.linalg.LinAlgError) as exc:  # a failed run
+            _warn_if_unhealthy(f"{cfg.output.name} at delta={d}", report)
+        except RUN_ERRORS as exc:
             rows.append({"delta": d, "error_message": str(exc)})
     cols = ["delta", *RESULT_KEYS, "error_message"]
     _write_table(directory / f"{cfg.output.name}_study.csv", cols,

@@ -11,10 +11,14 @@ banded Cholesky (LAPACK ``pbtrf``).  Without TV, the preconditioner is the
 operator's exact inverse of the Newton matrix (`ForwardOp.newton_inverse`;
 `IntegralOp` factors a pentadiagonal band) or, if it has none, alpha P, a
 division.  CG stops at the Eisenstat–Walker relative residual
-``min(0.5, sqrt(||g|| / max(1, ||g_0||)))``, or at 1e-13 when the subproblem
-is linear-quadratic (F linear, a = b = 0, r = p = 2), which one Newton step
-then solves.  For TV, P uses the dual field of Chan, Golub & Mulet, updated
-after each accepted step.  CG is this module's own loop, `_cg`, the iteration
+``min(0.5, sqrt(||g|| / max(1, ||g_0||)))``, safeguarded from below by
+``0.5 tol / ||g||``: a direction is solved no more tightly than the inner stop
+``||g|| <= tol`` can use (Eisenstat & Walker, SIAM J. Sci. Comput. 17 (1996)
+16–32; Kelley, Iterative Methods for Linear and Nonlinear Equations, SIAM
+1995, ch. 6).  When the subproblem is linear-quadratic (F linear, a = b = 0,
+r = p = 2), CG stops at 1e-13 instead, and one Newton step solves it.  For
+TV, P uses the dual field of Chan, Golub & Mulet, updated after each accepted
+step.  CG is this module's own loop, `_cg`, the iteration
 of scipy's ``cg`` update for update: without scipy's set-up around what is
 mostly one iteration per direction, ``integral_l1`` solves take about 30% less
 time (``BENCH_inner_arrays.json``).
@@ -44,6 +48,7 @@ ARMIJO = 1e-4  # sufficient-decrease constant
 BACKTRACK = 0.5  # step-length factor per rejected trial
 MAX_BACKTRACKS = 50
 EXACT_RTOL = 1e-13  # CG tolerance of a linear-quadratic subproblem
+SAFEGUARD = 0.5  # CG tolerance floor, as a fraction of the reduction tol / ||g|| left to make
 
 
 @dataclass(frozen=True)
@@ -211,7 +216,8 @@ def minimize(p: InnerProblem,
     for k in range(s.max_iters):
         if gn <= tol:
             break
-        rtol = EXACT_RTOL if exact else min(0.5, np.sqrt(gn / g0))  # Eisenstat–Walker
+        # Eisenstat–Walker, safeguarded: no tighter than the stop at tol can use
+        rtol = EXACT_RTOL if exact else min(0.5, max(math.sqrt(gn / g0), SAFEGUARD * tol / gn))
         d, cg_iterations = _newton_direction(p, x, res, g, cell, rtol)
         stats.cg_iterations += cg_iterations
         slope = float((space.weights * g * d).sum())

@@ -2,7 +2,8 @@
 
 Each test prints a single `[acceptance N] PASS/FAIL` line (visible even under
 output capture) and asserts the criterion at its stated tolerance.  Expensive
-experiment runs are shared through module-scoped fixtures.
+experiment runs are shared through module-scoped fixtures, which also feed a
+work budget for the paper runs (`test_work_budget`).
 """
 
 from dataclasses import replace
@@ -224,6 +225,34 @@ def test_08_penalty_ordering(capsys, ex51_runs, ex52_runs):
         f"(1d {e51_l1:.4f}<{e51_quad:.4f}; "
         f"2d {e52_tv_small:.4f},{e52_tv_one:.4f}<{e52_quad:.4f})", ok,
     )
+
+
+# Newton iterations, CG iterations and backtracks of each paper run (noise
+# seed 1).  The iterates are bit-identical across reruns and BLAS thread
+# counts, so these counts gate work without timing; a change that lowers a
+# count lowers its entry here.
+WORK = {
+    "example51_quadratic": (16, 32, 0),
+    "example51_l2_l1": (98, 98, 32),
+    "example52_quadratic": (36, 130, 0),
+    "example52_l2_tv_mu0.01": (246, 2225, 127),
+    "example52_l2_tv_mu1": (239, 1665, 89),
+}
+
+
+def test_work_budget(ex51_runs, ex52_runs):
+    # slack for rounding across Python, numpy and scipy versions: +5% or +2
+    runs = {**ex51_runs, **ex52_runs}
+    assert runs.keys() == WORK.keys()
+    over = {}
+    for name, (report, _x, _t, _op) in runs.items():
+        stats = [s.inner_stats for s in report.states[1:]]
+        counts = (sum(s.iterations for s in stats), sum(s.cg_iterations for s in stats),
+                  sum(s.backtracks for s in stats))
+        budget = tuple(c + max(2, 0.05 * c) for c in WORK[name])
+        if any(c > b for c, b in zip(counts, budget)):
+            over[name] = f"(Newton, CG, backtracks) {counts} above {budget}"
+    assert not over, over
 
 
 def test_09_stopping_rule_offset(capsys):

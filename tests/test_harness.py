@@ -389,6 +389,25 @@ class TestCli:
         assert all((tmp_path / f"capped_{table}.csv").exists()
                    for table in ("iterations", "reconstruction", "summary"))
 
+    @pytest.mark.parametrize("inner", ["[inner]\nmax_iters = 1\n", ""], ids=["capped", "healthy"])
+    def test_study_warns_of_each_unhealthy_delta(self, tmp_path, capsys, inner):
+        # the warnings change neither the exit code nor the study CSV
+        path = tmp_path / "study.ini"
+        path.write_text("[problem]\nn = 80\n[penalty]\nmu = 0.01\na = 1\n" + inner
+                        + "[study]\ndeltas = 1e-3 5e-4\n[output]\nname = study\n")
+        rc = cli.main(["study", str(path), "--out-dir", str(tmp_path), "--quiet"])
+        assert rc == 0
+        err = capsys.readouterr().err
+        if inner:
+            assert err.splitlines() == [
+                "warning: study at delta=0.001 is not healthy: "
+                "terminated_by=discrepancy n_delta=18 converged=0/18",
+                "warning: study at delta=0.0005 is not healthy: "
+                "terminated_by=discrepancy n_delta=19 converged=0/19"]
+        else:
+            assert err == ""
+        assert len((tmp_path / "study_study.csv").read_text().splitlines()) == 3
+
     def test_health(self):
         cfg = harness.example51_config("l2_l1", {("problem", "n"): 80})
         op, _x_dagger, y = harness.make_problem(cfg)
@@ -533,12 +552,21 @@ class TestCli:
 
     def test_failed_run_exit_code(self, tmp_path, config_file, capsys, monkeypatch):
         def failing_solve(cfg, op, ydelta):
-            raise RuntimeError("solve diverged")
+            raise OperatorError("solve diverged")
 
         monkeypatch.setattr(harness, "solve", failing_solve)
         rc = cli.main(["run", str(config_file), "--out-dir", str(tmp_path), "--quiet"])
         assert rc == 1
         assert capsys.readouterr().err == "error: solve diverged\n"
+
+    def test_programming_error_propagates(self, tmp_path, config_file, monkeypatch):
+        # only the errors a run can raise become `error: ...`; a bug keeps its traceback
+        def broken_noise(y, delta, seed):
+            raise TypeError("unsupported operand")
+
+        monkeypatch.setattr(harness, "add_noise", broken_noise)
+        with pytest.raises(TypeError, match="unsupported operand"):
+            cli.main(["run", str(config_file), "--out-dir", str(tmp_path), "--quiet"])
 
     def test_check_subcommand(self, capsys):
         rc = cli.main(["check"])

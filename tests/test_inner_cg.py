@@ -655,3 +655,46 @@ class TestExactRoute:
         g = gradient(p, x_star)
         g0 = gradient(p, p.x_prev)
         assert norm(g) <= 1e-10 * max(1.0, norm(g0))
+
+
+def record_forcing_terms(monkeypatch):
+    """Make `inner_cg._newton_direction` record CG's rtol and ||g||_* of each
+    Newton direction in the returned list of (rtol, ||g||) pairs."""
+    calls = []
+    newton_direction = inner_cg._newton_direction
+
+    def recorded(p, x, res, g, cell, rtol):
+        calls.append((rtol, spaces.values_norm(x.space, g, DUAL)))
+        return newton_direction(p, x, res, g, cell, rtol)
+
+    monkeypatch.setattr(inner_cg, "_newton_direction", recorded)
+    return calls
+
+
+class TestForcingTerm:
+    def test_no_direction_solved_past_the_inner_stop(self, monkeypatch):
+        # the last subproblem of example 5.2 with the quadratic penalty on a
+        # 10x10 grid: CG is preconditioned by alpha P alone, and the
+        # Eisenstat–Walker term sqrt(||g|| / g_0) asks for ~5e-4 where the stop
+        # needs ~2e-2
+        cfg = example52_config("quadratic",
+                               overrides={("problem", "nx"): 10, ("problem", "ny"): 10})
+        op, _c_dagger, y = make_problem(cfg)
+        ydelta = add_noise(y, cfg.noise.delta, cfg.noise.seed)
+        report = harness.solve(cfg, op, ydelta)
+        prev, last = report.states[-2:]
+        p = InnerProblem(op, ydelta, cfg.theta, last.alpha, prev.x, prev.xi, cfg.method.r)
+        assert not is_linear_quadratic(p)
+        calls = record_forcing_terms(monkeypatch)
+        stats = minimize(p, cfg.inner)[2]
+        assert stats.converged and calls
+        tol = cfg.inner.grad_tol_rel * max(1.0, stats.initial_grad_norm)
+        for rtol, gn in calls:
+            assert gn > tol
+            assert min(0.5, 0.5 * tol / gn) <= rtol <= 0.5
+
+    def test_linear_quadratic_route_solves_exactly(self, monkeypatch):
+        p = quadratic_problem()
+        calls = record_forcing_terms(monkeypatch)
+        assert minimize(p)[2].converged
+        assert calls and all(rtol == inner_cg.EXACT_RTOL for rtol, _gn in calls)
