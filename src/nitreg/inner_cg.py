@@ -134,10 +134,7 @@ def _penalty_hessian(p: InnerProblem, x: GridFn, cell: np.ndarray | None, diag: 
         tv = p.alpha * penalties.tv_hessian(p.theta, x, cell)
         band = upper_band(tv)
         band[-1] += diag
-        solve = banded_cholesky(band)
-        if solve is None:
-            raise np.linalg.LinAlgError("alpha P is not positive definite")
-        return (lambda v: diag * v + tv @ v), solve
+        return (lambda v: diag * v + tv @ v), banded_cholesky(band)
     return (lambda v: diag * v), (lambda v: v / diag)
 
 

@@ -7,7 +7,7 @@ import abc
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+import scipy.sparse.linalg as spla  # unused here: bench/layers.py traces operators.spla.splu
 from scipy.linalg import lapack
 
 from .spaces import DUAL, PRIMAL, GridFn, GridSpace, differences
@@ -31,11 +31,11 @@ def upper_band(matrix) -> np.ndarray:
 
 def banded_cholesky(band: np.ndarray):
     """The solve ``b -> A^-1 b`` of a symmetric matrix A in `upper_band`
-    storage, factored in place by LAPACK's banded Cholesky; None if A is not
-    positive definite."""
+    storage, factored in place by LAPACK's banded Cholesky; raises
+    `np.linalg.LinAlgError` if A is not positive definite."""
     factor, info = lapack.dpbtrf(band, overwrite_ab=1)
     if info != 0:
-        return None
+        raise np.linalg.LinAlgError(f"matrix is not positive definite (dpbtrf info {info})")
     return lambda b: lapack.dpbtrs(factor, b)[0]
 
 
@@ -115,8 +115,6 @@ class IntegralOp(ForwardOp):
         band[1, 1:] = -2.0 * (d[1:-2] + d[2:-1])
         band[2] = h * scale + 4.0 * d[1:-1] + d[:-2] + d[2:]
         solve = banded_cholesky(band)
-        if solve is None:
-            return None
         if rank1 != 0.0:  # r != 2: h S = h scale I + c u u^T, u = res, by Sherman–Morrison
             z, c = solve(res[1:-1]), h * h * scale * rank1
             coef = c / (1.0 + c * (res[1:-1] @ z))
@@ -141,8 +139,10 @@ class EllipticOp(ForwardOp):
     The measurement is the whole state on the grid. Whenever c changes the
     system is refactorized by banded Cholesky (LAPACK ``pbtrf``), since it is
     symmetric positive definite for c >= 0 and its half-bandwidth in natural
-    order is ny - 1. Where a line-search trial c makes it indefinite,
-    Cholesky fails, and that system falls back to a pivoted sparse LU.
+    order is ny - 1. F is defined only where that system is positive
+    definite: elsewhere, as at a line-search trial c that makes it indefinite,
+    Cholesky fails and `OperatorError` is raised, which `inner_cg` takes as a
+    rejected trial.
     """
 
     is_linear = False
@@ -173,15 +173,12 @@ class EllipticOp(ForwardOp):
         key = c.values.tobytes()
         if self._cache is not None and self._cache[0] == key:
             return self._cache[1], self._cache[2]
-        c_int = c.values[self._inner]
         band = self._band.copy(order="F")
-        band[-1] += c_int
-        solve = banded_cholesky(band)
-        if solve is None:  # not positive definite, as at an indefinite trial c: pivoted LU
-            try:
-                solve = spla.splu((self._laplacian + sp.diags(c_int)).tocsc()).solve
-            except RuntimeError as exc:
-                raise OperatorError(f"elliptic solve failed: {exc}") from exc
+        band[-1] += c.values[self._inner]
+        try:
+            solve = banded_cholesky(band)
+        except np.linalg.LinAlgError as exc:
+            raise OperatorError(f"elliptic solve failed: {exc}") from exc
         u_int = solve(self._rhs0)
         if not np.all(np.isfinite(u_int)):
             raise OperatorError("elliptic solve produced non-finite state")

@@ -1,6 +1,26 @@
 import numpy as np
 import pytest
 
+from nitreg.operators import IntegralOp
+
+
+class PenaltyPreconditionedIntegralOp(IntegralOp):
+    """Integral operator without a Newton inverse, so that its Newton–CG is
+    preconditioned by the penalty Hessian alone."""
+
+    def newton_inverse(self, x, diag, scale, rank1, res):
+        return None
+
+
+class CountingIntegralOp(IntegralOp):
+    """Integral operator that counts its applications."""
+
+    applies = 0
+
+    def apply(self, x):
+        self.applies += 1
+        return super().apply(x)
+
 
 def trapezoid_matrices(n):
     """Node-values matrices of the trapezoid rule, on n intervals of [0, 1], of

@@ -3,12 +3,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from conftest import CountingIntegralOp, PenaltyPreconditionedIntegralOp
 from scipy.linalg import lapack
 
 from nitreg import harness, inner_cg, penalties, spaces
 from nitreg.harness import add_noise, example52_config, make_problem, spikes_1d
 from nitreg.inner_cg import InnerProblem, InnerSettings, is_linear_quadratic, minimize
-from nitreg.operators import ForwardOp, IntegralOp, OperatorError
+from nitreg.operators import EllipticOp, ForwardOp, IntegralOp, OperatorError
 from nitreg.penalties import Penalty
 from nitreg.spaces import DUAL, PRIMAL, GridFn, GridSpace, norm
 
@@ -68,26 +69,6 @@ class CappedIntegralOp(IntegralOp):
         return super().apply(x)
 
 
-class PenaltyPreconditionedIntegralOp(IntegralOp):
-    """Integral operator without a Newton inverse, so that its Newton–CG is
-    preconditioned by the penalty Hessian alone."""
-
-    def newton_inverse(self, x, diag, scale, rank1, res):
-        return None
-
-
-class CountingIntegralOp(IntegralOp):
-    """Integral operator that counts its applications."""
-
-    def __init__(self, n):
-        super().__init__(n)
-        self.applies = 0
-
-    def apply(self, x):
-        self.applies += 1
-        return super().apply(x)
-
-
 def spikes_l1_problem():
     """First outer step of a smoothed-L1 reconstruction of the spikes."""
     op = IntegralOp(80)
@@ -119,21 +100,15 @@ def quadratic_problem(n=60, alpha=0.1, mu=1.0, seed=0):
 
 
 def count_factorizations(monkeypatch):
-    """Make `scipy.sparse.linalg.splu` and LAPACK's banded Cholesky `dpbtrf`
-    record each call in the returned list, as ("splu", rows) or
-    ("dpbtrf", columns)."""
+    """Make LAPACK's banded Cholesky `dpbtrf` record each call in the returned
+    list, as ("dpbtrf", columns)."""
     calls = []
-    splu, dpbtrf = spla.splu, lapack.dpbtrf
-
-    def counted_splu(a, *args, **kwargs):
-        calls.append(("splu", a.shape[0]))
-        return splu(a, *args, **kwargs)
+    dpbtrf = lapack.dpbtrf
 
     def counted_dpbtrf(ab, *args, **kwargs):
         calls.append(("dpbtrf", ab.shape[1]))
         return dpbtrf(ab, *args, **kwargs)
 
-    monkeypatch.setattr(spla, "splu", counted_splu)
     monkeypatch.setattr(lapack, "dpbtrf", counted_dpbtrf)
     return calls
 
@@ -340,6 +315,21 @@ class TestMinimize:
         assert stats.line_search_failed
         assert not stats.converged
         assert x.values.max() <= op.cap
+
+    def test_indefinite_trial_is_a_rejected_step(self):
+        # c† = -19 lies just above -lambda_min(-Lap_h) ~ -19.5 on the 8x8 grid,
+        # so full Newton steps reach c where -Lap + c is indefinite; F is not
+        # defined there, and those trials must be rejected, not solved
+        space = GridSpace.rectangle(8, 8)
+        xs, ys = space.coords()
+        op = EllipticOp(8, 8, g=xs + ys)
+        ydelta = op.apply(GridFn(space, np.full(space.size, -19.0)))
+        theta, x_prev = Penalty(), spaces.zeros(space)
+        p = InnerProblem(op, ydelta, theta, 1e-6, x_prev, penalties.gradient(theta, x_prev))
+        x, _xi, stats = minimize(p)
+        assert stats.converged
+        assert stats.residual <= 1e-3
+        op.apply(x)  # x lies where F is defined
 
     def test_applies_operator_once_per_point(self):
         # the initial point, then one trial point per accepted step or backtrack

@@ -226,6 +226,12 @@ def test_upper_band_layout():
     assert np.array_equal(band, expected)
 
 
+def test_banded_cholesky_raises_if_not_positive_definite():
+    band = operators.upper_band(sp.csc_matrix([[1.0, 2.0], [2.0, 1.0]]))
+    with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+        operators.banded_cholesky(band)
+
+
 class TestEllipticOp:
     def test_has_no_newton_inverse(self):
         # its Newton–CG keeps the penalty Hessian as preconditioner
@@ -301,24 +307,18 @@ class TestEllipticOp:
             gap, scale = adjoint_gap(op, c, rng)
             assert gap <= 1e-8 * scale
 
-    @pytest.mark.parametrize("nx, ny", [(12, 7), (7, 12)])
-    def test_indefinite_system_solved_exactly(self, nx, ny):
+    @pytest.mark.parametrize("nx, ny, coeff", [
+        (12, 7, -30.0), (7, 12, -30.0),
+        # one interior node, where -Lap has diagonal 4/h^2 = 16: c = -16
+        # makes the 1x1 system exactly zero
+        (2, 2, -16.0),
+    ], ids=["12-7", "7-12", "2-2"])
+    def test_indefinite_system_raises_operator_error(self, nx, ny, coeff):
         # c = -30 lies below -lambda_min(-Lap_h) ~ -2 pi^2, so -Lap + c is
-        # indefinite but nonsingular, as at a line-search trial point; the
-        # factorization must still reach the exact state.
-        space = spaces.GridSpace.rectangle(nx, ny)
-        xs, ys = space.coords()
-        u = xs**2 + 3 * ys**2
-        c = GridFn(space, np.full(space.size, -30.0))
-        op = EllipticOp(nx, ny, f=c.values * u - 8.0, g=u)
-        assert np.max(np.abs(op.apply(c).values - u)) <= 1e-11
-
-    def test_singular_system_raises_operator_error(self):
-        # One interior node, where -Lap has diagonal 4/h^2 = 16: c = -16
-        # makes the 1x1 system exactly zero.
-        op = EllipticOp(2, 2)
-        c = GridFn(op.domain_space, np.full(op.domain_space.size, -16.0))
-        with pytest.raises(OperatorError, match="singular"):
+        # indefinite, as at a line-search trial point: F is not defined there
+        op = EllipticOp(nx, ny)
+        c = GridFn(op.domain_space, np.full(op.domain_space.size, coeff))
+        with pytest.raises(OperatorError, match="not positive definite"):
             op.apply(c)
 
     def test_factorization_cache_reuse(self):
@@ -333,19 +333,15 @@ class TestEllipticOp:
         assert solve3 is not solve1
 
     def test_failed_factorization_is_wrapped(self, monkeypatch):
-        # Cholesky reports the system not positive definite, and the pivoted
-        # LU it falls back to raises: callers see an OperatorError
+        # Cholesky reports the system not positive definite: callers see an
+        # OperatorError
         op, c = make_elliptic(8, 8)
 
         def not_positive_definite(ab, *args, **kwargs):
             return ab, 1
 
-        def boom(*args, **kwargs):
-            raise RuntimeError("singular")
-
         monkeypatch.setattr(operators.lapack, "dpbtrf", not_positive_definite)
-        monkeypatch.setattr(operators.spla, "splu", boom)
-        with pytest.raises(OperatorError, match="elliptic solve failed: singular"):
+        with pytest.raises(OperatorError, match="elliptic solve failed: .*not positive definite"):
             op.apply(c)
 
     @pytest.mark.parametrize("nx, ny", [(40, 40), (20, 80)])
@@ -399,17 +395,6 @@ class TestEllipticOp:
         g[inner] = 0.0  # the boundary columns lift g
         lift = -(rows @ g)
         assert np.linalg.norm(op._rhs0 - lift) <= 1e-12 * np.linalg.norm(lift)
-
-    def test_positive_coefficient_makes_no_lu(self, monkeypatch):
-        def no_lu(*args, **kwargs):
-            raise AssertionError("splu called for a positive definite system")
-
-        monkeypatch.setattr(operators.spla, "splu", no_lu)
-        op, c = make_elliptic()
-        rng = np.random.default_rng(7)
-        for coeff in (c, c + 0.5 * GridFn(op.domain_space, rng.uniform(size=c.space.size))):
-            op.deriv(coeff, random_fn(op.domain_space, rng))
-            op.adjoint(coeff, random_fn(op.range_space, rng, DUAL))
 
     def test_nan_coefficient_raises_operator_error(self):
         # GridFn refuses a NaN when it is built, so this one is written in

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import CountingIntegralOp, PenaltyPreconditionedIntegralOp
 
 from nitreg import harness, inner_cg, penalties, solver, spaces
 from nitreg.inner_cg import InnerSettings
@@ -31,24 +32,6 @@ class NegatedAdjointOp(IntegralOp):
 
     def adjoint(self, x, w):
         return -1.0 * super().adjoint(x, w)
-
-
-class PenaltyPreconditionedOp(IntegralOp):
-    """Integral operator without a Newton inverse, so that its Newton–CG is
-    preconditioned by the penalty Hessian alone."""
-
-    def newton_inverse(self, x, diag, scale, rank1, res):
-        return None
-
-
-class CountingOp(IntegralOp):
-    """Integral operator that counts its applications."""
-
-    applies = 0
-
-    def apply(self, x):
-        self.applies += 1
-        return super().apply(x)
 
 
 def spikes_start(op):
@@ -183,7 +166,7 @@ class TestStep:
 
     def test_applies_operator_only_in_the_inner_solve(self):
         # the initial point, then one trial point per accepted step or backtrack
-        op = CountingOp(80)
+        op = CountingIntegralOp(80)
         theta, ydelta, prev = spikes_start(op)
         op.applies = 0
         stats = step(op, theta, ydelta, 0.05, prev).inner_stats
@@ -336,7 +319,7 @@ class TestRun:
         # Preconditioned by IntegralOp's Newton inverse, the same data end as
         # discrepancy instead, after 2,419 Newton iterations and with no inner
         # solve converged, so this route is kept on the penalty preconditioner
-        op = PenaltyPreconditionedOp(400, 1.2)
+        op = PenaltyPreconditionedIntegralOp(400, 1.2)
         ydelta = harness.add_noise(op.apply(harness.spikes_1d(op.domain_space)), 5e-4, 1)
         report = run(op, Penalty(mu=0.01, a=1.0), ydelta, 5e-4, GEOM, StoppingRule(), r=1.2)
         assert report.terminated_by == "inner_failure"
@@ -408,3 +391,44 @@ class TestTrajectoryOracle:
             xi = xi - Astar @ (A @ x - y) / alpha
             for got, exact in ((state.x.values, x), (state.xi.values, xi)):
                 assert np.linalg.norm(got - exact) <= 1e-9 * np.linalg.norm(exact)
+
+
+
+def grid_family(make_config, sizes):
+    """The runs of make_config(size) for each size, at the config's noise seed (1)."""
+    reports = []
+    for size in sizes:
+        cfg = make_config(size)
+        op, _x_dagger, y = harness.make_problem(cfg)
+        ydelta = harness.add_noise(y, cfg.noise.delta, cfg.noise.seed)
+        reports.append(harness.solve(cfg, op, ydelta))
+    return reports
+
+
+def assert_grid_independent(reports):
+    n_deltas = [report.n_delta for report in reports]
+    assert max(n_deltas) - min(n_deltas) <= 2, n_deltas
+    for report in reports:
+        assert report.terminated_by == "discrepancy"
+        assert all(s.inner_stats.converged for s in report.states[1:])
+
+
+class TestGridRefinement:
+    # The method is defined on function spaces, so refining the grid must not
+    # change how it runs: n_delta stays within a spread of 2, and every inner
+    # solve converges. The l2 error is not compared across grids: white noise
+    # on a finer grid is a different realization.
+    @pytest.mark.parametrize("penalty", ["quadratic", "l2_l1"])
+    def test_example51(self, penalty):
+        reports = grid_family(
+            lambda n: harness.example51_config(penalty, {("problem", "n"): n}), (100, 400, 1600))
+        assert_grid_independent(reports)
+        for report in reports:
+            # IntegralOp's Newton inverse keeps CG at <= 2 per Newton direction
+            assert all(s.inner_stats.cg_iterations <= 2 * s.inner_stats.iterations
+                       for s in report.states[1:])
+
+    def test_example52_quadratic(self):
+        reports = grid_family(lambda n: harness.example52_config("quadratic", overrides={
+            ("problem", "nx"): n, ("problem", "ny"): n}), (10, 20, 40))
+        assert_grid_independent(reports)
