@@ -4,6 +4,7 @@ parameter-to-state map, each with derivative and quadrature-exact adjoint."""
 from __future__ import annotations
 
 import abc
+import functools
 
 import numpy as np
 import scipy.sparse as sp
@@ -128,6 +129,28 @@ class IntegralOp(ForwardOp):
         return inverse
 
 
+@functools.lru_cache(maxsize=8)
+def _red_black(space: GridSpace):
+    """`EllipticOp`'s grid-only parts: the interior nodes, black ((i + j) even) then red;
+    -Lap's rows there, their interior block and its diagonal; its black-red block E, and E^T;
+    and the map, column k for red node k, from w to `upper_band` of -E diag(w) E^T, flattened."""
+    nodes = np.arange(space.size).reshape(space.dims)[1:-1, 1:-1]
+    black = np.indices(nodes.shape).sum(axis=0) % 2 == 0
+    inner, nb, nr = np.concatenate((nodes[black], nodes[~black])), black.sum(), (~black).sum()
+    diff = differences(space)
+    rows = (diff.T @ diff).tocsr()[inner]
+    lap = rows[:, inner].tocsc()
+    coupling = lap[:nb, nb:]
+    red = np.repeat(np.arange(nr), np.diff(coupling.indptr))  # the column of each entry
+    entries = sp.csr_matrix((coupling.data, (red, np.arange(red.size))), (nr, red.size))
+    pairs = (entries.T @ entries).tocoo()  # E_ik E_jk for two entries of one column k
+    i, j = coupling.indices[pairs.row], coupling.indices[pairs.col]
+    kd, up = np.max(j - i, initial=0), i <= j  # (i, j) is at kd + i - j + (kd + 1) j
+    band_map = sp.csc_matrix((-pairs.data[up], ((i + kd * (j + 1))[up], red[pairs.row[up]])),
+                             ((kd + 1) * nb, nr))
+    return inner, rows, lap, lap.diagonal(), coupling.tocsr(), coupling.T.tocsr(), band_map
+
+
 class EllipticOp(ForwardOp):
     """Parameter-to-state map c -> u for -Lap(u) + c u = f, u = g on the
     boundary, discretized with the 5-point stencil on a uniform grid.
@@ -136,13 +159,14 @@ class EllipticOp(ForwardOp):
     forward differences that also define TV (`spaces.differences`): the
     5-point stencil. Their interior block plus diag(c) is the system for the
     interior state; their boundary columns lift g into the right-hand side.
-    The measurement is the whole state on the grid. Whenever c changes the
-    system is refactorized by banded Cholesky (LAPACK ``pbtrf``), since it is
-    symmetric positive definite for c >= 0 and its half-bandwidth in natural
-    order is ny - 1. F is defined only where that system is positive
-    definite: elsewhere, as at a line-search trial c that makes it indefinite,
-    Cholesky fails and `OperatorError` is raised, which `inner_cg` takes as a
-    rejected trial.
+    The measurement is the whole state on the grid. The stencil couples only
+    nodes of opposite colour: with the interior nodes black, then red, the
+    system is ``[[D_b + C_b, E], [E^T, W^-1]]``, ``W^-1 = diag(d_r + c_r)``, and
+    whenever c changes only ``S = D_b + C_b - E W E^T`` is factorized, by banded
+    Cholesky (LAPACK ``pbtrf``): half the unknowns at half-bandwidth ny - 1 (Saad,
+    Iterative Methods for Sparse Linear Systems, 2nd ed., 2003, ch. 3). F is
+    defined only where d_r + c_r > 0 and S is positive definite (as for c >= 0);
+    elsewhere `OperatorError` is raised, which `inner_cg` takes as a rejected trial.
     """
 
     is_linear = False
@@ -152,12 +176,8 @@ class EllipticOp(ForwardOp):
         self.domain_space = self.range_space = space
         f = np.zeros(space.size) if f is None else np.asarray(f, float).reshape(space.size)
         self.g = np.zeros(space.size) if g is None else np.asarray(g, float).reshape(space.size)
-
-        diff = differences(space)
-        self._inner = np.arange(space.size).reshape(space.dims)[1:-1, 1:-1].ravel()
-        rows = (diff.T @ diff).tocsr()[self._inner]  # -Lap at the interior nodes
-        self._laplacian = rows[:, self._inner].tocsc()
-        self._band = upper_band(self._laplacian)
+        (self._inner, rows, self._laplacian, self._diagonal, self._coupling, self._coupling_t,
+         self._band_map) = _red_black(space)
         self._rhs0 = f[self._inner] - rows @ self._embed(0.0, self.g)
         self._cache = None  # (c_bytes, solve, u_int)
 
@@ -173,12 +193,22 @@ class EllipticOp(ForwardOp):
         key = c.values.tobytes()
         if self._cache is not None and self._cache[0] == key:
             return self._cache[1], self._cache[2]
-        band = self._band.copy(order="F")
-        band[-1] += c.values[self._inner]
+        e, et = self._coupling, self._coupling_t  # solve must not hold self: a cycle via _cache
+        nb, d = e.shape[0], self._diagonal + c.values[self._inner]
+        if not np.all(d[nb:] > 0.0):  # also catches NaN
+            raise OperatorError("elliptic solve failed: not positive definite at a red node")
+        w = 1.0 / d[nb:]
+        band = (self._band_map @ w).reshape((-1, nb), order="F")
+        band[-1] += d[:nb]
         try:
-            solve = banded_cholesky(band)
+            solve_black = banded_cholesky(band)
         except np.linalg.LinAlgError as exc:
             raise OperatorError(f"elliptic solve failed: {exc}") from exc
+
+        def solve(b):
+            y = solve_black(b[:nb] - e @ (w * b[nb:]))
+            return np.concatenate((y, w * (b[nb:] - et @ y)))
+
         u_int = solve(self._rhs0)
         if not np.all(np.isfinite(u_int)):
             raise OperatorError("elliptic solve produced non-finite state")

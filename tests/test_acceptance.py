@@ -234,9 +234,9 @@ def test_08_penalty_ordering(capsys, ex51_runs, ex52_runs):
 WORK = {
     "example51_quadratic": (16, 32, 0),
     "example51_l2_l1": (98, 98, 32),
-    "example52_quadratic": (36, 130, 0),
-    "example52_l2_tv_mu0.01": (246, 2225, 127),
-    "example52_l2_tv_mu1": (239, 1665, 89),
+    "example52_quadratic": (36, 129, 0),
+    "example52_l2_tv_mu0.01": (246, 2225, 120),
+    "example52_l2_tv_mu1": (234, 1643, 87),
 }
 
 

@@ -1,5 +1,7 @@
+import gc
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -344,10 +346,12 @@ class TestEllipticOp:
         with pytest.raises(OperatorError, match="elliptic solve failed: .*not positive definite"):
             op.apply(c)
 
-    @pytest.mark.parametrize("nx, ny", [(40, 40), (20, 80)])
+    @pytest.mark.parametrize("nx, ny", [(40, 40), (20, 80), (2, 2), (3, 3), (9, 7), (12, 7)])
     def test_matches_dense_solves(self, nx, ny):
         # (20, 80) has the half-bandwidth of the 80x80 grid, 79, on a system
-        # small enough to solve densely
+        # small enough to solve densely; (2, 2) has one interior node and no
+        # red one, and on (9, 7) and (12, 7) the black and red counts differ
+        # and hx != hy
         space = spaces.GridSpace.rectangle(nx, ny)
         xs, ys = space.coords()
         rng = np.random.default_rng(6)
@@ -384,10 +388,12 @@ class TestEllipticOp:
         tx, ty = (sp.diags([-1.0, 2.0, -1.0], (-1, 0, 1), shape=(n, n)) / h**2
                   for n, h in zip(space.dims, space.spacings))
         five_point = sp.kron(tx, sp.identity(ny + 1)) + sp.kron(sp.identity(nx + 1), ty)
-        inner = np.arange(space.size).reshape(space.dims)[1:-1, 1:-1].ravel()
-        rows = five_point.tocsr()[inner]
         g = np.random.default_rng(10).standard_normal(space.size)
         op = EllipticOp(nx, ny, g=g)
+        inner = op._inner  # the operator's node order
+        interior = np.arange(space.size).reshape(space.dims)[1:-1, 1:-1].ravel()
+        assert np.array_equal(np.sort(inner), interior)
+        rows = five_point.tocsr()[inner]
 
         system, want = op._laplacian, rows[:, inner]
         assert abs(system - want).max() <= 1e-12 * abs(want).max()
@@ -395,6 +401,53 @@ class TestEllipticOp:
         g[inner] = 0.0  # the boundary columns lift g
         lift = -(rows @ g)
         assert np.linalg.norm(op._rhs0 - lift) <= 1e-12 * np.linalg.norm(lift)
+
+    @pytest.mark.parametrize("nx, ny", [(8, 8), (9, 7)])
+    def test_one_factorization_of_half_the_unknowns(self, monkeypatch, nx, ny):
+        # only the black Schur complement is factored: one dpbtrf per new c,
+        # on ceil(m / 2) columns, m the number of interior nodes
+        op, c = make_elliptic(nx, ny)
+        columns = []
+        dpbtrf = operators.lapack.dpbtrf
+
+        def counting(ab, *args, **kwargs):
+            columns.append(ab.shape[1])
+            return dpbtrf(ab, *args, **kwargs)
+
+        monkeypatch.setattr(operators.lapack, "dpbtrf", counting)
+        rng = np.random.default_rng(11)
+        for x in (c, c + 0.1 * random_fn(op.domain_space, rng)):
+            op.apply(x)
+            op.deriv(x, random_fn(op.domain_space, rng))
+            op.adjoint(x, random_fn(op.range_space, rng, DUAL))
+        m = (nx - 1) * (ny - 1)
+        assert columns == [(m + 1) // 2] * 2
+
+    def test_freed_without_the_cycle_collector(self):
+        # the cached solve must not hold the operator: a reference cycle
+        # through _cache keeps every operator built by a set-up alive until a
+        # collection, which raised the benchmark's peak memory by a third
+        op, c = make_elliptic(8, 8)
+        op.apply(c)
+        alive = weakref.ref(op)
+        gc.disable()
+        try:
+            del op
+            assert alive() is None
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("pivot", ["zero", "nan"])
+    def test_failing_red_pivot_raises_operator_error(self, pivot):
+        # a red node whose diagonal d_r + c_r is 0 or NaN: A is not positive
+        # definite, which is found before any division by it
+        op, c = make_elliptic(9, 7)
+        (hx, hy), red = op.domain_space.spacings, op.domain_space.dims[1] + 2  # node (1, 2): i + j odd
+        c.values[red] = -(2 / hx**2 + 2 / hy**2) if pivot == "zero" else np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OperatorError, match="not positive definite"):
+                op.apply(c)
 
     def test_nan_coefficient_raises_operator_error(self):
         # GridFn refuses a NaN when it is built, so this one is written in
