@@ -1,12 +1,11 @@
-"""Experiment layer: problem construction, exact-magnitude noise synthesis,
-config files, and CSV report emission."""
+"""Experiment layer: problem construction (each problem kind has its one exact
+solution), exact-magnitude noise synthesis, config files, and CSV report emission."""
 
 from __future__ import annotations
 
 import configparser
 import csv
 import sys
-import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import get_type_hints
@@ -46,24 +45,12 @@ class Problem:
 
 
 @dataclass(frozen=True)
-class Exact:
-    selector: str = "spikes_1d"
-    path: str = ""  # reconstruction CSV path when selector = file
-
-    def __post_init__(self):
-        if self.selector not in EXACT_SOLUTIONS and self.selector != "file":
-            raise ValueError(f"unknown exact-solution selector {self.selector!r}")
-        if self.selector == "file" and not self.path:
-            raise ValueError("selector = file needs a path")
-
-
-@dataclass(frozen=True)
 class Noise:
     delta: float = 5e-4  # exact perturbation magnitude ||y - y^d||
     seed: int = 1
 
     def __post_init__(self):
-        if self.delta < 0.0:
+        if not 0.0 <= self.delta < np.inf:
             raise ValueError("delta must be >= 0")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
@@ -74,7 +61,7 @@ class Method:
     r: float = InnerProblem.r  # data-fit exponent
 
     def __post_init__(self):
-        if self.r <= 1.0:
+        if not 1.0 < self.r < np.inf:
             raise ValueError("r must be > 1")
 
 
@@ -94,7 +81,7 @@ class Study:
     deltas: tuple[float, ...] = ()  # noise levels of `nitreg study`
 
     def __post_init__(self):
-        if any(d < 0.0 for d in self.deltas):
+        if not all(0.0 <= d < np.inf for d in self.deltas):
             raise ValueError("deltas must be >= 0")
 
 
@@ -112,7 +99,6 @@ class ExperimentConfig:
     """
 
     problem: Problem
-    exact: Exact
     noise: Noise
     method: Method
     alpha_schedule: AlphaSchedule = _section("schedule")
@@ -204,11 +190,6 @@ def config_from_dict(raw: dict, overrides: dict | None = None) -> ExperimentConf
     }
     if raw:
         raise ConfigError(f"unknown config section [{next(iter(raw))}]")
-    selector, kind = sections["exact"].selector, sections["problem"].kind
-    needs = EXACT_SOLUTIONS.get(selector, (None, kind))[1]
-    if needs != kind:
-        raise ConfigError(f"[exact] selector = {selector} needs [problem] kind = "
-                          f"{needs}, not {kind}")
     return ExperimentConfig(**sections)
 
 
@@ -245,42 +226,18 @@ def two_inclusions_2d(space: GridSpace) -> GridFn:
     return GridFn(space, v)
 
 
-# Built-in exact solutions: selector -> (builder, the problem kind it needs).
-# `[exact] selector = file` reads a reconstruction CSV instead.
-EXACT_SOLUTIONS = {
-    "spikes_1d": (spikes_1d, "integral_1d"),
-    "two_inclusions_2d": (two_inclusions_2d, "elliptic_2d"),
-}
-
-
-def exact_solution(exact: Exact, space: GridSpace) -> GridFn:
-    if exact.selector in EXACT_SOLUTIONS:
-        return EXACT_SOLUTIONS[exact.selector][0](space)
-    try:
-        with warnings.catch_warnings():  # a header-only file is reported below, not warned of
-            warnings.simplefilter("ignore", UserWarning)
-            table = np.loadtxt(exact.path, delimiter=",", skiprows=1, ndmin=2)
-        if (table.shape != (space.size, len(space.dims) + 1)
-                or not np.array_equal(table[:, :-1].T, space.coords())):
-            raise ValueError(f"it needs one row per node of the grid of dims {space.dims}: "
-                             "the node's coordinates, then the value")
-        return GridFn(space, table[:, -1])
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"[exact] path {exact.path!r} is not a reconstruction CSV on "
-                          f"the [problem] grid: {exc}") from exc
-
-
 def make_problem(cfg: ExperimentConfig) -> tuple[ForwardOp, GridFn, GridFn]:
-    """Construct (operator, exact solution, exact data y = F(x_dagger))."""
+    """Construct (operator, exact solution, exact data y = F(x_dagger)); the exact
+    solution is the paper's for the kind: spikes (ex. 5.1) or two inclusions (ex. 5.2)."""
     prob = cfg.problem
     if prob.kind == "integral_1d":
         op = IntegralOp(prob.n)
-        x_dag = exact_solution(cfg.exact, op.domain_space)
+        x_dag = spikes_1d(op.domain_space)
         return op, x_dag, op.apply(x_dag)
     # elliptic_2d: state u = x + y is harmonic, so the consistent source for
     # -Lap(u) + c u = f with u = x + y is f = c_dagger * (x + y), g = x + y.
     space = GridSpace.rectangle(prob.nx, prob.ny)
-    c_dag = exact_solution(cfg.exact, space)
+    c_dag = two_inclusions_2d(space)
     x, y = space.coords()
     u_exact = x + y
     op = EllipticOp(prob.nx, prob.ny, f=c_dag.values * u_exact, g=u_exact)
@@ -293,8 +250,8 @@ def add_noise(y: GridFn, delta: float, seed: int) -> GridFn:
     The perturbation is a seeded Gaussian direction rescaled so that
     ||y - y_noisy|| = delta in the weighted norm of y's space.
     """
-    if delta < 0.0:
-        raise ValueError("delta must be >= 0")
+    if not 0.0 <= delta < np.inf:
+        raise ValueError("delta must be >= 0 and finite")
     if delta == 0.0:
         return y
     e = np.random.default_rng(seed).standard_normal(y.space.size)
@@ -461,7 +418,6 @@ def example52_config(penalty: str = "l2_tv", mu: float = 0.01,
         raise ConfigError(f"unsupported example52 penalty {penalty!r}")
     raw = {
         "problem": {"kind": "elliptic_2d"},
-        "exact": {"selector": "two_inclusions_2d"},
         "noise": {"delta": 1e-4},
         "stopping": {"tau": 1.05},
         "penalty": theta,

@@ -63,9 +63,9 @@ class InnerProblem:
     theta_prev: float = field(init=False)  # Theta(x_prev), constant over the subproblem
 
     def __post_init__(self):
-        if self.alpha <= 0.0:
+        if not 0.0 < self.alpha < math.inf:
             raise ValueError("alpha must be > 0")
-        if self.r <= 1.0:
+        if not 1.0 < self.r < math.inf:
             raise ValueError("r must be > 1")
         if self.x_prev.space != self.op.domain_space:
             raise ValueError("x_prev must live on the operator domain space")
@@ -82,7 +82,7 @@ class InnerSettings:
     max_iters: int = 2000  # Newton iterations
 
     def __post_init__(self):
-        if self.grad_tol_rel <= 0 or self.max_iters <= 0:
+        if not (0.0 < self.grad_tol_rel < math.inf and self.max_iters > 0):
             raise ValueError("grad_tol_rel and max_iters must be positive")
 
 

@@ -32,12 +32,12 @@ class Penalty:
     eps: float = 1e-6
 
     def __post_init__(self):
-        if self.mu <= 0.0:
+        if not 0.0 < self.mu < math.inf:
             raise ValueError("mu must be > 0 (uniform convexity)")
-        if (self.a > 0.0 or self.b > 0.0) and self.eps <= 0.0:
+        if (self.a > 0.0 or self.b > 0.0) and not 0.0 < self.eps < math.inf:
             raise ValueError("eps must be > 0 when a non-smooth term is active")
-        if self.a < 0.0 or self.b < 0.0:
-            raise ValueError("a and b must be nonnegative")
+        if not (0.0 <= self.a < math.inf and 0.0 <= self.b < math.inf):
+            raise ValueError("a and b must be nonnegative and finite")
 
 
 def _cells(space: GridSpace, vals: np.ndarray, eps: float):

@@ -1,8 +1,9 @@
-"""Outer iteration: alpha schedules, primal inner solve, dual update,
+"""Outer iteration: the geometric alpha schedule, primal inner solve, dual update,
 discrepancy-principle stopping (plain and max-index variant), diagnostics."""
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
 
@@ -17,28 +18,22 @@ from .spaces import GridFn, norm, zeros
 
 @dataclass(frozen=True)
 class AlphaSchedule:
-    """Regularization-parameter sequence; all kinds satisfy
-    sum(1/alpha_n) = inf and the bounded-ratio condition alpha_n <= c0 * alpha_{n+1}
-    (c0 = 1/q for geometric, 2 for harmonic)."""
+    """The geometric sequence alpha_n = alpha1 * q^(n-1): sum(1/alpha_n) = inf, and
+    alpha_n <= c0 * alpha_{n+1} with the bounded ratio c0 = 1/q."""
 
-    kind: str = "geometric"  # geometric | harmonic
     alpha1: float = 0.5
-    q: float = 0.5  # geometric ratio, in (0, 1]; alpha_n = alpha1 * q^(n-1)
+    q: float = 0.5  # ratio, in (0, 1]
 
     def __post_init__(self):
-        if self.kind not in ("geometric", "harmonic"):
-            raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if self.alpha1 <= 0.0:
-            raise ValueError("alpha1 must be > 0")
-        if self.kind == "geometric" and not (0.0 < self.q <= 1.0):
-            raise ValueError("geometric ratio q must be in (0, 1]")
+        if not 0.0 < self.alpha1 < math.inf:
+            raise ValueError("alpha1 must be > 0 and finite")
+        if not 0.0 < self.q <= 1.0:
+            raise ValueError("ratio q must be in (0, 1]")
 
     def alpha(self, n: int) -> float:
         if n < 1:
             raise ValueError("alpha is defined for n >= 1")
-        if self.kind == "geometric":
-            return self.alpha1 * self.q ** (n - 1)
-        return self.alpha1 / n
+        return self.alpha1 * self.q ** (n - 1)
 
 
 @dataclass(frozen=True)
@@ -51,11 +46,11 @@ class StoppingRule:
     def __post_init__(self):
         if self.kind not in ("discrepancy", "rule41"):
             raise ValueError(f"unknown stopping kind {self.kind!r}")
-        if self.tau <= 1.0:
+        if not 1.0 < self.tau < math.inf:
             raise ValueError("tau must be > 1")
-        if self.max_outer < 1:
+        if not self.max_outer >= 1:
             raise ValueError("max_outer must be >= 1")
-        if self.atol_zero <= 0.0:
+        if not 0.0 < self.atol_zero < math.inf:
             raise ValueError("atol_zero must be > 0")
 
 
@@ -146,8 +141,8 @@ def run(
     solve fails its line search without moving x, and as `stagnation` when no later
     step can move x; these and `max_outer` return the iterate of smallest residual.
     """
-    if delta < 0.0:
-        raise ValueError("delta must be >= 0")
+    if not 0.0 <= delta < math.inf:
+        raise ValueError("delta must be >= 0 and finite")
     threshold = stop.tau * delta if delta > 0.0 else stop.atol_zero
     states = [_initial_state(op, theta, ydelta)]
 
@@ -170,9 +165,8 @@ def run(
                 break
             # No Newton step from x_{n-1}.  While x stays, later subproblem gradients lie
             # between g_n and adj / (1 - q), adj = alpha_n (xi_{n-1} - xi_n): none moves x.
-            if (cur.inner_stats.converged and cur.inner_stats.iterations == 0
-                    and schedule.kind == "geometric" and norm(cur.alpha * (prev.xi - cur.xi))
-                    <= settings.grad_tol_rel * (1.0 - schedule.q)):
+            if (cur.inner_stats.converged and cur.inner_stats.iterations == 0 and norm(
+                    cur.alpha * (prev.xi - cur.xi)) <= settings.grad_tol_rel * (1.0 - schedule.q)):
                 terminated_by = "stagnation"
                 break
     if n_delta is None:

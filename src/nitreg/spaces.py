@@ -46,7 +46,7 @@ class GridSpace:
     size: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.exponent <= 1.0:
+        if not 1.0 < self.exponent < math.inf:
             raise ValueError(f"exponent must be > 1, got {self.exponent}")
         if min(self.dims) < 2:
             raise ValueError(f"every axis needs at least 2 nodes, got dims {self.dims}")
@@ -178,7 +178,7 @@ def duality_map(f: GridFn, r: float) -> GridFn:
     Satisfies ||J_r(f)||_* = ||f||^(r-1) and <J_r(f), f> = ||f||^r.  Returns
     the zero dual element when f = 0 (the 0/0 limit of the formula).
     """
-    if r <= 1.0:
+    if not 1.0 < r < math.inf:
         raise ValueError(f"gauge exponent r must be > 1, got {r}")
     if f.variance != PRIMAL:
         raise ValueError("duality_map takes a primal grid function")
@@ -192,7 +192,7 @@ def duality_map(f: GridFn, r: float) -> GridFn:
 
 def bregman_norm(fbar: GridFn, f: GridFn, r: float) -> float:
     """Bregman distance induced by ||.||^r / r."""
-    if r <= 1.0:
+    if not 1.0 < r < math.inf:
         raise ValueError(f"r must be > 1, got {r}")
     jf = duality_map(f, r)
     return norm(fbar) ** r / r - norm(f) ** r / r - pairing(jf, fbar - f)

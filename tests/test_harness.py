@@ -28,19 +28,10 @@ from nitreg.spaces import GridFn, GridSpace, norm
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
-def _reconstruction(n, shift=0.0, value="0"):
-    """A reconstruction CSV of an n-interval 1-D grid with every value `value`."""
-    return "t,value\n" + "".join(f"{t + shift:.17g},{value}\n"
-                                  for t in np.linspace(0.0, 1.0, n + 1))
-
-
 SMALL_CONFIG = """\
 [problem]
 kind = integral_1d
 n = 60
-
-[exact]
-selector = spikes_1d
 
 [noise]
 delta = 1e-3
@@ -74,7 +65,6 @@ class TestConfigParsing:
         assert cfg.problem.kind == "integral_1d"
         assert cfg.problem.n == 60
         assert cfg.noise.delta == 1e-3
-        assert cfg.alpha_schedule.kind == "geometric"  # default
         assert cfg.alpha_schedule.alpha1 == 0.5
         assert cfg.stopping_rule.tau == 1.05
         assert cfg.study.deltas == (4e-3, 1e-3)
@@ -158,20 +148,6 @@ class TestPhantoms:
         assert grid[12, 28] == 1.0
         assert grid[28, 14] == 0.5
         assert grid[0, 0] == 0.0
-
-    @pytest.mark.parametrize("problem, space", [
-        ({"n": 37}, GridSpace.interval(37)),
-        ({"kind": "elliptic_2d", "nx": 12, "ny": 9}, GridSpace.rectangle(12, 9)),
-    ], ids=["1d", "2d"])
-    def test_exact_solution_from_file(self, tmp_path, problem, space):
-        # a reconstruction CSV reads back bit for bit as the exact solution
-        custom = GridFn(space, np.random.default_rng(5).standard_normal(space.size))
-        path = tmp_path / "xdag.csv"
-        harness.write_reconstruction_csv(path, custom)
-        cfg = config_from_dict({"problem": problem,
-                                "exact": {"selector": "file", "path": str(path)}})
-        _op, x_dag, _y = make_problem(cfg)
-        assert np.array_equal(x_dag.values, custom.values)
 
 
 class TestMakeProblem:
@@ -370,6 +346,15 @@ class TestCli:
         assert rc == 0
         assert (tmp_path / "tiny_summary.csv").exists()
 
+    def test_elliptic_kind_alone_runs(self, tmp_path, capsys):
+        # the problem kind selects its exact solution: no other section is needed
+        path = tmp_path / "run.ini"
+        path.write_text("[problem]\nkind = elliptic_2d\nnx = 4\nny = 4\n")
+        rc = cli.main(["run", str(path), "--out-dir", str(tmp_path), "--quiet"])
+        assert rc == 0
+        assert all((tmp_path / f"run_{table}.csv").exists()
+                   for table in ("iterations", "reconstruction", "summary"))
+
     def test_healthy_run_writes_nothing_to_stderr(self, tmp_path, config_file, capsys):
         rc = cli.main(["run", str(config_file), "--out-dir", str(tmp_path)])
         assert rc == 0
@@ -468,10 +453,13 @@ class TestCli:
         "[problem]\nkind = elliptic_2d\nnx = 1\n",
         "[noise]\nseed = -1\n",
         "[exact]\nselector = file\n",
-        "[problem]\nkind = elliptic_2d\nnx = 4\nny = 4\n",
         "[problem]\nkind = integral_1d\n[exact]\nselector = two_inclusions_2d\n",
         "[problem]\nkind = elliptic_2d\n[exact]\nselector = spikes_1d\n",
         "[exact]\nselector = zero\n",
+        "[exact]\nselector = spikes_1d\n",
+        "[exact]\npath = x.csv\n",
+        "[schedule]\nkind = geometric\n",
+        "[schedule]\nkind = harmonic\n",
         "[study]\ndeltas = -1e-3 1e-3\n",
         "[stopping]\ntau = nan\n",
         "[inner]\ngrad_tol_rel = nan\n",
@@ -486,38 +474,10 @@ class TestCli:
         path.write_text(ini)
         rc = cli.main(["run", str(path), "--out-dir", str(tmp_path), "--quiet"])
         assert rc == 2
-        assert capsys.readouterr().err.startswith(("error: [", "error: bad value for ["))
-
-    @pytest.mark.parametrize("content", [
-        None,
-        "# dims=31 exponent=2 variance=primal\n0\n",
-        "# dims=1 domain=0:1 exponent=2 variance=primal\n0\n",
-        "# dims=31 domain=0:1 exponent=2 variance=dual\n" + "0\n" * 31,
-        "# dims=21 domain=0:1 exponent=2 variance=primal\n" + "0\n" * 21,
-        "0\n" * 31,
-        pytest.param(_reconstruction(20), id="21-nodes"),
-        pytest.param(_reconstruction(30, shift=1e-3), id="shifted-nodes"),
-        pytest.param(_reconstruction(30, value="nan"), id="nan-value"),
-        pytest.param(_reconstruction(30, value="0,0"), id="three-columns"),
-        pytest.param(_reconstruction(30).split("\n", 1)[1], id="no-header"),
-        pytest.param("t,value\n", id="header-only"),
-    ])
-    def test_unreadable_exact_path_exit_code(self, tmp_path, capsys, content):
-        # a problem with n = 30 needs 31 rows `t,value` under one header line:
-        # a missing file, files in the old `# dims=` format (bare values), bare
-        # values without a header, and reconstruction CSVs on another grid, at
-        # shifted nodes, with a nan value, with three columns, without header or
-        # with nothing but the header; each gives the one error line, no warning
-        path = tmp_path / "xdag.csv"
-        if content is not None:
-            path.write_text(content)
-        ini = tmp_path / "run.ini"
-        ini.write_text(f"[problem]\nn = 30\n[exact]\nselector = file\npath = {path}\n")
-        rc = cli.main(["run", str(ini), "--out-dir", str(tmp_path), "--quiet"])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: [exact]")
-        assert "UserWarning" not in err
+        # the removed settings [exact] and [schedule] kind are an unknown section and key
+        assert capsys.readouterr().err.startswith((
+            "error: [", "error: bad value for [", "error: unknown config section [exact]",
+            "error: unknown key [schedule] kind"))
 
     @pytest.mark.parametrize("ini, rc", [
         (b"[noise]\ndelta = 1e-3\ndelta = 2e-3\n", 2),

@@ -3,7 +3,7 @@ import pytest
 from conftest import CountingIntegralOp, PenaltyPreconditionedIntegralOp
 
 from nitreg import harness, inner_cg, penalties, solver, spaces
-from nitreg.inner_cg import InnerSettings
+from nitreg.inner_cg import InnerProblem, InnerSettings
 from nitreg.operators import IntegralOp
 from nitreg.penalties import Penalty
 from nitreg.solver import (
@@ -14,7 +14,7 @@ from nitreg.solver import (
     run,
     step,
 )
-from nitreg.spaces import GridFn, duality_map, norm
+from nitreg.spaces import GridFn, GridSpace, duality_map, norm
 
 
 def small_problem(n=80, delta=1e-3, seed=0):
@@ -62,7 +62,7 @@ def assert_reports_the_iterate(out, theta):
     assert out.theta_value == penalties.value(theta, out.x)
 
 
-GEOM = AlphaSchedule("geometric", alpha1=0.5, q=0.5)
+GEOM = AlphaSchedule(alpha1=0.5, q=0.5)
 
 
 class TestAlphaSchedule:
@@ -73,31 +73,26 @@ class TestAlphaSchedule:
 
     def test_constant(self):
         # a constant schedule is the geometric one with q = 1
-        s = AlphaSchedule("geometric", alpha1=0.7, q=1.0)
+        s = AlphaSchedule(alpha1=0.7, q=1.0)
         assert [s.alpha(n) for n in (1, 5, 50)] == [0.7, 0.7, 0.7]
 
-    def test_harmonic(self):
-        s = AlphaSchedule("harmonic", alpha1=3.0)
-        assert s.alpha(4) == pytest.approx(0.75)
-
     def test_ratio_condition(self):
-        # alpha_n <= c0 * alpha_{n+1} with c0 = 1/q for geometric, 2 for harmonic
-        for s, c0 in ((GEOM, 2.0), (AlphaSchedule("geometric", 0.3, q=1.0), 1.0),
-                      (AlphaSchedule("harmonic", 2.0), 2.0)):
+        # alpha_n <= c0 * alpha_{n+1} with c0 = 1/q
+        for s, c0 in ((GEOM, 2.0), (AlphaSchedule(0.3, q=1.0), 1.0)):
             for n in range(1, 20):
                 assert s.alpha(n) <= c0 * s.alpha(n + 1) + 1e-15
 
     def test_divergent_sum_of_inverses(self):
         # partial sums of 1/alpha_n grow without bound (checked far out)
-        for s in (GEOM, AlphaSchedule("geometric", 1.0, q=1.0), AlphaSchedule("harmonic", 1.0)):
+        for s in (GEOM, AlphaSchedule(1.0, q=1.0)):
             partial = sum(1.0 / s.alpha(n) for n in range(1, 60))
             assert partial > 50.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            AlphaSchedule("geometric", 1.0, q=0.0)
+            AlphaSchedule(1.0, q=0.0)
         with pytest.raises(ValueError):
-            AlphaSchedule("cubic", 1.0)
+            AlphaSchedule(1.0, q=1.5)
         with pytest.raises(ValueError):
             GEOM.alpha(0)
 
@@ -110,6 +105,42 @@ class TestStoppingRule:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             StoppingRule(kind="oracle")
+
+
+def _run_at_delta(delta):
+    op, _xd, _y, ydelta = small_problem(n=10)
+    run(op, Penalty(), ydelta, delta, GEOM, StoppingRule())
+
+
+def _inner_problem(**kw):
+    op, _xd, _y, ydelta = small_problem(n=10)
+    x0 = spaces.zeros(op.domain_space)
+    InnerProblem(op, ydelta, Penalty(), x_prev=x0, xi_prev=spaces.zeros(x0.space, spaces.DUAL),
+                 **{"alpha": 1.0, **kw})
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("build", [
+    lambda v: GridSpace((3,), v),
+    lambda v: Penalty(mu=v),
+    lambda v: Penalty(a=v),
+    lambda v: Penalty(b=1.0, eps=v),
+    lambda v: _inner_problem(alpha=v),
+    lambda v: _inner_problem(r=v),
+    lambda v: InnerSettings(grad_tol_rel=v),
+    lambda v: AlphaSchedule(alpha1=v),
+    lambda v: AlphaSchedule(q=v),
+    lambda v: StoppingRule(tau=v),
+    lambda v: StoppingRule(atol_zero=v),
+    lambda v: _run_at_delta(v),
+    lambda v: harness.add_noise(GridFn(GridSpace((3,)), np.ones(3)), v, 0),
+], ids=["space_exponent", "penalty_mu", "penalty_a", "penalty_eps", "inner_alpha", "inner_r",
+        "grad_tol_rel", "alpha1", "q", "tau", "atol_zero", "run_delta", "noise_delta"])
+def test_non_finite_parameter_rejected(build, value):
+    # `nan <= 0` is False: each range check must also fail NaN and +-inf, before
+    # a non-finite value reaches a GridFn ("GridFn values must be finite")
+    with pytest.raises(ValueError, match=r"must be (>|in |nonnegative|positive)"):
+        build(value)
 
 
 class TestStep:
