@@ -5,12 +5,12 @@ by truncated Gauss–Newton–CG with Armijo backtracking.  Each Newton system
 ``(F'(x)* J_r'(res) F'(x) + alpha W^-1 P(x)) h = -g``, with W the quadrature
 weights and P the penalty Hessian, is solved by CG in the quadrature-weighted
 inner product.  P is a diagonal, held as one vector (`penalties.pointwise_hessian`),
-plus with TV (b > 0) the banded TV term (`penalties.tv_hessian`).  With TV, CG
-is preconditioned by alpha P, its TV band with that diagonal added factored by
-banded Cholesky (LAPACK ``pbtrf``).  Without TV, the preconditioner is the
-operator's exact inverse of the Newton matrix (`ForwardOp.newton_inverse`;
-`IntegralOp` factors a pentadiagonal band) or, if it has none, alpha P, a
-division.  CG stops at the Eisenstat–Walker relative residual
+plus with TV (b > 0) the TV term, as CSR for the matvec and as its upper band
+(`penalties.tv_hessian`).  With TV, CG is preconditioned by alpha P: that band
+plus the diagonal, factored by banded Cholesky (LAPACK ``pbtrf``).  Without TV,
+the preconditioner is the operator's exact inverse of the Newton matrix
+(`ForwardOp.newton_inverse`; `IntegralOp` factors a pentadiagonal band) or, if
+it has none, alpha P, a division.  CG stops at the Eisenstat–Walker relative residual
 ``min(0.5, sqrt(||g|| / max(1, ||g_0||)))``, safeguarded from below by
 ``0.5 tol / ||g||``: a direction is solved no more tightly than the inner stop
 ``||g|| <= tol`` can use (Eisenstat & Walker, SIAM J. Sci. Comput. 17 (1996)
@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import penalties
-from .operators import ForwardOp, OperatorError, banded_cholesky, upper_band
+from .operators import ForwardOp, OperatorError, banded_cholesky
 from .penalties import Penalty
 from .spaces import DUAL, PRIMAL, GridFn, duality_map, values_norm
 
@@ -131,10 +131,10 @@ def _penalty_hessian(p: InnerProblem, x: GridFn, cell: np.ndarray | None, diag: 
     is diagonal, so its inverse is a division.
     """
     if p.theta.b > 0.0:
-        tv = p.alpha * penalties.tv_hessian(p.theta, x, cell)
-        band = upper_band(tv)
+        tv, band = penalties.tv_hessian(p.theta, x, cell)
+        band *= p.alpha
         band[-1] += diag
-        return (lambda v: diag * v + tv @ v), banded_cholesky(band)
+        return (lambda v: diag * v + p.alpha * (tv @ v)), banded_cholesky(band)
     return (lambda v: diag * v), (lambda v: v / diag)
 
 

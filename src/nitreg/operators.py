@@ -18,26 +18,32 @@ class OperatorError(RuntimeError):
     """Operator evaluation failed."""
 
 
-def upper_band(matrix) -> np.ndarray:
-    """LAPACK upper band storage of a symmetric sparse matrix without duplicate
-    entries (such as a canonical CSC matrix), as `lapack.dpbtrf` takes it: row
-    ``kd + i - j`` of column j holds entry (i, j) for i <= j, where kd is the
-    half-bandwidth.  The lower triangle is not read."""
-    upper = sp.triu(matrix, format="coo")
-    offset = upper.col - upper.row
-    band = np.zeros((offset.max(initial=0) + 1, matrix.shape[0]), order="F")
-    band[-1 - offset, upper.col] = upper.data
-    return band
-
-
 def banded_cholesky(band: np.ndarray):
-    """The solve ``b -> A^-1 b`` of a symmetric matrix A in `upper_band`
-    storage, factored in place by LAPACK's banded Cholesky; raises
-    `np.linalg.LinAlgError` if A is not positive definite."""
+    """The solve ``b -> A^-1 b`` of a symmetric A by LAPACK's banded Cholesky, in place on its
+    upper band: row ``kd + i - j`` of column j holds entry (i, j), i <= j, kd the half-bandwidth.
+    Raises `np.linalg.LinAlgError` if A is not positive definite."""
     factor, info = lapack.dpbtrf(band, overwrite_ab=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"matrix is not positive definite (dpbtrf info {info})")
     return lambda b: lapack.dpbtrs(factor, b)[0]
+
+
+def weighted_product(left, right):
+    """For CSR L = left and R = right, one row per term, and symmetric ``M(w) = L^T diag(w) R``:
+    M's CSR pattern ``(indptr, indices)``, and the sparse maps from w to M's CSR data and to
+    its upper band as `banded_cholesky` takes it, flattened; both CSC, one column per term."""
+    terms, n = left.shape
+    by_term = [sp.csr_matrix((a.data, np.arange(a.nnz), a.indptr), (terms, a.nnz))
+               for a in (left, right)]  # row t holds row t's entries, each in its own column
+    pairs = (by_term[0].T @ by_term[1]).tocoo()  # L_ti R_tj for entries of one row t
+    i, j = left.indices[pairs.row], right.indices[pairs.col]
+    t = np.repeat(np.arange(terms), np.diff(left.indptr))[pairs.row]
+    keys, position = np.unique(i * np.int64(n) + j, return_inverse=True)  # (i, j) in row order
+    data_map = sp.csc_matrix((pairs.data, (position, t)), (keys.size, terms))
+    kd, up = np.max(j - i, initial=0), i <= j  # (i, j) is at kd + i - j + (kd + 1) j
+    band_map = sp.csc_matrix((pairs.data[up], ((i + kd * (j + 1))[up], t[up])),
+                             ((kd + 1) * n, terms))
+    return np.searchsorted(keys, np.arange(n + 1) * n), keys % n, data_map, band_map
 
 
 class ForwardOp(abc.ABC):
@@ -133,21 +139,16 @@ class IntegralOp(ForwardOp):
 def _red_black(space: GridSpace):
     """`EllipticOp`'s grid-only parts: the interior nodes, black ((i + j) even) then red;
     -Lap's rows there, their interior block and its diagonal; its black-red block E, and E^T;
-    and the map, column k for red node k, from w to `upper_band` of -E diag(w) E^T, flattened."""
+    and the map, column k for red node k, from w to the band of -E diag(w) E^T, flattened
+    (`weighted_product`)."""
     nodes = np.arange(space.size).reshape(space.dims)[1:-1, 1:-1]
     black = np.indices(nodes.shape).sum(axis=0) % 2 == 0
-    inner, nb, nr = np.concatenate((nodes[black], nodes[~black])), black.sum(), (~black).sum()
+    inner, nb = np.concatenate((nodes[black], nodes[~black])), black.sum()
     diff = differences(space)
     rows = (diff.T @ diff).tocsr()[inner]
     lap = rows[:, inner].tocsc()
     coupling = lap[:nb, nb:]
-    red = np.repeat(np.arange(nr), np.diff(coupling.indptr))  # the column of each entry
-    entries = sp.csr_matrix((coupling.data, (red, np.arange(red.size))), (nr, red.size))
-    pairs = (entries.T @ entries).tocoo()  # E_ik E_jk for two entries of one column k
-    i, j = coupling.indices[pairs.row], coupling.indices[pairs.col]
-    kd, up = np.max(j - i, initial=0), i <= j  # (i, j) is at kd + i - j + (kd + 1) j
-    band_map = sp.csc_matrix((-pairs.data[up], ((i + kd * (j + 1))[up], red[pairs.row[up]])),
-                             ((kd + 1) * nb, nr))
+    band_map = weighted_product(-coupling.T, coupling.T)[3]
     return inner, rows, lap, lap.diagonal(), coupling.tocsr(), coupling.T.tocsr(), band_map
 
 

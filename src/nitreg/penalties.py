@@ -5,20 +5,22 @@ terms are replaced by the smooth surrogates ``int sqrt(x^2 + eps)`` and
 ``int sqrt(|grad x|^2 + eps)``.  The quadratic part (mu > 0) supplies a
 2-uniform convexity modulus regardless of a and b.
 
-TV is defined through the grid's forward differences D
-(`spaces.differences`), one difference per cell and axis.  The Hessian is the
-diagonal of the mu and L1 terms (`pointwise_hessian`) plus the TV term
-(`tv_hessian`).
+TV is defined through the grid's forward differences D (`spaces.differences`), one
+difference per cell and axis.  The Hessian is the diagonal of the mu and L1 terms
+(`pointwise_hessian`) plus the TV term (`tv_hessian`), whose entries are linear in
+per-cell coefficients through maps fixed per grid (`operators.weighted_product`).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
+from .operators import weighted_product
 from .spaces import DUAL, GridFn, GridSpace, differences, pairing
 
 
@@ -89,19 +91,28 @@ def pointwise_hessian(theta: Penalty, x: GridFn) -> np.ndarray:
     return diag
 
 
-def tv_hessian(theta: Penalty, x: GridFn, cell: np.ndarray | None = None) -> sp.spmatrix:
-    """Euclidean Hessian of the TV term w.r.t. nodal values, ``b * area * D^T A D``
-    with the per-cell block ``A = I/m - sym(cell d^T)/m^2``.  ``cell`` is the
-    dual field of Chan, Golub & Mulet (one row per axis, |cell| < 1); None
-    means d/m, which makes this the exact Hessian.
-    """
-    diff, d, m = _cells(x.space, x.values, theta.eps)
-    if cell is None:
-        cell = d / m
-    axes = range(len(d))
-    a = sp.bmat([[sp.diags(float(i == j) / m - (cell[i] * d[j] + cell[j] * d[i]) / (2 * m**2))
-                  for j in axes] for i in axes])
-    return theta.b * math.prod(x.space.spacings) * (diff.T @ a @ diff)
+@functools.lru_cache(maxsize=8)
+def _tv_pattern(space: GridSpace):
+    """`weighted_product` of ``D^T A D``: a term per ordered pair of axes (i, j), row-major,
+    and cell, with the cell's row of D's block i on the left and of block j on the right."""
+    diff, k = differences(space), len(space.dims)
+    rows = np.arange(diff.shape[0]).reshape(k, -1)  # D's rows of each axis
+    return weighted_product(diff[rows.repeat(k, axis=0).ravel()],
+                            diff[np.tile(rows, (k, 1)).ravel()])
+
+
+def tv_hessian(theta: Penalty, x: GridFn, cell: np.ndarray | None = None) -> tuple:
+    """Euclidean Hessian of the TV term w.r.t. nodal values, ``b * area * D^T A D`` with the
+    per-cell block ``A = I/m - sym(cell d^T)/m^2``, as CSR and as its upper band: the grid's
+    maps (`_tv_pattern`) applied to A.  ``cell`` is the dual field of Chan, Golub & Mulet (one
+    row per axis, |cell| < 1); None means d/m, which makes this the exact Hessian."""
+    _diff, d, m = _cells(x.space, x.values, theta.eps)
+    cell = d / m if cell is None else cell
+    a = np.eye(len(d))[:, :, None] / m - (cell[:, None] * d + d[:, None] * cell) / (2 * m**2)
+    coef, n = theta.b * math.prod(x.space.spacings) * a.ravel(), x.space.size
+    indptr, indices, data_map, band_map = _tv_pattern(x.space)
+    return (sp.csr_matrix((data_map @ coef, indices, indptr), (n, n)),
+            (band_map @ coef).reshape((-1, n), order="F"))
 
 
 def tv_field_step(theta: Penalty, x: GridFn, cell: np.ndarray | None,

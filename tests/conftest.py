@@ -22,6 +22,18 @@ class CountingIntegralOp(IntegralOp):
         return super().apply(x)
 
 
+def assert_band_of(band, dense):
+    """band is the upper band of the symmetric dense, which is zero outside it: row
+    kd + i - j of column j holds entry (i, j) for i <= j <= i + kd, at 1e-13 relative."""
+    kd = band.shape[0] - 1
+    assert not np.triu(dense, kd + 1).any()
+    want = np.zeros((kd + 1, dense.shape[0]))
+    for i, j in zip(*np.triu_indices(dense.shape[0])):
+        if j - i <= kd:
+            want[kd + i - j, j] = dense[i, j]
+    assert np.linalg.norm(band - want) <= 1e-13 * np.linalg.norm(want)
+
+
 def trapezoid_matrices(n):
     """Node-values matrices of the trapezoid rule, on n intervals of [0, 1], of
     the integral operator with kernel k(s,t) = 40*min(s,t)*(1-max(s,t)) and of

@@ -235,8 +235,8 @@ WORK = {
     "example51_quadratic": (16, 32, 0),
     "example51_l2_l1": (98, 98, 32),
     "example52_quadratic": (36, 129, 0),
-    "example52_l2_tv_mu0.01": (246, 2225, 120),
-    "example52_l2_tv_mu1": (234, 1643, 87),
+    "example52_l2_tv_mu0.01": (243, 2175, 113),
+    "example52_l2_tv_mu1": (234, 1643, 86),
 }
 
 

@@ -574,7 +574,7 @@ class TestPreconditioner:
         x = GridFn(p.x_prev.space, rng.uniform(0.0, 2.0, n))
         diag = p.alpha * penalties.pointwise_hessian(p.theta, x)
         apply_hess, precondition = inner_cg._penalty_hessian(p, x, None, diag)
-        dense = np.diag(diag) + p.alpha * penalties.tv_hessian(p.theta, x).toarray()
+        dense = np.diag(diag) + p.alpha * penalties.tv_hessian(p.theta, x)[0].toarray()
         v = rng.standard_normal(n)
         assert np.linalg.norm(apply_hess(v) - dense @ v) <= 1e-12 * np.linalg.norm(dense @ v)
         exact = np.linalg.solve(dense, v)

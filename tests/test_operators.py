@@ -6,6 +6,7 @@ import weakref
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from conftest import assert_band_of
 from scipy.linalg import lapack
 
 from nitreg import operators, spaces
@@ -214,22 +215,31 @@ def make_elliptic(nx=20, ny=20):
     return op, GridFn(space, c_true)
 
 
-def test_upper_band_layout():
-    # row kd + i - j of column j holds entry (i, j) of the upper triangle;
-    # the entries outside the band are zero
-    rng = np.random.default_rng(9)
-    lower = np.tril(np.triu(rng.standard_normal((7, 7)), -2))
-    dense = lower + lower.T
-    band = operators.upper_band(sp.csc_matrix(dense))
-    expected = np.zeros((3, 7))
-    for i, j in zip(*np.triu_indices(7)):
-        if j - i <= 2:
-            expected[2 + i - j, j] = dense[i, j]
-    assert np.array_equal(band, expected)
+def random_sparse(rows, n, rng):
+    return sp.random(rows, n, density=0.3, format="csr", random_state=rng)
+
+
+@pytest.mark.parametrize("case", ["same", "swapped", "no terms"])
+def test_weighted_product_matches_dense(case):
+    # CSR data and band of L^T diag(w) R against the dense product; "swapped" is
+    # L = [P; Q], R = [Q; P] with equal weights on both halves, as TV's cross terms
+    rng = np.random.default_rng(12)
+    n, p, q = 9, random_sparse(14, 9, rng), random_sparse(14, 9, rng)
+    left, right, w = {
+        "same": (p, p, rng.standard_normal(14)),
+        "swapped": (sp.vstack([p, q]), sp.vstack([q, p]), np.tile(rng.standard_normal(14), 2)),
+        "no terms": (sp.csr_matrix((0, n)), sp.csr_matrix((0, n)), np.zeros(0)),
+    }[case]
+    indptr, indices, data_map, band_map = operators.weighted_product(left, right)
+    dense = left.T.toarray() @ np.diag(w) @ right.toarray()
+    matrix = sp.csr_matrix((data_map @ w, indices, indptr), (n, n))
+    assert matrix.has_canonical_format
+    assert np.linalg.norm(matrix.toarray() - dense) <= 1e-13 * np.linalg.norm(dense)
+    assert_band_of((band_map @ w).reshape((-1, n), order="F"), dense)
 
 
 def test_banded_cholesky_raises_if_not_positive_definite():
-    band = operators.upper_band(sp.csc_matrix([[1.0, 2.0], [2.0, 1.0]]))
+    band = np.array([[0.0, 2.0], [1.0, 1.0]])  # the upper band of [[1, 2], [2, 1]]
     with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
         operators.banded_cholesky(band)
 
@@ -379,6 +389,15 @@ class TestEllipticOp:
         z = np.zeros(space.size)
         z[inner] = -u[inner] * np.linalg.solve(matrix.T, (w * dual.values)[inner]) / w[inner]
         assert close(op.adjoint(c, dual).values, z)
+
+    @pytest.mark.parametrize("nx, ny", [(2, 2), (3, 3), (9, 7), (12, 7)])
+    def test_schur_band_map_matches_dense(self, nx, ny):
+        # the map from w to the band of -E diag(w) E^T; (2, 2) has no red node
+        op = EllipticOp(nx, ny)
+        e = op._coupling.toarray()
+        w = np.random.default_rng(13).uniform(0.5, 2.0, e.shape[1])
+        band = (op._band_map @ w).reshape((-1, e.shape[0]), order="F")
+        assert_band_of(band, -e @ np.diag(w) @ e.T)
 
     @pytest.mark.parametrize("nx, ny", [(2, 2), (9, 7), (40, 40)])
     def test_laplacian_is_the_five_point_stencil(self, nx, ny):

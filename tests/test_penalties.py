@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import assert_band_of
 
 from nitreg import penalties, spaces
 from nitreg.penalties import Penalty
@@ -211,8 +212,28 @@ class TestHessian:
         fd = space.weights * (penalties.gradient(theta, x + h * d)
                               - penalties.gradient(theta, x - h * d)).values / (2 * h)
         hd = (penalties.pointwise_hessian(theta, x) * d.values
-              + penalties.tv_hessian(theta, x) @ d.values)
+              + penalties.tv_hessian(theta, x)[0] @ d.values)
         assert np.linalg.norm(hd - fd) <= 1e-7 * np.linalg.norm(fd)
+
+    @pytest.mark.parametrize("space", [GridSpace.interval(60), GridSpace.rectangle(9, 7)],
+                             ids=["1d", "2d"])
+    def test_tv_hessian_matches_dense(self, space):
+        # b * area * D^T A D with the per-cell block A = I/m - sym(cell d^T)/m^2,
+        # built densely from the differences, for a field with |cell| < 1
+        theta = Penalty(mu=1.0, b=0.7, eps=1e-2)
+        rng = np.random.default_rng(14)
+        x = random_fn(space, rng)
+        diff = spaces.differences(space).toarray()
+        k = len(space.dims)
+        d = (diff @ x.values).reshape(k, -1)
+        m = np.sqrt((d * d).sum(axis=0) + theta.eps)
+        cell = rng.uniform(-1.0, 1.0, d.shape) / np.sqrt(k)
+        a = np.block([[np.diag(float(i == j) / m - (cell[i] * d[j] + cell[j] * d[i]) / (2 * m**2))
+                       for j in range(k)] for i in range(k)])
+        dense = theta.b * np.prod(space.spacings) * diff.T @ a @ diff
+        matrix, band = penalties.tv_hessian(theta, x, cell)
+        assert np.linalg.norm(matrix.toarray() - dense) <= 1e-13 * np.linalg.norm(dense)
+        assert_band_of(band, dense)
 
     def test_finite_for_a_huge_eps(self):
         # eps / (v^2 + eps)^1.5 must not overflow in the power

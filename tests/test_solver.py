@@ -1,6 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
 from conftest import CountingIntegralOp, PenaltyPreconditionedIntegralOp
+from scipy.optimize import minimize
 
 from nitreg import harness, inner_cg, penalties, solver, spaces
 from nitreg.inner_cg import InnerProblem, InnerSettings
@@ -400,6 +403,61 @@ class TestRun:
 
 
 
+def dense_elliptic_tv_steps(nx, ny, f, g, ydelta, theta, steps):
+    """ex52's TV subproblems solved densely by scipy's trust-exact, for each
+    (alpha_n, x_{n-1}, xi_{n-1}) of steps: (x_n, xi_n) in nodal arrays.  Built
+    here from the data alone: 5-point -Lap with the boundary lift, TV from
+    forward differences, sqrt(dx^2 + dy^2 + eps) per cell, trapezoid weights,
+    and the exact Hessian."""
+    size, hx, hy = (nx + 1) * (ny + 1), 1.0 / nx, 1.0 / ny
+    node = np.arange(size).reshape(nx + 1, ny + 1)
+    inner, cells = node[1:-1, 1:-1].ravel(), node[:-1, :-1].ravel()
+    rows = np.zeros((inner.size, size))  # -Lap at the interior nodes
+    for r, k in enumerate(inner):
+        rows[r, k] = 2 / hx**2 + 2 / hy**2
+        rows[r, [k - ny - 1, k + ny + 1]], rows[r, [k - 1, k + 1]] = -1 / hx**2, -1 / hy**2
+    rhs = f[inner] - rows @ np.where(np.isin(np.arange(size), inner), 0.0, g)
+    w = np.outer(*(np.r_[0.5, np.ones(n - 1), 0.5] / n for n in (nx, ny))).ravel()
+    diff = np.zeros((2, cells.size, size))  # forward differences along x, then y
+    for c, k in enumerate(cells):
+        diff[0, c, [k, k + ny + 1]], diff[1, c, [k, k + 1]] = (-1 / hx, 1 / hx), (-1 / hy, 1 / hy)
+    flat, mu, tv, eps = diff.reshape(-1, size), theta.mu, theta.b * hx * hy, theta.eps
+
+    def state(c):
+        """u(c), the interior inverse of -Lap + c, and the Jacobian of c -> u."""
+        inverse = np.linalg.inv(rows[:, inner] + np.diag(c[inner]))
+        u, jac = g.copy(), np.zeros((size, size))
+        u[inner] = inverse @ rhs
+        jac[np.ix_(inner, inner)] = -inverse * u[inner]
+        return u, inverse, jac
+
+    out = []
+    for alpha, x_prev, xi_prev in steps:
+        @functools.lru_cache(maxsize=1)
+        def parts(key):
+            """Objective, gradient and Hessian at the nodal values c."""
+            c = np.frombuffer(key)
+            (u, inverse, jac), d = state(c), diff @ c
+            res, m = u - ydelta, np.sqrt((d * d).sum(axis=0) + eps)
+            value = 0.5 * (w * res**2).sum() + alpha * (
+                mu * (w * c * c).sum() + tv * m.sum() - (w * xi_prev * c).sum())
+            grad = jac.T @ (w * res) + alpha * (
+                2 * mu * w * c + tv * flat.T @ (d / m).ravel() - w * xi_prev)
+            cell = (np.eye(2)[:, :, None] - d[:, None] * d / m**2) / m  # A, per cell
+            a_diff = np.einsum("ijc,jcl->icl", cell, diff).reshape(flat.shape)  # A D
+            hess = jac.T @ (w[:, None] * jac) + alpha * (2 * mu * np.diag(w) + tv * flat.T @ a_diff)
+            curvature = (inverse @ (w * res)[inner])[:, None] * inverse * u[inner]
+            hess[np.ix_(inner, inner)] += curvature + curvature.T  # <w res, u''(c)>
+            return value, grad, hess
+
+        sol = minimize(lambda c: parts(c.tobytes())[:2], x_prev, jac=True,
+                       hess=lambda c: parts(c.tobytes())[2], method="trust-exact",
+                       options={"gtol": 1e-13})
+        u, _inverse, jac = state(sol.x)
+        out.append((sol.x, xi_prev - jac.T @ (w * (u - ydelta)) / (w * alpha)))
+    return out
+
+
 class TestTrajectoryOracle:
     def test_quadratic_run_is_classical_iterated_tikhonov(self, integral_matrices):
         # With Theta = mu ||x||^2, r = 2 and linear F the method is classical
@@ -423,6 +481,27 @@ class TestTrajectoryOracle:
             for got, exact in ((state.x.values, x), (state.xi.values, xi)):
                 assert np.linalg.norm(got - exact) <= 1e-9 * np.linalg.norm(exact)
 
+
+
+    def test_tv_steps_match_a_dense_reference(self):
+        # ex52 TV mu = 0.01 on the 8x8 grid: each step's (x_n, xi_n) against the dense
+        # reference's solve of the same subproblem, from nitreg's (x_{n-1}, xi_{n-1}).
+        # At grad_tol_rel = 1e-12 the worst errors read 2.9e-8 (x) and 1.05e-7 (xi),
+        # with one BLAS thread and with two; the bounds are five times those.
+        cfg = harness.example52_config("l2_tv", 0.01, {
+            ("problem", "nx"): 8, ("problem", "ny"): 8, ("inner", "grad_tol_rel"): 1e-12})
+        op, c_dagger, y = harness.make_problem(cfg)
+        ydelta = harness.add_noise(y, cfg.noise.delta, cfg.noise.seed)
+        report = harness.solve(cfg, op, ydelta)
+        assert report.terminated_by == "discrepancy" and len(report.states) > 20
+        xs, ys = op.domain_space.coords()
+        states = report.states
+        reference = dense_elliptic_tv_steps(
+            8, 8, c_dagger.values * (xs + ys), xs + ys, ydelta.values, cfg.theta,
+            [(s.alpha, prev.x.values, prev.xi.values) for prev, s in zip(states, states[1:])])
+        for state, (x, xi) in zip(states[1:], reference):
+            for got, want, tol in ((state.x.values, x, 1.5e-7), (state.xi.values, xi, 5e-7)):
+                assert np.linalg.norm(got - want) <= tol * np.linalg.norm(got)
 
 
 def grid_family(make_config, sizes):
