@@ -23,13 +23,15 @@ of scipy's ``cg`` update for update: without scipy's set-up around what is
 mostly one iteration per direction, ``integral_l1`` solves take about 30% less
 time (``BENCH_inner_arrays.json``).
 
-F and Theta are evaluated once per point: the residual F(x) - y of the objective
+F, F' and Theta are evaluated once per point: the residual F(x) - y of the objective
 value is reused for the gradient, whose data term F'(x)* J_r(F(x) - y) also gives
-the returned dual update xi_n; Theta(x_prev) is computed once per subproblem, and
-the stats report Theta and ||g||_* at the returned x.  Residuals, gradients and
-directions are nodal arrays; a trial point is a grid function, which refuses
-non-finite values, and a trial where the operator fails or the objective is not
-finite is rejected.  A solve stops when an accepted step no longer moves x.
+the returned dual update xi_n; F'(x) is linearized once per accepted point
+(`ForwardOp.linearized`), and its maps serve both that data term and CG; Theta(x_prev)
+is computed once per subproblem, and the stats report Theta and ||g||_* at the
+returned x.  Residuals, gradients and directions are nodal arrays; a trial point
+and the data term are grid functions, which refuse non-finite values, and a trial
+where the operator fails or the objective is not finite is rejected.  A solve stops
+when an accepted step no longer lowers the objective.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ import numpy as np
 from . import penalties
 from .operators import ForwardOp, OperatorError, banded_cholesky
 from .penalties import Penalty
-from .spaces import DUAL, PRIMAL, GridFn, duality_map, values_norm
+from .spaces import DUAL, PRIMAL, GridFn, duality_values, values_norm
 
 ARMIJO = 1e-4  # sufficient-decrease constant
 BACKTRACK = 0.5  # step-length factor per rejected trial
@@ -109,11 +111,12 @@ def objective(p: InnerProblem, x: GridFn) -> tuple[float, np.ndarray, float]:
     return values_norm(p.ydelta.space, res) ** p.r / p.r + p.alpha * bregman, res, theta_x
 
 
-def grad_objective(p: InnerProblem, x: GridFn, res: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient in the dual representation, given res = F(x) - y:
-    F'(x)* J_r(res) + alpha * (grad Theta(x) - xi_prev); and its data term
-    adj = F'(x)* J_r(res)."""
-    adj = p.op.adjoint(x, duality_map(GridFn(p.ydelta.space, res), p.r)).values
+def grad_objective(p: InnerProblem, x: GridFn, res: np.ndarray,
+                   adjoint) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient in the dual representation, given res = F(x) - y and the adjoint map of
+    `ForwardOp.linearized` at x: F'(x)* J_r(res) + alpha * (grad Theta(x) - xi_prev);
+    and its data term adj = F'(x)* J_r(res)."""
+    adj = GridFn(x.space, adjoint(duality_values(p.ydelta.space, res, p.r)), DUAL).values
     return adj + p.alpha * (penalties.gradient(p.theta, x).values - p.xi_prev.values), adj
 
 
@@ -138,10 +141,11 @@ def _penalty_hessian(p: InnerProblem, x: GridFn, cell: np.ndarray | None, diag: 
     return (lambda v: diag * v), (lambda v: v / diag)
 
 
-def _newton_direction(p: InnerProblem, x: GridFn, res: np.ndarray, g: np.ndarray,
+def _newton_direction(p: InnerProblem, x: GridFn, maps, res: np.ndarray, g: np.ndarray,
                       cell: np.ndarray | None, rtol: float) -> tuple[np.ndarray, int]:
     """The direction by CG on ``W F'* J_r'(res) F' + alpha P`` with right-hand side ``-W g``,
-    preconditioned without TV by `ForwardOp.newton_inverse` if not None; and CG's iterations.
+    F' and F'* the maps of `ForwardOp.linearized` at x, preconditioned without TV by
+    `ForwardOp.newton_inverse` if not None; and CG's iterations.
 
     ``J_r'(u) h = ||u||^(r-2) (h + (r-2) <u, h> u / ||u||^2)`` is the
     derivative of the duality mapping on a p = 2 space; it is symmetric
@@ -156,7 +160,7 @@ def _newton_direction(p: InnerProblem, x: GridFn, res: np.ndarray, g: np.ndarray
     apply_hess, precondition = _penalty_hessian(p, x, cell, diag)
     if p.theta.b == 0.0:
         precondition = p.op.newton_inverse(x, diag, scale, rank1, res) or precondition
-    deriv, adjoint = p.op.linearized(x)
+    deriv, adjoint = maps
 
     def matvec(v):
         fv = deriv(v)
@@ -196,14 +200,16 @@ def minimize(p: InnerProblem,
 
     Stops once the dual norm of the gradient drops below
     ``grad_tol_rel * max(1, initial gradient norm)`` or the iteration cap is
-    reached, or an accepted step leaves x unchanged.  A failed line search
+    reached, or an accepted step no longer lowers the objective (Armijo's test
+    passes a decrease below f's rounding; such a step is not taken).  A failed line search
     returns the best iterate with a flag.  Returns x, the dual update
     ``xi = xi_prev - (1/alpha) F'(x)* J_r(F(x) - y)`` taken from the last
     gradient evaluation at x, and the statistics.
     """
     x, space, stats = p.x_prev, p.x_prev.space, InnerStats()
     f_cur, res, theta_cur = objective(p, x)
-    g, adj = grad_objective(p, x, res)
+    maps = p.op.linearized(x)
+    g, adj = grad_objective(p, x, res, maps[1])
     gn = stats.initial_grad_norm = values_norm(space, g, DUAL)
     g0 = max(1.0, gn)
     tol = s.grad_tol_rel * g0
@@ -215,7 +221,7 @@ def minimize(p: InnerProblem,
             break
         # Eisenstat–Walker, safeguarded: no tighter than the stop at tol can use
         rtol = EXACT_RTOL if exact else min(0.5, max(math.sqrt(gn / g0), SAFEGUARD * tol / gn))
-        d, cg_iterations = _newton_direction(p, x, res, g, cell, rtol)
+        d, cg_iterations = _newton_direction(p, x, maps, res, g, cell, rtol)
         stats.cg_iterations += cg_iterations
         slope = float((space.weights * g * d).sum())
         t = 1.0
@@ -232,12 +238,13 @@ def minimize(p: InnerProblem,
         else:
             stats.line_search_failed = True
             break
-        if np.array_equal(trial.values, x.values):
-            break  # x and g are unchanged: this step would repeat
+        if f_trial >= f_cur:
+            break  # not taken: x is unchanged, so the next step would repeat it
         if p.theta.b > 0.0:
             cell = penalties.tv_field_step(p.theta, x, cell, trial - x)
         x, f_cur, res, theta_cur = trial, f_trial, res_trial, theta_trial
-        g, adj = grad_objective(p, x, res)
+        maps = p.op.linearized(x)
+        g, adj = grad_objective(p, x, res, maps[1])
         gn = values_norm(space, g, DUAL)
         stats.iterations = k + 1
     stats.converged = gn <= tol

@@ -89,7 +89,8 @@ class IntegralOp(ForwardOp):
     kernel 40*min(s,t)*(1-max(s,t)) is the Green's function of -u'' = 40 x,
     u(0) = u(1) = 0. The kernel vanishes on the boundary and every interior
     weight is h, so the rule is exactly the 3-point solve of that problem, in
-    O(n) by one banded Cholesky factor; it is self-adjoint in the weighted pairing.
+    O(n) by one tridiagonal LDL^T factor (LAPACK ``pttrf``, solved by ``pttrs``); it is
+    self-adjoint in the weighted pairing.
     On the interior nodes F' = A^-1, A = tridiag(-1, 2, -1) / (40 h^2), so the Newton
     matrix ``A^-1 (h S + A D A) A^-1`` there is inverted by one pentadiagonal banded
     Cholesky factor, with Sherman–Morrison for S's rank-one term; on the boundary it is D."""
@@ -99,8 +100,16 @@ class IntegralOp(ForwardOp):
     def __init__(self, n: int, p: float = 2.0):
         self.domain_space = self.range_space = GridSpace.interval(n, p)
         self._k = n**2 / 40.0  # A = k tridiag(-1, 2, -1) on the n - 1 interior nodes
-        solve = banded_cholesky(np.outer([-1.0, 2.0], np.full(n - 1, self._k)))
-        self._green = lambda v: np.concatenate(([0.0], solve(v[1:-1]), [0.0]))
+        # f2py wants at least one off-diagonal entry, which LAPACK ignores when n - 1 < 2
+        self._d, self._e, _info = lapack.dpttrf(np.full(n - 1, 2.0 * self._k),
+                                                np.full(max(n - 2, 1), -self._k))
+
+    def _green(self, v: np.ndarray) -> np.ndarray:
+        """F v: A^-1 v on the interior nodes, zero on the boundary."""
+        out = np.array(v, float)
+        out[0] = out[-1] = 0.0
+        out[1:-1] = lapack.dpttrs(self._d, self._e, out[1:-1], overwrite_b=1)[0]
+        return out
 
     def _stiffness(self, u: np.ndarray) -> np.ndarray:
         """A u on the interior nodes."""
@@ -108,7 +117,8 @@ class IntegralOp(ForwardOp):
         return self._k * (2.0 * u - up[:-2] - up[2:])
 
     def apply(self, x: GridFn) -> GridFn:
-        return self.deriv(x, x)
+        self._check_domain(x)
+        return GridFn(self.range_space, self._green(x.values), PRIMAL)
 
     def linearized(self, x: GridFn):
         self._check_domain(x)

@@ -94,11 +94,16 @@ def pointwise_hessian(theta: Penalty, x: GridFn) -> np.ndarray:
 @functools.lru_cache(maxsize=8)
 def _tv_pattern(space: GridSpace):
     """`weighted_product` of ``D^T A D``: a term per ordered pair of axes (i, j), row-major,
-    and cell, with the cell's row of D's block i on the left and of block j on the right."""
+    and cell, with the cell's row of D's block i on the left and of block j on the right.
+    The CSR pattern is held in the index dtype scipy keeps, so that a matrix built on it
+    shares it (read-only) and converts nothing."""
     diff, k = differences(space), len(space.dims)
     rows = np.arange(diff.shape[0]).reshape(k, -1)  # D's rows of each axis
-    return weighted_product(diff[rows.repeat(k, axis=0).ravel()],
-                            diff[np.tile(rows, (k, 1)).ravel()])
+    indptr, indices, data_map, band_map = weighted_product(
+        diff[rows.repeat(k, axis=0).ravel()], diff[np.tile(rows, (k, 1)).ravel()])
+    pattern = sp.csr_matrix((np.zeros(indices.size), indices, indptr), (space.size,) * 2)
+    pattern.indptr.flags.writeable = pattern.indices.flags.writeable = False
+    return pattern.indptr, pattern.indices, data_map, band_map
 
 
 def tv_hessian(theta: Penalty, x: GridFn, cell: np.ndarray | None = None) -> tuple:

@@ -182,12 +182,16 @@ def duality_map(f: GridFn, r: float) -> GridFn:
         raise ValueError(f"gauge exponent r must be > 1, got {r}")
     if f.variance != PRIMAL:
         raise ValueError("duality_map takes a primal grid function")
-    p = f.space.exponent
-    nrm = norm(f)
+    return GridFn(f.space, duality_values(f.space, f.values, r), DUAL)
+
+
+def duality_values(space: GridSpace, values: np.ndarray, r: float) -> np.ndarray:
+    """`duality_map` on nodal arrays: ``||f||^(r-p) |f|^(p-1) sign(f)``, and zeros at f = 0."""
+    p = space.exponent
+    nrm = values_norm(space, values)
     if nrm == 0.0:
-        return zeros(f.space, DUAL)
-    vals = nrm ** (r - p) * np.abs(f.values) ** (p - 1.0) * np.sign(f.values)
-    return GridFn(f.space, vals, DUAL)
+        return np.zeros(space.size)
+    return nrm ** (r - p) * np.abs(values) ** (p - 1.0) * np.sign(values)
 
 
 def bregman_norm(fbar: GridFn, f: GridFn, r: float) -> float:

@@ -538,8 +538,13 @@ class TestCli:
         assert "FAIL" not in out
 
     def test_check_catches_wrong_elliptic_adjoint(self, capsys, monkeypatch):
-        adjoint = EllipticOp.adjoint
-        monkeypatch.setattr(EllipticOp, "adjoint", lambda self, c, w: -adjoint(self, c, w))
+        linearized = EllipticOp.linearized
+
+        def negated(self, c):
+            deriv, adjoint = linearized(self, c)
+            return deriv, lambda w: -adjoint(w)
+
+        monkeypatch.setattr(EllipticOp, "linearized", negated)
         rc = cli.main(["check"])
         out = capsys.readouterr().out
         assert rc == 1

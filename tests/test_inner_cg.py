@@ -117,7 +117,13 @@ def start(p):
     """The residual and the gradient at x_prev, as nodal arrays, as a solve
     begins; an operator that factors a system factors it at x_prev here."""
     res = inner_cg.objective(p, p.x_prev)[1]
-    return res, inner_cg.grad_objective(p, p.x_prev, res)[0]
+    return res, inner_cg.grad_objective(p, p.x_prev, res, p.op.linearized(p.x_prev)[1])[0]
+
+
+def direction(p, res, g, rtol):
+    """`inner_cg._newton_direction` at x_prev, with the maps of `linearized` there."""
+    maps = p.op.linearized(p.x_prev)
+    return inner_cg._newton_direction(p, p.x_prev, maps, res, g, None, rtol)
 
 
 def value(p, x):
@@ -125,7 +131,7 @@ def value(p, x):
 
 
 def gradient(p, x):
-    g = inner_cg.grad_objective(p, x, inner_cg.objective(p, x)[1])[0]
+    g = inner_cg.grad_objective(p, x, inner_cg.objective(p, x)[1], p.op.linearized(x)[1])[0]
     return GridFn(p.op.domain_space, g, DUAL)
 
 
@@ -230,11 +236,24 @@ class TestOracle:
 
     def test_stops_when_steps_no_longer_move_x(self, integral_matrices):
         # the subproblem of acceptance test 04 with a gradient tolerance below
-        # rounding, so steps eventually leave x unchanged
+        # rounding, so steps eventually no longer lower the objective
         p = quadratic_problem(n=120, alpha=0.05, mu=1.0, seed=3)
         exact = dense_minimizer(p, *integral_matrices(120))
         x, _xi, stats = minimize(p, InnerSettings(grad_tol_rel=1e-20, max_iters=5000))
         assert stats.iterations < 5000
+        assert not stats.converged
+        assert not stats.line_search_failed
+        assert np.linalg.norm(x.values - exact) <= 1e-6 * np.linalg.norm(exact)
+
+    @pytest.mark.parametrize("seed", range(1, 7))
+    @pytest.mark.parametrize("n", [80, 120, 200])
+    def test_stops_when_steps_no_longer_lower_the_objective(self, integral_matrices, n, seed):
+        # below rounding, Armijo's test passes steps that move x but leave f as it
+        # is; a stop on x alone ran 7 of these 18 solves to the iteration cap
+        p = quadratic_problem(n=n, alpha=0.05, mu=1.0, seed=seed)
+        exact = dense_minimizer(p, *integral_matrices(n))
+        x, _xi, stats = minimize(p, InnerSettings(grad_tol_rel=1e-20, max_iters=2000))
+        assert stats.iterations < 2000
         assert not stats.converged
         assert not stats.line_search_failed
         assert np.linalg.norm(x.values - exact) <= 1e-6 * np.linalg.norm(exact)
@@ -337,6 +356,22 @@ class TestMinimize:
         p = replace(spikes_l1_problem(), op=op)
         stats = minimize(p)[2]
         assert op.applies == 1 + stats.iterations + stats.backtracks
+
+    def test_linearizes_once_per_point(self, monkeypatch):
+        # at x_prev, then once per accepted step: the gradient's data term and
+        # CG's matvecs take F'(x) from the same maps
+        p = spikes_l1_problem()
+        linearized, points = p.op.linearized, []
+
+        def counted(x):
+            points.append(x)
+            return linearized(x)
+
+        monkeypatch.setattr(p.op, "linearized", counted)
+        stats = minimize(p)[2]
+        assert stats.converged and stats.iterations >= 2
+        assert len(points) == stats.iterations + 1
+        assert points[0] is p.x_prev
 
     def test_evaluates_theta_at_x_prev_once(self, monkeypatch):
         # Theta(x_prev) in the Bregman term is a constant of the subproblem
@@ -487,7 +522,7 @@ class TestPreconditioner:
         calls = count_factorizations(monkeypatch)
         preconditioners = record_preconditioners(monkeypatch)
         res, g = start(p)
-        d, _iterations = inner_cg._newton_direction(p, p.x_prev, res, g, None, 1e-12)
+        d, _iterations = direction(p, res, g, 1e-12)
         assert calls == []
         assert_solves_dense_newton_system(p, g, d, integral_matrices)
         v = np.random.default_rng(3).standard_normal(d.size)
@@ -504,7 +539,7 @@ class TestPreconditioner:
         p = without_tv_problem(IntegralOp(40), theta)
         calls = count_factorizations(monkeypatch)
         res, g = start(p)
-        d, _iterations = inner_cg._newton_direction(p, p.x_prev, res, g, None, 1e-12)
+        d, _iterations = direction(p, res, g, 1e-12)
         assert calls == [("dpbtrf", 39)]
         assert_solves_dense_newton_system(p, g, d, integral_matrices)
         calls.clear()
@@ -538,7 +573,7 @@ class TestPreconditioner:
         p = problem()
         res, g = start(p)
         count = count_cg_work(monkeypatch, p.op)
-        _d, iterations = inner_cg._newton_direction(p, p.x_prev, res, g, None, 1e-12)
+        _d, iterations = direction(p, res, g, 1e-12)
         assert iterations >= 1
         assert count["deriv"] == iterations
         assert count["precondition"] == iterations
@@ -549,7 +584,7 @@ class TestPreconditioner:
         p = tv_problem()
         res, g = start(p)
         calls = count_factorizations(monkeypatch)
-        inner_cg._newton_direction(p, p.x_prev, res, g, None, 0.5)
+        direction(p, res, g, 0.5)
         n = p.x_prev.space.size
         assert calls == [("dpbtrf", n)]
         calls.clear()
@@ -653,9 +688,9 @@ def record_forcing_terms(monkeypatch):
     calls = []
     newton_direction = inner_cg._newton_direction
 
-    def recorded(p, x, res, g, cell, rtol):
+    def recorded(p, x, maps, res, g, cell, rtol):
         calls.append((rtol, spaces.values_norm(x.space, g, DUAL)))
-        return newton_direction(p, x, res, g, cell, rtol)
+        return newton_direction(p, x, maps, res, g, cell, rtol)
 
     monkeypatch.setattr(inner_cg, "_newton_direction", recorded)
     return calls

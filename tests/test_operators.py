@@ -42,6 +42,21 @@ def assert_linearization(op, x, closures, rng):
     assert gap <= 1e-13 * (norm(w) * norm(fh) + 1e-300)
 
 
+def record_lapack(monkeypatch, *names):
+    """Make the named LAPACK routines record each call, by name, in the returned list."""
+    calls = []
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return call
+
+    for name in names:
+        monkeypatch.setattr(lapack, name, counted(name, getattr(lapack, name)))
+    return calls
+
+
 def taylor_slope(op, x, h, steps=(1e-2, 1e-3, 1e-4)):
     """Log-log slope of ||F(x+t h) - F(x) - t F'(x)h|| against t."""
     errs = []
@@ -147,21 +162,24 @@ class TestIntegralOp:
         # at r = 2, rank1 = 0: one factorization, and no Sherman–Morrison solve
         op = IntegralOp(40)
         space = op.domain_space
-        calls = []
-
-        def counted(name, fn):
-            def call(*args, **kwargs):
-                calls.append(name)
-                return fn(*args, **kwargs)
-            return call
-
-        for name in ("dpbtrf", "dpbtrs"):
-            monkeypatch.setattr(lapack, name, counted(name, getattr(lapack, name)))
+        calls = record_lapack(monkeypatch, "dpbtrf", "dpbtrs")
         res = np.random.default_rng(5).standard_normal(space.size)
         inverse = op.newton_inverse(spaces.zeros(space), space.weights, 1.0, 0.0, res)
         assert calls == ["dpbtrf"]
         inverse(res)
         assert calls == ["dpbtrf", "dpbtrs"]
+
+    def test_solves_the_tridiagonal_system_by_pttrs(self, monkeypatch):
+        # F, F'(x) and F'(x)* each make one tridiagonal LDL^T solve, no banded one
+        op = IntegralOp(40)
+        rng = np.random.default_rng(6)
+        x, v = random_fn(op.domain_space, rng), rng.standard_normal(op.domain_space.size)
+        calls = record_lapack(monkeypatch, "dpbtrs", "dpttrs")
+        op.apply(x)
+        deriv, adjoint = op.linearized(x)
+        deriv(v)
+        adjoint(v)
+        assert calls == ["dpttrs"] * 3
 
     def test_memory_is_linear_in_n(self):
         # a dense 4001x4001 kernel alone would take 128 MB

@@ -31,10 +31,11 @@ def small_problem(n=80, delta=1e-3, seed=0):
 
 
 class NegatedAdjointOp(IntegralOp):
-    """Integral operator with a wrong-signed adjoint."""
+    """Integral operator with a wrong-signed adjoint map in its linearization."""
 
-    def adjoint(self, x, w):
-        return -1.0 * super().adjoint(x, w)
+    def linearized(self, x):
+        deriv, adjoint = super().linearized(x)
+        return deriv, lambda w: -1.0 * adjoint(w)
 
 
 def spikes_start(op):
