@@ -38,9 +38,9 @@ class Problem:
     def __post_init__(self):
         if self.kind not in ("integral_1d", "elliptic_2d"):
             raise ValueError(f"unknown problem kind {self.kind!r}")
-        if self.n < 1:
+        if not 1 <= self.n < np.inf:
             raise ValueError("n must be >= 1")
-        if self.nx < 2 or self.ny < 2:
+        if not (2 <= self.nx < np.inf and 2 <= self.ny < np.inf):
             raise ValueError("nx and ny must be >= 2")
 
 
@@ -52,7 +52,7 @@ class Noise:
     def __post_init__(self):
         if not 0.0 <= self.delta < np.inf:
             raise ValueError("delta must be >= 0")
-        if self.seed < 0:
+        if not 0 <= self.seed < np.inf:
             raise ValueError("seed must be >= 0")
 
 

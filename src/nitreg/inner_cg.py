@@ -84,7 +84,7 @@ class InnerSettings:
     max_iters: int = 2000  # Newton iterations
 
     def __post_init__(self):
-        if not (0.0 < self.grad_tol_rel < math.inf and self.max_iters > 0):
+        if not (0.0 < self.grad_tol_rel < math.inf and 1 <= self.max_iters < math.inf):
             raise ValueError("grad_tol_rel and max_iters must be positive")
 
 
@@ -135,9 +135,7 @@ def _penalty_hessian(p: InnerProblem, x: GridFn, cell: np.ndarray | None, diag: 
     """
     if p.theta.b > 0.0:
         tv, band = penalties.tv_hessian(p.theta, x, cell)
-        band *= p.alpha
-        band[-1] += diag
-        return (lambda v: diag * v + p.alpha * (tv @ v)), banded_cholesky(band)
+        return (lambda v: diag * v + p.alpha * (tv @ v)), banded_cholesky(p.alpha * band, diag)
     return (lambda v: diag * v), (lambda v: v / diag)
 
 

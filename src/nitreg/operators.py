@@ -18,10 +18,16 @@ class OperatorError(RuntimeError):
     """Operator evaluation failed."""
 
 
-def banded_cholesky(band: np.ndarray):
-    """The solve ``b -> A^-1 b`` of a symmetric A by LAPACK's banded Cholesky, in place on its
-    upper band: row ``kd + i - j`` of column j holds entry (i, j), i <= j, kd the half-bandwidth.
-    Raises `np.linalg.LinAlgError` if A is not positive definite."""
+def banded_cholesky(band: np.ndarray, diag: np.ndarray):
+    """The solve ``b -> A^-1 b`` of a symmetric A by LAPACK's banded Cholesky, in place on
+    band: A's upper band, flattened column by column (or F-ordered 2-D), row ``kd + i - j`` of
+    column j holding entry (i, j), i <= j, kd the half-bandwidth, with diag added to the main
+    diagonal (row kd).  An empty A gives the identity.  Raises `np.linalg.LinAlgError` if A is
+    not positive definite."""
+    if diag.size == 0:
+        return lambda b: b
+    band = band.reshape((-1, diag.size), order="F")
+    band[-1] += diag
     factor, info = lapack.dpbtrf(band, overwrite_ab=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"matrix is not positive definite (dpbtrf info {info})")
@@ -31,7 +37,7 @@ def banded_cholesky(band: np.ndarray):
 def weighted_product(left, right):
     """For CSR L = left and R = right, one row per term, and symmetric ``M(w) = L^T diag(w) R``:
     M's CSR pattern ``(indptr, indices)``, and the sparse maps from w to M's CSR data and to
-    its upper band as `banded_cholesky` takes it, flattened; both CSC, one column per term."""
+    its upper band, flat as `banded_cholesky` takes it; both CSC, one column per term."""
     terms, n = left.shape
     by_term = [sp.csr_matrix((a.data, np.arange(a.nnz), a.indptr), (terms, a.nnz))
                for a in (left, right)]  # row t holds row t's entries, each in its own column
@@ -127,11 +133,10 @@ class IntegralOp(ForwardOp):
     def newton_inverse(self, x, diag, scale, rank1, res):
         h = 1.0 / (x.space.size - 1)
         d = np.concatenate(([0.0], self._k**2 * diag[1:-1], [0.0]))  # k^2 D, zero-padded
-        band = np.zeros((3, d.size - 2), order="F")  # upper band of h scale I + A D A
+        band = np.zeros((3, d.size - 2), order="F")  # upper band of h scale I + A D A, diagonal 0
         band[0, 2:] = d[2:-2]
         band[1, 1:] = -2.0 * (d[1:-2] + d[2:-1])
-        band[2] = h * scale + 4.0 * d[1:-1] + d[:-2] + d[2:]
-        solve = banded_cholesky(band)
+        solve = banded_cholesky(band, h * scale + 4.0 * d[1:-1] + d[:-2] + d[2:])
         if rank1 != 0.0:  # r != 2: h S = h scale I + c u u^T, u = res, by Sherman–Morrison
             z, c = solve(res[1:-1]), h * h * scale * rank1
             coef = c / (1.0 + c * (res[1:-1] @ z))
@@ -180,8 +185,6 @@ class EllipticOp(ForwardOp):
     elsewhere `OperatorError` is raised, which `inner_cg` takes as a rejected trial.
     """
 
-    is_linear = False
-
     def __init__(self, nx: int, ny: int, f=None, g=None, p: float = 2.0):
         space = GridSpace.rectangle(nx, ny, p)
         self.domain_space = self.range_space = space
@@ -209,10 +212,8 @@ class EllipticOp(ForwardOp):
         if not np.all(d[nb:] > 0.0):  # also catches NaN
             raise OperatorError("elliptic solve failed: not positive definite at a red node")
         w = 1.0 / d[nb:]
-        band = (self._band_map @ w).reshape((-1, nb), order="F")
-        band[-1] += d[:nb]
         try:
-            solve_black = banded_cholesky(band)
+            solve_black = banded_cholesky(self._band_map @ w, d[:nb])
         except np.linalg.LinAlgError as exc:
             raise OperatorError(f"elliptic solve failed: {exc}") from exc
 

@@ -94,30 +94,24 @@ def pointwise_hessian(theta: Penalty, x: GridFn) -> np.ndarray:
 @functools.lru_cache(maxsize=8)
 def _tv_pattern(space: GridSpace):
     """`weighted_product` of ``D^T A D``: a term per ordered pair of axes (i, j), row-major,
-    and cell, with the cell's row of D's block i on the left and of block j on the right.
-    The CSR pattern is held in the index dtype scipy keeps, so that a matrix built on it
-    shares it (read-only) and converts nothing."""
+    and cell, with the cell's row of D's block i on the left and of block j on the right."""
     diff, k = differences(space), len(space.dims)
     rows = np.arange(diff.shape[0]).reshape(k, -1)  # D's rows of each axis
-    indptr, indices, data_map, band_map = weighted_product(
-        diff[rows.repeat(k, axis=0).ravel()], diff[np.tile(rows, (k, 1)).ravel()])
-    pattern = sp.csr_matrix((np.zeros(indices.size), indices, indptr), (space.size,) * 2)
-    pattern.indptr.flags.writeable = pattern.indices.flags.writeable = False
-    return pattern.indptr, pattern.indices, data_map, band_map
+    return weighted_product(diff[rows.repeat(k, axis=0).ravel()],
+                            diff[np.tile(rows, (k, 1)).ravel()])
 
 
 def tv_hessian(theta: Penalty, x: GridFn, cell: np.ndarray | None = None) -> tuple:
     """Euclidean Hessian of the TV term w.r.t. nodal values, ``b * area * D^T A D`` with the
-    per-cell block ``A = I/m - sym(cell d^T)/m^2``, as CSR and as its upper band: the grid's
-    maps (`_tv_pattern`) applied to A.  ``cell`` is the dual field of Chan, Golub & Mulet (one
-    row per axis, |cell| < 1); None means d/m, which makes this the exact Hessian."""
+    per-cell block ``A = I/m - sym(cell d^T)/m^2``, as CSR and as its flat upper band: the
+    grid's maps (`_tv_pattern`) applied to A.  ``cell`` is the dual field of Chan, Golub &
+    Mulet (one row per axis, |cell| < 1); None means d/m, which makes this the exact Hessian."""
     _diff, d, m = _cells(x.space, x.values, theta.eps)
     cell = d / m if cell is None else cell
     a = np.eye(len(d))[:, :, None] / m - (cell[:, None] * d + d[:, None] * cell) / (2 * m**2)
     coef, n = theta.b * math.prod(x.space.spacings) * a.ravel(), x.space.size
     indptr, indices, data_map, band_map = _tv_pattern(x.space)
-    return (sp.csr_matrix((data_map @ coef, indices, indptr), (n, n)),
-            (band_map @ coef).reshape((-1, n), order="F"))
+    return sp.csr_matrix((data_map @ coef, indices, indptr), (n, n)), band_map @ coef
 
 
 def tv_field_step(theta: Penalty, x: GridFn, cell: np.ndarray | None,

@@ -48,7 +48,7 @@ class StoppingRule:
             raise ValueError(f"unknown stopping kind {self.kind!r}")
         if not 1.0 < self.tau < math.inf:
             raise ValueError("tau must be > 1")
-        if not self.max_outer >= 1:
+        if not 1 <= self.max_outer < math.inf:
             raise ValueError("max_outer must be >= 1")
         if not 0.0 < self.atol_zero < math.inf:
             raise ValueError("atol_zero must be > 0")

@@ -143,9 +143,6 @@ class GridFn:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "GridFn":
-        return GridFn(self.space, -self.values, self.variance)
-
 
 def zeros(space: GridSpace, variance: str = PRIMAL) -> GridFn:
     return GridFn(space, np.zeros(space.size), variance)

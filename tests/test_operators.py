@@ -256,10 +256,36 @@ def test_weighted_product_matches_dense(case):
     assert_band_of((band_map @ w).reshape((-1, n), order="F"), dense)
 
 
+@pytest.mark.parametrize("layout", ["flat", "2-D"])
+@pytest.mark.parametrize("kd", [0, 1, 2])
+def test_banded_cholesky_matches_dense_solve(kd, layout):
+    # a random SPD matrix of half-bandwidth kd: its upper band, flat or F-ordered 2-D,
+    # holding part of the main diagonal, and the rest passed as diag
+    rng = np.random.default_rng(16 + kd)
+    n = 9
+    upper = np.triu(rng.standard_normal((n, n)))
+    upper -= np.triu(upper, kd + 1)  # entries i <= j <= i + kd
+    dense = upper + np.triu(upper, 1).T
+    diag = np.abs(dense).sum(axis=1) + 1.0  # diagonally dominant with dense's own diagonal
+    band = np.zeros((kd + 1, n), order="F")
+    for i, j in zip(*np.triu_indices(n)):
+        if j - i <= kd:
+            band[kd + i - j, j] = dense[i, j]
+    b = rng.standard_normal(n)
+    want = np.linalg.solve(dense + np.diag(diag), b)
+    got = operators.banded_cholesky(band.ravel(order="F") if layout == "flat" else band, diag)(b)
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_banded_cholesky_of_an_empty_matrix_is_the_identity():
+    b = np.zeros(0)
+    assert operators.banded_cholesky(np.zeros(0), np.zeros(0))(b) is b
+
+
 def test_banded_cholesky_raises_if_not_positive_definite():
-    band = np.array([[0.0, 2.0], [1.0, 1.0]])  # the upper band of [[1, 2], [2, 1]]
+    band = np.array([0.0, 0.0, 2.0, 0.0])  # [[1, 2], [2, 1]]: its off-diagonal band, flat
     with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
-        operators.banded_cholesky(band)
+        operators.banded_cholesky(band, np.ones(2))
 
 
 class TestEllipticOp:
@@ -298,8 +324,10 @@ class TestEllipticOp:
         assert u.max() <= boundary.max() + 1e-12
         assert u.min() >= boundary.min() - 1e-12
 
-    def test_adjoint_consistency(self):
-        op, c = make_elliptic()
+    @pytest.mark.parametrize("nx, ny", [(20, 20), (1, 1), (1, 4), (3, 1)])
+    def test_adjoint_consistency(self, nx, ny):
+        # (1, 1), (1, 4) and (3, 1) have no interior node: both maps are zero
+        op, c = make_elliptic(nx, ny)
         rng = np.random.default_rng(2)
         for _ in range(10):
             gap, scale = adjoint_gap(op, c, rng)
@@ -374,12 +402,14 @@ class TestEllipticOp:
         with pytest.raises(OperatorError, match="elliptic solve failed: .*not positive definite"):
             op.apply(c)
 
-    @pytest.mark.parametrize("nx, ny", [(40, 40), (20, 80), (2, 2), (3, 3), (9, 7), (12, 7)])
+    @pytest.mark.parametrize("nx, ny", [(40, 40), (20, 80), (2, 2), (3, 3), (9, 7), (12, 7),
+                                        (1, 1), (1, 4), (3, 1)])
     def test_matches_dense_solves(self, nx, ny):
         # (20, 80) has the half-bandwidth of the 80x80 grid, 79, on a system
         # small enough to solve densely; (2, 2) has one interior node and no
         # red one, and on (9, 7) and (12, 7) the black and red counts differ
-        # and hx != hy
+        # and hx != hy; (1, 1), (1, 4) and (3, 1) have no interior node, so
+        # F(c) = g and both maps are zero
         space = spaces.GridSpace.rectangle(nx, ny)
         xs, ys = space.coords()
         rng = np.random.default_rng(6)

@@ -1,6 +1,9 @@
-"""The package's lazy export table and the CLI's BLAS-thread pin."""
+"""The package's lazy export table, the CLI's BLAS-thread pin, and the names the
+benchmark's scripts read."""
 
+import dataclasses
 import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -11,6 +14,7 @@ import pytest
 import nitreg
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 # the public names, by the module that defines them
 EXPORTS = {
@@ -68,3 +72,34 @@ class TestCliThreads:
     def test_keeps_an_omp_count(self):
         # OPENBLAS_NUM_THREADS would override OMP_NUM_THREADS, so it stays unset
         assert run_python(self.PROBE, OMP_NUM_THREADS="2") == "None"
+
+
+def load_bench_module(name):
+    """bench/<name>.py as a module, loaded from its file without touching sys.path."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestBenchContract:
+    # bench/run.py is not imported: it sets BLAS thread variables at import
+
+    def test_instrument_patches_and_restores(self):
+        layers, tracing = load_bench_module("layers"), load_bench_module("tracing")
+        tracer = tracing.Tracer()
+        try:
+            layers.instrument(tracer)
+            patches = list(tracer._patches)
+        finally:
+            tracer.restore()
+        assert patches
+        for owner, attr, original in patches:
+            assert getattr(owner, attr) is original, f"{owner}.{attr} not restored"
+
+    def test_names_read_without_patching_exist(self):
+        cfg = nitreg.harness.example51_config()
+        assert (cfg.delta, cfg.seed, cfg.r) == (cfg.noise.delta, cfg.noise.seed, cfg.method.r)
+        assert cfg.penalty() is cfg.theta and cfg.schedule() is cfg.alpha_schedule
+        assert cfg.stopping() is cfg.stopping_rule and cfg.inner_settings() is cfg.inner
+        assert "threshold" in {f.name for f in dataclasses.fields(nitreg.RunReport)}

@@ -233,7 +233,7 @@ class TestHessian:
         dense = theta.b * np.prod(space.spacings) * diff.T @ a @ diff
         matrix, band = penalties.tv_hessian(theta, x, cell)
         assert np.linalg.norm(matrix.toarray() - dense) <= 1e-13 * np.linalg.norm(dense)
-        assert_band_of(band, dense)
+        assert_band_of(band.reshape((-1, space.size), order="F"), dense)
 
     def test_finite_for_a_huge_eps(self):
         # eps / (v^2 + eps)^1.5 must not overflow in the power

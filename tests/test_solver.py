@@ -138,11 +138,19 @@ def _inner_problem(**kw):
     lambda v: StoppingRule(atol_zero=v),
     lambda v: _run_at_delta(v),
     lambda v: harness.add_noise(GridFn(GridSpace((3,)), np.ones(3)), v, 0),
+    lambda v: harness.Problem(n=v),
+    lambda v: harness.Problem(nx=v),
+    lambda v: harness.Problem(ny=v),
+    lambda v: harness.Noise(seed=v),
+    lambda v: StoppingRule(max_outer=v),
+    lambda v: InnerSettings(max_iters=v),
 ], ids=["space_exponent", "penalty_mu", "penalty_a", "penalty_eps", "inner_alpha", "inner_r",
-        "grad_tol_rel", "alpha1", "q", "tau", "atol_zero", "run_delta", "noise_delta"])
+        "grad_tol_rel", "alpha1", "q", "tau", "atol_zero", "run_delta", "noise_delta",
+        "problem_n", "problem_nx", "problem_ny", "noise_seed", "max_outer", "max_iters"])
 def test_non_finite_parameter_rejected(build, value):
     # `nan <= 0` is False: each range check must also fail NaN and +-inf, before
-    # a non-finite value reaches a GridFn ("GridFn values must be finite")
+    # a non-finite value reaches a GridFn ("GridFn values must be finite") or, for
+    # a count, a `range` or a grid shape (a TypeError, which no run handler catches)
     with pytest.raises(ValueError, match=r"must be (>|in |nonnegative|positive)"):
         build(value)
 
@@ -459,6 +467,33 @@ def dense_elliptic_tv_steps(nx, ny, f, g, ydelta, theta, steps):
     return out
 
 
+def dense_integral_l1_steps(a_mat, a_star, ydelta, theta, steps):
+    """ex51's smoothed-L1 subproblems (r = p = 2) solved densely by scipy's trust-exact, for
+    each (alpha_n, x_{n-1}, xi_{n-1}) of steps: (x_n, xi_n) in nodal arrays.  Built here from
+    the trapezoid matrices of F and F* (`conftest.trapezoid_matrices`) and the penalty
+    mu int x^2 + a int sqrt(x^2 + eps), with the exact Hessian."""
+    n = ydelta.size - 1
+    w = np.r_[0.5, np.ones(n - 1), 0.5] / n
+    mu, a, eps = theta.mu, theta.a, theta.eps
+    gram = a_mat.T @ (w[:, None] * a_mat)
+    out = []
+    for alpha, x_prev, xi_prev in steps:
+        def fun(c):
+            res, s = a_mat @ c - ydelta, np.sqrt(c * c + eps)
+            value = 0.5 * (w * res**2).sum() + alpha * (
+                mu * (w * c * c).sum() + a * (w * s).sum() - (w * xi_prev * c).sum())
+            return value, a_mat.T @ (w * res) + alpha * w * (2 * mu * c + a * c / s - xi_prev)
+
+        def hess(c):
+            s = c * c + eps
+            return gram + alpha * np.diag(w * (2 * mu + a * eps / s / np.sqrt(s)))
+
+        sol = minimize(fun, x_prev, jac=True, hess=hess, method="trust-exact",
+                       options={"gtol": 1e-13})
+        out.append((sol.x, xi_prev - a_star @ (a_mat @ sol.x - ydelta) / alpha))
+    return out
+
+
 class TestTrajectoryOracle:
     def test_quadratic_run_is_classical_iterated_tikhonov(self, integral_matrices):
         # With Theta = mu ||x||^2, r = 2 and linear F the method is classical
@@ -502,6 +537,27 @@ class TestTrajectoryOracle:
             [(s.alpha, prev.x.values, prev.xi.values) for prev, s in zip(states, states[1:])])
         for state, (x, xi) in zip(states[1:], reference):
             for got, want, tol in ((state.x.values, x, 1.5e-7), (state.xi.values, xi, 5e-7)):
+                assert np.linalg.norm(got - want) <= tol * np.linalg.norm(got)
+
+    def test_l1_steps_match_a_dense_reference(self, integral_matrices):
+        # ex51 l2_l1 on IntegralOp(80): each step's (x_n, xi_n) against the dense
+        # reference's solve of the same subproblem, from nitreg's (x_{n-1}, xi_{n-1}).
+        # At grad_tol_rel = 1e-11 every inner solve converges, and the worst relative errors read
+        # 3.0e-8 (x) and 5.4e-9 (xi), with one BLAS thread and with two; the bounds are
+        # five times those.
+        cfg = harness.example51_config("l2_l1", {
+            ("problem", "n"): 80, ("inner", "grad_tol_rel"): 1e-11})
+        op, _x_dagger, y = harness.make_problem(cfg)
+        ydelta = harness.add_noise(y, cfg.noise.delta, cfg.noise.seed)
+        report = harness.solve(cfg, op, ydelta)
+        states = report.states
+        assert report.terminated_by == "discrepancy" and len(states) > 10
+        assert cfg.method.r == 2.0 and all(s.inner_stats.converged for s in states[1:])
+        reference = dense_integral_l1_steps(
+            *integral_matrices(80), ydelta.values, cfg.theta,
+            [(s.alpha, prev.x.values, prev.xi.values) for prev, s in zip(states, states[1:])])
+        for state, (x, xi) in zip(states[1:], reference):
+            for got, want, tol in ((state.x.values, x, 1.5e-7), (state.xi.values, xi, 2.7e-8)):
                 assert np.linalg.norm(got - want) <= tol * np.linalg.norm(got)
 
 
