@@ -3,24 +3,24 @@
 Each outer step minimizes ``(1/r) ||F(x) - y||^r + alpha * D_xi Theta(x, x_prev)``
 by truncated Gauss–Newton–CG with Armijo backtracking.  Each Newton system
 ``(F'(x)* J_r'(res) F'(x) + alpha W^-1 P(x)) h = -g``, with W the quadrature
-weights and P the penalty Hessian, is solved by CG in the quadrature-weighted
-inner product.  P is a diagonal, held as one vector (`penalties.pointwise_hessian`),
-plus with TV (b > 0) the TV term, as CSR for the matvec and as its upper band
-(`penalties.tv_hessian`).  With TV, CG is preconditioned by alpha P: that band
-plus the diagonal, factored by banded Cholesky (LAPACK ``pbtrf``).  Without TV,
-the preconditioner is the operator's exact inverse of the Newton matrix
-(`ForwardOp.newton_inverse`; `IntegralOp` factors a pentadiagonal band) or, if
-it has none, alpha P, a division.  CG stops at the Eisenstat–Walker relative residual
-``min(0.5, sqrt(||g|| / max(1, ||g_0||)))``, safeguarded from below by
+weights and P the penalty Hessian, is solved in the quadrature-weighted inner
+product.  P is a diagonal, held as one vector (`penalties.pointwise_hessian`), plus with
+TV (b > 0) the TV term, as CSR for the matvec and as its upper band (`penalties.tv_hessian`).
+Without TV, where the operator has an exact inverse of the Newton matrix
+(`ForwardOp.newton_inverse`; `IntegralOp` factors a pentadiagonal band), the direction is
+that inverse applied to -W g, with no CG.  Otherwise CG solves the system, preconditioned
+with TV by alpha P, that band plus the diagonal, factored by banded Cholesky (LAPACK
+``pbtrf``), and without TV by alpha P, a division.  CG stops at the Eisenstat–Walker
+relative residual ``min(0.5, sqrt(||g|| / max(1, ||g_0||)))``, safeguarded from below by
 ``0.5 tol / ||g||``: a direction is solved no more tightly than the inner stop
 ``||g|| <= tol`` can use (Eisenstat & Walker, SIAM J. Sci. Comput. 17 (1996)
 16–32; Kelley, Iterative Methods for Linear and Nonlinear Equations, SIAM
 1995, ch. 6).  When the subproblem is linear-quadratic (F linear, a = b = 0,
-r = p = 2), CG stops at 1e-13 instead, and one Newton step solves it.  For
-TV, P uses the dual field of Chan, Golub & Mulet, updated after each accepted
-step.  CG is this module's own loop, `_cg`, the iteration
-of scipy's ``cg`` update for update: without scipy's set-up around what is
-mostly one iteration per direction, ``integral_l1`` solves take about 30% less
+r = p = 2), CG runs, preconditioned by the exact inverse if there is one, to 1e-13,
+so that one Newton step solves it.  For TV, P uses the dual field of Chan, Golub &
+Mulet, updated after each accepted step.  CG is this module's own loop, `_cg`, the
+iteration of scipy's ``cg`` update for update: without scipy's set-up around each
+direction's few iterations, ``integral_l1`` solves took about 30% less
 time (``BENCH_inner_arrays.json``).
 
 F, F' and Theta are evaluated once per point: the residual F(x) - y of the objective
@@ -107,7 +107,7 @@ def objective(p: InnerProblem, x: GridFn) -> tuple[float, np.ndarray, float]:
     res = p.op.apply(x).values - p.ydelta.values
     theta_x = p.theta_prev if x is p.x_prev else penalties.value(p.theta, x)
     bregman = (theta_x - p.theta_prev  # - <xi_prev, x - x_prev>
-               - float((x.space.weights * p.xi_prev.values * (x.values - p.x_prev.values)).sum()))
+               - float(p.xi_prev.values.dot(x.space.weights * (x.values - p.x_prev.values))))
     return values_norm(p.ydelta.space, res) ** p.r / p.r + p.alpha * bregman, res, theta_x
 
 
@@ -141,9 +141,10 @@ def _penalty_hessian(p: InnerProblem, x: GridFn, cell: np.ndarray | None, diag: 
 
 def _newton_direction(p: InnerProblem, x: GridFn, maps, res: np.ndarray, g: np.ndarray,
                       cell: np.ndarray | None, rtol: float) -> tuple[np.ndarray, int]:
-    """The direction by CG on ``W F'* J_r'(res) F' + alpha P`` with right-hand side ``-W g``,
-    F' and F'* the maps of `ForwardOp.linearized` at x, preconditioned without TV by
-    `ForwardOp.newton_inverse` if not None; and CG's iterations.
+    """The solution of ``(W F'* J_r'(res) F' + alpha P) d = -W g``, F' and F'* the maps of
+    `ForwardOp.linearized` at x, and CG's iterations.  Without TV, `ForwardOp.newton_inverse`
+    if not None gives d directly (0 iterations), or preconditions CG on a linear-quadratic
+    subproblem, which CG solves to `EXACT_RTOL`; otherwise CG is preconditioned by alpha P.
 
     ``J_r'(u) h = ||u||^(r-2) (h + (r-2) <u, h> u / ||u||^2)`` is the
     derivative of the duality mapping on a p = 2 space; it is symmetric
@@ -155,14 +156,15 @@ def _newton_direction(p: InnerProblem, x: GridFn, maps, res: np.ndarray, g: np.n
     scale = rn ** (p.r - 2.0) if rn > 0.0 else float(p.r == 2.0)
     rank1 = (p.r - 2.0) / rn**2 if rn > 0.0 else 0.0
     diag = p.alpha * penalties.pointwise_hessian(p.theta, x)
+    inverse = p.op.newton_inverse(x, diag, scale, rank1, res) if p.theta.b == 0.0 else None
+    if inverse is not None and not is_linear_quadratic(p):
+        return inverse(-w * g), 0  # CG's first iterate: this, rescaled by 1 to rounding
     apply_hess, precondition = _penalty_hessian(p, x, cell, diag)
-    if p.theta.b == 0.0:
-        precondition = p.op.newton_inverse(x, diag, scale, rank1, res) or precondition
-    deriv, adjoint = maps
+    precondition, (deriv, adjoint), wres = inverse or precondition, maps, rw * res
 
     def matvec(v):
         fv = deriv(v)
-        jv = scale * (fv + rank1 * (rw * res * fv).sum() * res)
+        jv = scale * (fv + rank1 * wres.dot(fv) * res if rank1 != 0.0 else fv)
         return w * adjoint(jv) + apply_hess(v)
 
     return _cg(matvec, precondition, -w * g, rtol)
@@ -221,7 +223,7 @@ def minimize(p: InnerProblem,
         rtol = EXACT_RTOL if exact else min(0.5, max(math.sqrt(gn / g0), SAFEGUARD * tol / gn))
         d, cg_iterations = _newton_direction(p, x, maps, res, g, cell, rtol)
         stats.cg_iterations += cg_iterations
-        slope = float((space.weights * g * d).sum())
+        slope = float(g.dot(space.weights * d))
         t = 1.0
         for _bt in range(MAX_BACKTRACKS):
             trial = GridFn(space, x.values + t * d, PRIMAL)

@@ -71,7 +71,9 @@ class ForwardOp(abc.ABC):
     def newton_inverse(self, x: GridFn, diag: np.ndarray, scale: float, rank1: float, res):
         """The inverse, on nodal arrays, of `inner_cg`'s Newton matrix
         ``W F'(x)* S F'(x) + diag(diag)``, W the weights and ``S = scale (I + rank1
-        res <res, .>_W)`` its ``J_r'`` model; None keeps the penalty preconditioner."""
+        res <res, .>_W)`` its ``J_r'`` model.  `inner_cg` takes its value at -W g as the Newton
+        direction, or on a linear-quadratic subproblem as CG's preconditioner; None means CG
+        preconditioned by the penalty Hessian."""
         return None
 
     def deriv(self, x: GridFn, h: GridFn) -> GridFn:

@@ -51,9 +51,9 @@ def _cells(space: GridSpace, vals: np.ndarray, eps: float):
 
 def value(theta: Penalty, x: GridFn) -> float:
     w, v = x.space.weights, x.values
-    total = theta.mu * float((w * v * v).sum())
+    total = theta.mu * float(v.dot(w * v))
     if theta.a > 0.0:
-        total += theta.a * float((w * np.sqrt(v * v + theta.eps)).sum())
+        total += theta.a * float(w.dot(np.sqrt(v * v + theta.eps)))
     if theta.b > 0.0:
         _diff, _d, m = _cells(x.space, v, theta.eps)
         total += theta.b * math.prod(x.space.spacings) * float(m.sum())

@@ -152,8 +152,8 @@ def values_norm(space: GridSpace, values: np.ndarray, variance: str = PRIMAL) ->
     """Quadrature-weighted p-norm; dual elements use the conjugate exponent."""
     p = space.exponent if variance == PRIMAL else space.conjugate_exponent
     if p == 2.0:
-        return math.sqrt((space.weights * values**2).sum())
-    return float((space.weights * np.abs(values) ** p).sum() ** (1.0 / p))
+        return math.sqrt(values.dot(space.weights * values))
+    return float(space.weights.dot(np.abs(values) ** p) ** (1.0 / p))
 
 
 def norm(f: GridFn) -> float:
@@ -166,7 +166,7 @@ def pairing(xi: GridFn, x: GridFn) -> float:
         raise ValueError("pairing requires functions on the same space")
     if xi.variance != DUAL or x.variance != PRIMAL:
         raise ValueError("pairing takes a dual and a primal grid function")
-    return float(np.sum(xi.space.weights * xi.values * x.values))
+    return float(xi.values.dot(xi.space.weights * x.values))
 
 
 def duality_map(f: GridFn, r: float) -> GridFn:
@@ -183,11 +183,14 @@ def duality_map(f: GridFn, r: float) -> GridFn:
 
 
 def duality_values(space: GridSpace, values: np.ndarray, r: float) -> np.ndarray:
-    """`duality_map` on nodal arrays: ``||f||^(r-p) |f|^(p-1) sign(f)``, and zeros at f = 0."""
+    """`duality_map` on nodal arrays: ``||f||^(r-p) |f|^(p-1) sign(f)``, and zeros at f = 0;
+    at p = 2 it is ``||f||^(r-2) f``, equal to the bit."""
     p = space.exponent
     nrm = values_norm(space, values)
     if nrm == 0.0:
         return np.zeros(space.size)
+    if p == 2.0:
+        return nrm ** (r - 2.0) * values
     return nrm ** (r - p) * np.abs(values) ** (p - 1.0) * np.sign(values)
 
 

@@ -233,7 +233,7 @@ def test_08_penalty_ordering(capsys, ex51_runs, ex52_runs):
 # count lowers its entry here.
 WORK = {
     "example51_quadratic": (16, 32, 0),
-    "example51_l2_l1": (98, 98, 32),
+    "example51_l2_l1": (98, 0, 32),
     "example52_quadratic": (36, 129, 0),
     "example52_l2_tv_mu0.01": (243, 2175, 113),
     "example52_l2_tv_mu1": (234, 1643, 86),

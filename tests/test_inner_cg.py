@@ -430,7 +430,9 @@ class TestMinimize:
 
         monkeypatch.setattr(GridFn, "__post_init__", counted_post_init)
         monkeypatch.setattr(inner_cg, "_cg", flagged_cg)
-        stats = minimize(spikes_l1_problem())[2]
+        # without a Newton inverse, so that every direction runs CG
+        p = replace(spikes_l1_problem(), op=PenaltyPreconditionedIntegralOp(80))
+        stats = minimize(p)[2]
         assert stats.converged and count["cg"] == stats.iterations >= 1
         assert count["in_cg"] == 0
         assert count["all"] <= 4 * (stats.iterations + stats.backtracks + 1)
@@ -463,10 +465,10 @@ def record_preconditioners(monkeypatch):
 
 
 def count_cg_work(monkeypatch, op):
-    """Count, in the returned dict, the calls of the deriv map that
-    `op.linearized` returns, and the calls of CG's preconditioner, whether
-    `op.newton_inverse` or `_penalty_hessian` made it."""
-    count = {"deriv": 0, "precondition": 0}
+    """Count, in the returned dict, the calls of the deriv and adjoint maps that
+    `op.linearized` returns, and the calls of CG's preconditioner or the direct
+    step's inverse, whether `op.newton_inverse` or `_penalty_hessian` made it."""
+    count = {"deriv": 0, "adjoint": 0, "precondition": 0}
     linearized, newton_inverse = op.linearized, op.newton_inverse
     penalty_hessian = inner_cg._penalty_hessian
 
@@ -478,7 +480,7 @@ def count_cg_work(monkeypatch, op):
 
     def counted_linearized(x):
         deriv, adjoint = linearized(x)
-        return counted(deriv, "deriv"), adjoint
+        return counted(deriv, "deriv"), counted(adjoint, "adjoint")
 
     def counted_newton_inverse(*args):
         inverse = newton_inverse(*args)
@@ -499,11 +501,14 @@ def without_tv_problem(op, theta):
     return replace(p, xi_prev=penalties.gradient(theta, p.x_prev))
 
 
-def assert_solves_dense_newton_system(p, g, d, integral_matrices):
-    """d solves the Newton system (W A* A + alpha P) d = -W g, assembled densely."""
+def assert_solves_dense_newton_system(p, res, g, d, integral_matrices):
+    """d solves the Newton system (W A* S A + alpha P) d = -W g, assembled densely, with
+    ``S = ||res||^(r-2) (I + (r-2) res <res, .>_W / ||res||^2)``, the ``J_r'`` model at res."""
     w = p.op.domain_space.weights
     A, Astar = integral_matrices(p.op.domain_space.size - 1)
-    newton = w[:, None] * (Astar @ A) + p.alpha * np.diag(
+    rn2 = res @ (w * res)
+    S = rn2 ** (p.r / 2 - 1) * (np.eye(w.size) + (p.r - 2) * np.outer(res, w * res) / rn2)
+    newton = w[:, None] * (Astar @ S @ A) + p.alpha * np.diag(
         penalties.pointwise_hessian(p.theta, p.x_prev))
     exact = np.linalg.solve(newton, -w * g)
     assert np.linalg.norm(d - exact) <= 1e-8 * np.linalg.norm(exact)
@@ -524,7 +529,7 @@ class TestPreconditioner:
         res, g = start(p)
         d, _iterations = direction(p, res, g, 1e-12)
         assert calls == []
-        assert_solves_dense_newton_system(p, g, d, integral_matrices)
+        assert_solves_dense_newton_system(p, res, g, d, integral_matrices)
         v = np.random.default_rng(3).standard_normal(d.size)
         diag = p.alpha * penalties.pointwise_hessian(p.theta, p.x_prev)
         assert np.array_equal(preconditioners[0][0](v), v / diag)
@@ -541,11 +546,24 @@ class TestPreconditioner:
         res, g = start(p)
         d, _iterations = direction(p, res, g, 1e-12)
         assert calls == [("dpbtrf", 39)]
-        assert_solves_dense_newton_system(p, g, d, integral_matrices)
+        assert_solves_dense_newton_system(p, res, g, d, integral_matrices)
         calls.clear()
         stats = minimize(p, InnerSettings(max_iters=3))[2]
         assert stats.iterations >= 1 and not stats.line_search_failed
         assert calls == [("dpbtrf", 39)] * stats.iterations
+
+    @pytest.mark.parametrize("r", [1.5, 2.0, 3.0])
+    def test_integral_newton_inverse_is_the_direction(self, monkeypatch, integral_matrices, r):
+        # off the linear-quadratic route the exact inverse gives the direction: one
+        # factor, one inverse apply, no CG iteration and no operator map
+        p = replace(without_tv_problem(IntegralOp(40), Penalty(mu=1.0, a=0.5, eps=1e-3)), r=r)
+        res, g = start(p)
+        calls = count_factorizations(monkeypatch)
+        count = count_cg_work(monkeypatch, p.op)
+        d, iterations = direction(p, res, g, 0.5)
+        assert iterations == 0 and calls == [("dpbtrf", 39)]
+        assert count == {"deriv": 0, "adjoint": 0, "precondition": 1}
+        assert_solves_dense_newton_system(p, res, g, d, integral_matrices)
 
     def test_integral_newton_inverse_keeps_cg_short(self, monkeypatch):
         # example 5.1 with the quadratic penalty: as alpha_n falls, CG
@@ -561,22 +579,23 @@ class TestPreconditioner:
         cg_iterations = sum(s.inner_stats.cg_iterations for s in report.states[1:])
         assert cg_iterations == sum(matvecs for _m, matvecs in preconditioners)
 
-    @pytest.mark.parametrize("problem", [
-        lambda: without_tv_problem(IntegralOp(40), Penalty(mu=1.0, a=0.5, eps=1e-3)),
-        lambda: without_tv_problem(PenaltyPreconditionedIntegralOp(40),
-                                   Penalty(mu=1.0, a=0.5, eps=1e-3)),
-        tv_problem,
+    @pytest.mark.parametrize("problem, direct", [
+        (lambda: without_tv_problem(IntegralOp(40), Penalty(mu=1.0, a=0.5, eps=1e-3)), True),
+        (lambda: without_tv_problem(PenaltyPreconditionedIntegralOp(40),
+                                    Penalty(mu=1.0, a=0.5, eps=1e-3)), False),
+        (tv_problem, False),
     ], ids=["newton_inverse", "penalty_diagonal", "tv_band"])
-    def test_no_operator_work_outside_cg_iterations(self, monkeypatch, problem):
+    def test_no_operator_work_outside_cg_iterations(self, monkeypatch, problem, direct):
         # each CG iteration is one Newton matvec and one preconditioner apply,
-        # with no probe or set-up call around them
+        # with no probe or set-up call around them; the direct step of an exact
+        # Newton inverse is one inverse apply and no CG iteration
         p = problem()
         res, g = start(p)
         count = count_cg_work(monkeypatch, p.op)
         _d, iterations = direction(p, res, g, 1e-12)
-        assert iterations >= 1
-        assert count["deriv"] == iterations
-        assert count["precondition"] == iterations
+        assert iterations == 0 if direct else iterations >= 1
+        assert count["deriv"] == count["adjoint"] == iterations
+        assert count["precondition"] == (1 if direct else iterations)
 
     def test_tv_factors_the_penalty_hessian_once_per_newton_step(self, monkeypatch):
         # the elliptic system at x_prev is factored by `start`; its interior

@@ -413,11 +413,14 @@ class TestRun:
 
 
 def dense_elliptic_tv_steps(nx, ny, f, g, ydelta, theta, steps):
-    """ex52's TV subproblems solved densely by scipy's trust-exact, for each
-    (alpha_n, x_{n-1}, xi_{n-1}) of steps: (x_n, xi_n) in nodal arrays.  Built
-    here from the data alone: 5-point -Lap with the boundary lift, TV from
-    forward differences, sqrt(dx^2 + dy^2 + eps) per cell, trapezoid weights,
-    and the exact Hessian."""
+    """ex52's TV subproblems solved densely by scipy's trust-exact, then one Newton step, for
+    each (alpha_n, x_{n-1}, xi_{n-1}) of steps: (x_n, xi_n) in nodal arrays; b = 0 gives the
+    quadratic penalty's.  Built here from the data alone: 5-point -Lap with the boundary
+    lift, TV from forward differences, sqrt(dx^2 + dy^2 + eps) per cell, trapezoid weights,
+    and the exact Hessian.  Trust-exact stops where its model test no longer resolves a
+    decrease of the objective, up to 7e-7 from the minimizer relative to a small x_n; the
+    Newton step, which reads only the gradient, takes it to where a second step moves it
+    no more."""
     size, hx, hy = (nx + 1) * (ny + 1), 1.0 / nx, 1.0 / ny
     node = np.arange(size).reshape(nx + 1, ny + 1)
     inner, cells = node[1:-1, 1:-1].ravel(), node[:-1, :-1].ravel()
@@ -459,11 +462,13 @@ def dense_elliptic_tv_steps(nx, ny, f, g, ydelta, theta, steps):
             hess[np.ix_(inner, inner)] += curvature + curvature.T  # <w res, u''(c)>
             return value, grad, hess
 
-        sol = minimize(lambda c: parts(c.tobytes())[:2], x_prev, jac=True,
-                       hess=lambda c: parts(c.tobytes())[2], method="trust-exact",
-                       options={"gtol": 1e-13})
-        u, _inverse, jac = state(sol.x)
-        out.append((sol.x, xi_prev - jac.T @ (w * (u - ydelta)) / (w * alpha)))
+        x = minimize(lambda c: parts(c.tobytes())[:2], x_prev, jac=True,
+                     hess=lambda c: parts(c.tobytes())[2], method="trust-exact",
+                     options={"gtol": 1e-13}).x
+        _value, grad, hess = parts(x.tobytes())
+        x = x - np.linalg.solve(hess, grad)
+        u, _inverse, jac = state(x)
+        out.append((x, xi_prev - jac.T @ (w * (u - ydelta)) / (w * alpha)))
     return out
 
 
@@ -519,25 +524,36 @@ class TestTrajectoryOracle:
 
 
 
-    def test_tv_steps_match_a_dense_reference(self):
-        # ex52 TV mu = 0.01 on the 8x8 grid: each step's (x_n, xi_n) against the dense
-        # reference's solve of the same subproblem, from nitreg's (x_{n-1}, xi_{n-1}).
-        # At grad_tol_rel = 1e-12 the worst errors read 2.9e-8 (x) and 1.05e-7 (xi),
-        # with one BLAS thread and with two; the bounds are five times those.
-        cfg = harness.example52_config("l2_tv", 0.01, {
+    @staticmethod
+    def assert_elliptic_steps_match_a_dense_reference(penalty, min_steps, x_tol, xi_tol):
+        """ex52 with `penalty` on the 8x8 grid at grad_tol_rel = 1e-12: each step's
+        (x_n, xi_n) against the dense reference's solve of the same subproblem, from
+        nitreg's (x_{n-1}, xi_{n-1}), relative to nitreg's."""
+        cfg = harness.example52_config(penalty, 0.01, {
             ("problem", "nx"): 8, ("problem", "ny"): 8, ("inner", "grad_tol_rel"): 1e-12})
         op, c_dagger, y = harness.make_problem(cfg)
         ydelta = harness.add_noise(y, cfg.noise.delta, cfg.noise.seed)
         report = harness.solve(cfg, op, ydelta)
-        assert report.terminated_by == "discrepancy" and len(report.states) > 20
+        assert report.terminated_by == "discrepancy" and len(report.states) > min_steps
         xs, ys = op.domain_space.coords()
         states = report.states
         reference = dense_elliptic_tv_steps(
             8, 8, c_dagger.values * (xs + ys), xs + ys, ydelta.values, cfg.theta,
             [(s.alpha, prev.x.values, prev.xi.values) for prev, s in zip(states, states[1:])])
         for state, (x, xi) in zip(states[1:], reference):
-            for got, want, tol in ((state.x.values, x, 1.5e-7), (state.xi.values, xi, 5e-7)):
+            for got, want, tol in ((state.x.values, x, x_tol), (state.xi.values, xi, xi_tol)):
                 assert np.linalg.norm(got - want) <= tol * np.linalg.norm(got)
+
+    def test_tv_steps_match_a_dense_reference(self):
+        # TV mu = 0.01: the worst errors read 8.0e-9 (x) and 3.8e-8 (xi), with one BLAS
+        # thread and with two; the bounds are five times those
+        self.assert_elliptic_steps_match_a_dense_reference("l2_tv", 20, 4e-8, 1.9e-7)
+
+    def test_quadratic_elliptic_steps_match_a_dense_reference(self):
+        # the quadratic penalty (b = 0), whose steps take EllipticOp's Newton-CG: the worst
+        # errors read 5.6e-8 (x, at a step that stops on no decrease of the objective) and
+        # 7.3e-8 (xi), with one BLAS thread and with two; the bounds are five times those
+        self.assert_elliptic_steps_match_a_dense_reference("quadratic", 15, 2.8e-7, 3.6e-7)
 
     def test_l1_steps_match_a_dense_reference(self, integral_matrices):
         # ex51 l2_l1 on IntegralOp(80): each step's (x_n, xi_n) against the dense
