@@ -140,11 +140,12 @@ def _penalty_hessian(p: InnerProblem, x: GridFn, cell: np.ndarray | None, diag: 
 
 
 def _newton_direction(p: InnerProblem, x: GridFn, maps, res: np.ndarray, g: np.ndarray,
-                      cell: np.ndarray | None, rtol: float) -> tuple[np.ndarray, int]:
+                      cell: np.ndarray | None, rtol: float,
+                      exact: bool) -> tuple[np.ndarray, int]:
     """The solution of ``(W F'* J_r'(res) F' + alpha P) d = -W g``, F' and F'* the maps of
     `ForwardOp.linearized` at x, and CG's iterations.  Without TV, `ForwardOp.newton_inverse`
-    if not None gives d directly (0 iterations), or preconditions CG on a linear-quadratic
-    subproblem, which CG solves to `EXACT_RTOL`; otherwise CG is preconditioned by alpha P.
+    if not None gives d directly (0 iterations), or preconditions CG if the subproblem is
+    linear-quadratic (`exact`, with rtol `EXACT_RTOL`); otherwise CG is preconditioned by alpha P.
 
     ``J_r'(u) h = ||u||^(r-2) (h + (r-2) <u, h> u / ||u||^2)`` is the
     derivative of the duality mapping on a p = 2 space; it is symmetric
@@ -157,14 +158,14 @@ def _newton_direction(p: InnerProblem, x: GridFn, maps, res: np.ndarray, g: np.n
     rank1 = (p.r - 2.0) / rn**2 if rn > 0.0 else 0.0
     diag = p.alpha * penalties.pointwise_hessian(p.theta, x)
     inverse = p.op.newton_inverse(x, diag, scale, rank1, res) if p.theta.b == 0.0 else None
-    if inverse is not None and not is_linear_quadratic(p):
+    if inverse is not None and not exact:
         return inverse(-w * g), 0  # CG's first iterate: this, rescaled by 1 to rounding
     apply_hess, precondition = _penalty_hessian(p, x, cell, diag)
     precondition, (deriv, adjoint), wres = inverse or precondition, maps, rw * res
 
     def matvec(v):
         fv = deriv(v)
-        jv = scale * (fv + rank1 * wres.dot(fv) * res if rank1 != 0.0 else fv)
+        jv = scale * (fv + rank1 * wres.dot(fv) * res)
         return w * adjoint(jv) + apply_hess(v)
 
     return _cg(matvec, precondition, -w * g, rtol)
@@ -221,7 +222,7 @@ def minimize(p: InnerProblem,
             break
         # Eisenstat–Walker, safeguarded: no tighter than the stop at tol can use
         rtol = EXACT_RTOL if exact else min(0.5, max(math.sqrt(gn / g0), SAFEGUARD * tol / gn))
-        d, cg_iterations = _newton_direction(p, x, maps, res, g, cell, rtol)
+        d, cg_iterations = _newton_direction(p, x, maps, res, g, cell, rtol, exact)
         stats.cg_iterations += cg_iterations
         slope = float(g.dot(space.weights * d))
         t = 1.0

@@ -72,7 +72,8 @@ class ForwardOp(abc.ABC):
         """The inverse, on nodal arrays, of `inner_cg`'s Newton matrix
         ``W F'(x)* S F'(x) + diag(diag)``, W the weights and ``S = scale (I + rank1
         res <res, .>_W)`` its ``J_r'`` model.  `inner_cg` takes its value at -W g as the Newton
-        direction, or on a linear-quadratic subproblem as CG's preconditioner; None means CG
+        direction, unchecked, or on a linear-quadratic subproblem as CG's preconditioner; so
+        an operator whose inverse is not exact to rounding returns None, which means CG
         preconditioned by the penalty Hessian."""
         return None
 

@@ -183,14 +183,11 @@ def duality_map(f: GridFn, r: float) -> GridFn:
 
 
 def duality_values(space: GridSpace, values: np.ndarray, r: float) -> np.ndarray:
-    """`duality_map` on nodal arrays: ``||f||^(r-p) |f|^(p-1) sign(f)``, and zeros at f = 0;
-    at p = 2 it is ``||f||^(r-2) f``, equal to the bit."""
+    """`duality_map` on nodal arrays: ``||f||^(r-p) |f|^(p-1) sign(f)``, and zeros at f = 0."""
     p = space.exponent
     nrm = values_norm(space, values)
     if nrm == 0.0:
         return np.zeros(space.size)
-    if p == 2.0:
-        return nrm ** (r - 2.0) * values
     return nrm ** (r - p) * np.abs(values) ** (p - 1.0) * np.sign(values)
 
 

@@ -123,7 +123,8 @@ def start(p):
 def direction(p, res, g, rtol):
     """`inner_cg._newton_direction` at x_prev, with the maps of `linearized` there."""
     maps = p.op.linearized(p.x_prev)
-    return inner_cg._newton_direction(p, p.x_prev, maps, res, g, None, rtol)
+    return inner_cg._newton_direction(p, p.x_prev, maps, res, g, None, rtol,
+                                      is_linear_quadratic(p))
 
 
 def value(p, x):
@@ -430,12 +431,14 @@ class TestMinimize:
 
         monkeypatch.setattr(GridFn, "__post_init__", counted_post_init)
         monkeypatch.setattr(inner_cg, "_cg", flagged_cg)
-        # without a Newton inverse, so that every direction runs CG
-        p = replace(spikes_l1_problem(), op=PenaltyPreconditionedIntegralOp(80))
-        stats = minimize(p)[2]
-        assert stats.converged and count["cg"] == stats.iterations >= 1
-        assert count["in_cg"] == 0
-        assert count["all"] <= 4 * (stats.iterations + stats.backtracks + 1)
+        # without a Newton inverse every direction runs CG; with IntegralOp's, none does
+        for op, runs_cg in ((PenaltyPreconditionedIntegralOp(80), True), (IntegralOp(80), False)):
+            count.update(all=0, in_cg=0, cg=0)
+            stats = minimize(replace(spikes_l1_problem(), op=op))[2]
+            assert stats.converged and stats.iterations >= 1
+            assert count["cg"] == (stats.iterations if runs_cg else 0)
+            assert count["in_cg"] == 0
+            assert count["all"] <= 4 * (stats.iterations + stats.backtracks + 1)
 
     def test_deterministic(self):
         p = quadratic_problem(n=40)
@@ -558,12 +561,20 @@ class TestPreconditioner:
         # factor, one inverse apply, no CG iteration and no operator map
         p = replace(without_tv_problem(IntegralOp(40), Penalty(mu=1.0, a=0.5, eps=1e-3)), r=r)
         res, g = start(p)
+        deriv, adjoint = p.op.linearized(p.x_prev)
         calls = count_factorizations(monkeypatch)
         count = count_cg_work(monkeypatch, p.op)
         d, iterations = direction(p, res, g, 0.5)
         assert iterations == 0 and calls == [("dpbtrf", 39)]
         assert count == {"deriv": 0, "adjoint": 0, "precondition": 1}
         assert_solves_dense_newton_system(p, res, g, d, integral_matrices)
+        # nothing checks the direct step, so the inverse must be exact to rounding: the
+        # Newton residual in CG's own measure read at worst 4.6e-13 (r = 1.5)
+        w, rw = p.x_prev.space.weights, p.ydelta.space.weights
+        rn2, fd = res.dot(rw * res), deriv(d)
+        jd = rn2 ** (r / 2 - 1) * (fd + (r - 2) * (rw * res).dot(fd) * res / rn2)
+        newton = w * adjoint(jd) + p.alpha * penalties.pointwise_hessian(p.theta, p.x_prev) * d
+        assert np.linalg.norm(newton + w * g) <= 1e-11 * np.linalg.norm(w * g)
 
     def test_integral_newton_inverse_keeps_cg_short(self, monkeypatch):
         # example 5.1 with the quadratic penalty: as alpha_n falls, CG
@@ -707,9 +718,9 @@ def record_forcing_terms(monkeypatch):
     calls = []
     newton_direction = inner_cg._newton_direction
 
-    def recorded(p, x, maps, res, g, cell, rtol):
+    def recorded(p, x, maps, res, g, cell, rtol, exact):
         calls.append((rtol, spaces.values_norm(x.space, g, DUAL)))
-        return newton_direction(p, x, maps, res, g, cell, rtol)
+        return newton_direction(p, x, maps, res, g, cell, rtol, exact)
 
     monkeypatch.setattr(inner_cg, "_newton_direction", recorded)
     return calls

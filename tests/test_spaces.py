@@ -135,12 +135,6 @@ class TestDualityMap:
         assert np.allclose(j.values, 4.0 * f.values, rtol=1e-12)
         assert pairing(j, f) == pytest.approx(16.0, rel=1e-12)
 
-    @pytest.mark.parametrize("r", [1.5, 2.0, 3.0])
-    def test_p2_branch_is_the_general_formula_to_the_bit(self, interval, r):
-        v = np.random.default_rng(int(10 * r)).standard_normal(interval.size)
-        general = spaces.values_norm(interval, v) ** (r - 2.0) * np.abs(v) ** 1.0 * np.sign(v)
-        assert np.array_equal(spaces.duality_values(interval, v, r), general)
-
     def test_invalid_gauge(self, interval):
         with pytest.raises(ValueError):
             duality_map(spaces.zeros(interval), 1.0)
