@@ -11,7 +11,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla  # unused here: bench/layers.py traces operators.spla.splu
 from scipy.linalg import lapack
 
-from .spaces import DUAL, PRIMAL, GridFn, GridSpace, differences
+from .spaces import DUAL, PRIMAL, DualityDerivative, GridFn, GridSpace, differences
 
 
 class OperatorError(RuntimeError):
@@ -53,40 +53,41 @@ def weighted_product(left, right):
 
 
 class ForwardOp(abc.ABC):
-    """Operator F between two grid spaces, defined by F and its linearization."""
+    """Operator F between two grid spaces, defined by `linearized`: one evaluation per point
+    gives F(x) and its linearization there."""
 
     domain_space: GridSpace
     range_space: GridSpace
     is_linear: bool = False
 
     @abc.abstractmethod
-    def apply(self, x: GridFn) -> GridFn:
-        """Evaluate F(x)."""
-
-    @abc.abstractmethod
     def linearized(self, x: GridFn):
-        """Check x once; return the maps h -> F'(x)h and w -> F'(x)* w on nodal
-        arrays, the adjoint taken w.r.t. the quadrature pairings."""
+        """Check x once; return F(x), unchecked for finiteness, and the maps h -> F'(x)h and
+        w -> F'(x)* w, all on nodal arrays, the adjoint taken w.r.t. the quadrature pairings.
+        A point where F is not defined raises `OperatorError`."""
 
-    def newton_inverse(self, x: GridFn, diag: np.ndarray, scale: float, rank1: float, res):
-        """The inverse, on nodal arrays, of `inner_cg`'s Newton matrix
-        ``W F'(x)* S F'(x) + diag(diag)``, W the weights and ``S = scale (I + rank1
-        res <res, .>_W)`` its ``J_r'`` model.  `inner_cg` takes its value at -W g as the Newton
-        direction, unchecked, or on a linear-quadratic subproblem as CG's preconditioner; so
-        an operator whose inverse is not exact to rounding returns None, which means CG
-        preconditioned by the penalty Hessian."""
+    def apply(self, x: GridFn) -> GridFn:
+        """Evaluate F(x), as a grid function, which refuses non-finite values."""
+        return GridFn(self.range_space, self.linearized(x)[0], PRIMAL)
+
+    def newton_inverse(self, diag: np.ndarray, model: DualityDerivative):
+        """The inverse, on nodal arrays, of `inner_cg`'s Newton matrix ``W F'(x)* S F'(x) +
+        diag(diag)`` at x, W the weights and S = model, the ``J_r'`` model at x's residual.
+        `inner_cg` takes its value at -W g as the Newton direction, unchecked, or on a
+        linear-quadratic subproblem as CG's preconditioner; so an operator whose inverse is not
+        exact to rounding returns None, which means CG preconditioned by the penalty Hessian."""
         return None
 
     def deriv(self, x: GridFn, h: GridFn) -> GridFn:
         """Directional derivative F'(x)h."""
         self._check_domain(h)
-        return GridFn(self.range_space, self.linearized(x)[0](h.values), PRIMAL)
+        return GridFn(self.range_space, self.linearized(x)[1](h.values), PRIMAL)
 
     def adjoint(self, x: GridFn, w: GridFn) -> GridFn:
         """Adjoint F'(x)* w w.r.t. the quadrature pairings."""
         if w.space != self.range_space or w.variance != DUAL:
             raise ValueError("argument is not a dual element of the range space")
-        return GridFn(self.domain_space, self.linearized(x)[1](w.values), DUAL)
+        return GridFn(self.domain_space, self.linearized(x)[2](w.values), DUAL)
 
     def _check_domain(self, x: GridFn) -> None:
         if x.space != self.domain_space or x.variance != PRIMAL:
@@ -125,24 +126,20 @@ class IntegralOp(ForwardOp):
         up = np.concatenate(([0.0], u, [0.0]))
         return self._k * (2.0 * u - up[:-2] - up[2:])
 
-    def apply(self, x: GridFn) -> GridFn:
-        self._check_domain(x)
-        return GridFn(self.range_space, self._green(x.values), PRIMAL)
-
     def linearized(self, x: GridFn):
         self._check_domain(x)
-        return self._green, self._green
+        return self._green(x.values), self._green, self._green
 
-    def newton_inverse(self, x, diag, scale, rank1, res):
-        h = 1.0 / (x.space.size - 1)
+    def newton_inverse(self, diag, model):
+        h, scale, rank1 = 1.0 / (self.domain_space.size - 1), model.scale, model.rank1
         d = np.concatenate(([0.0], self._k**2 * diag[1:-1], [0.0]))  # k^2 D, zero-padded
         band = np.zeros((3, d.size - 2), order="F")  # upper band of h scale I + A D A, diagonal 0
         band[0, 2:] = d[2:-2]
         band[1, 1:] = -2.0 * (d[1:-2] + d[2:-1])
         solve = banded_cholesky(band, h * scale + 4.0 * d[1:-1] + d[:-2] + d[2:])
         if rank1 != 0.0:  # r != 2: h S = h scale I + c u u^T, u = res, by Sherman–Morrison
-            z, c = solve(res[1:-1]), h * h * scale * rank1
-            coef = c / (1.0 + c * (res[1:-1] @ z))
+            z, c = solve(model.u[1:-1]), h * h * scale * rank1
+            coef = c / (1.0 + c * (model.u[1:-1] @ z))
 
         def inverse(v):
             av = self._stiffness(v[1:-1])
@@ -196,7 +193,8 @@ class EllipticOp(ForwardOp):
         (self._inner, rows, self._laplacian, self._diagonal, self._coupling, self._coupling_t,
          self._band_map) = _red_black(space)
         self._rhs0 = f[self._inner] - rows @ self._embed(0.0, self.g)
-        self._cache = None  # (c_bytes, solve, u_int)
+        self._zero, self._w_int = np.zeros(space.size), space.weights[self._inner]
+        self._cache = None  # (c_bytes, solve, u_int): a subproblem starts at the last point
 
     def _embed(self, values, base: np.ndarray) -> np.ndarray:
         """Copy of a full-grid array with its interior nodes set to values."""
@@ -230,21 +228,15 @@ class EllipticOp(ForwardOp):
         self._cache = (key, solve, u_int)
         return solve, u_int
 
-    def apply(self, c: GridFn) -> GridFn:
-        self._check_domain(c)
-        _solve, u_int = self._factorization(c)
-        return GridFn(self.range_space, self._embed(u_int, self.g), PRIMAL)
-
     def linearized(self, c: GridFn):
         self._check_domain(c)
         solve, u_int = self._factorization(c)
-        zero, w_int = np.zeros_like(self.g), self.domain_space.weights[self._inner]
 
         def deriv(h):
-            return self._embed(solve(-h[self._inner] * u_int), zero)
+            return self._embed(solve(-h[self._inner] * u_int), self._zero)
 
         def adjoint(w):
             psi = solve((self.range_space.weights * w)[self._inner])
-            return self._embed(-u_int * psi / w_int, zero)
+            return self._embed(-u_int * psi / self._w_int, self._zero)
 
-        return deriv, adjoint
+        return self._embed(u_int, self.g), deriv, adjoint

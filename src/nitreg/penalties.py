@@ -6,9 +6,10 @@ terms are replaced by the smooth surrogates ``int sqrt(x^2 + eps)`` and
 2-uniform convexity modulus regardless of a and b.
 
 TV is defined through the grid's forward differences D (`spaces.differences`), one
-difference per cell and axis.  The Hessian is the diagonal of the mu and L1 terms
-(`pointwise_hessian`) plus the TV term (`tv_hessian`), whose entries are linear in
-per-cell coefficients through maps fixed per grid (`operators.weighted_product`).
+difference per cell and axis.  An `Evaluation` at x holds what Theta's value, gradient and
+Hessian share there.  The Hessian is a diagonal (`pointwise_hessian`) plus the TV term
+(`tv_hessian`), linear in per-cell coefficients through maps fixed per grid
+(`operators.weighted_product`).
 """
 
 from __future__ import annotations
@@ -49,46 +50,83 @@ def _cells(space: GridSpace, vals: np.ndarray, eps: float):
     return diff, d, np.sqrt(np.sum(d * d, axis=0) + eps)
 
 
+class Evaluation:
+    """Theta(x) as ``value``, and what the gradient and Hessians at x read, each computed once:
+    for L1 ``s = x^2 + eps`` and ``m = sqrt(s)``, for TV `_cells`."""
+
+    def __init__(self, theta: Penalty, x: GridFn):
+        self.theta, self.x, w, v = theta, x, x.space.weights, x.values
+        self.value = theta.mu * float(v.dot(w * v))
+        if theta.a > 0.0:
+            self.s = v * v + theta.eps
+            self.m = np.sqrt(self.s)
+            self.value += theta.a * float(w.dot(self.m))
+        if theta.b > 0.0:
+            self.cells = _cells(x.space, v, theta.eps)
+            self.value += theta.b * math.prod(x.space.spacings) * float(self.cells[2].sum())
+
+    def gradient(self) -> np.ndarray:
+        """Nodal values of the gradient in the dual representation: ``<xi, h> = d/dt
+        value(x + t h)|_{t=0}`` in the quadrature-weighted pairing."""
+        theta, w, v = self.theta, self.x.space.weights, self.x.values
+        # Euclidean gradient w.r.t. nodal values, converted to dual form at the end
+        g = 2.0 * theta.mu * w * v
+        if theta.a > 0.0:
+            g = g + theta.a * w * v / self.m
+        if theta.b > 0.0:
+            diff, d, m = self.cells
+            g = g + theta.b * math.prod(self.x.space.spacings) * (diff.T @ (d / m).ravel())
+        return g / w
+
+    def pointwise_hessian(self) -> np.ndarray:
+        """The diagonal of the Euclidean Hessian of the mu and L1 terms w.r.t. nodal values:
+        without TV (b = 0), the whole penalty Hessian."""
+        theta, w = self.theta, self.x.space.weights
+        diag = 2.0 * theta.mu * w
+        if theta.a > 0.0:  # eps / s^1.5, written so that a large eps cannot overflow
+            diag = diag + theta.a * w * (theta.eps / self.s) / self.m
+        return diag
+
+    def tv_hessian(self, cell: np.ndarray | None = None) -> tuple:
+        """Euclidean Hessian of the TV term w.r.t. nodal values, ``b * area * D^T A D`` with
+        the per-cell block ``A = I/m - sym(cell d^T)/m^2``, as CSR and as its flat upper band:
+        the grid's maps (`_tv_pattern`) applied to A.  ``cell`` is the dual field of Chan,
+        Golub & Mulet (one row per axis, |cell| < 1); None means d/m, which makes this the
+        exact Hessian."""
+        (_diff, d, m), space = self.cells, self.x.space
+        cell = d / m if cell is None else cell
+        a = np.eye(len(d))[:, :, None] / m - (cell[:, None] * d + d[:, None] * cell) / (2 * m**2)
+        coef, n = self.theta.b * math.prod(space.spacings) * a.ravel(), space.size
+        indptr, indices, data_map, band_map = _tv_pattern(space)
+        return sp.csr_matrix((data_map @ coef, indices, indptr), (n, n)), band_map @ coef
+
+    def tv_field_step(self, cell: np.ndarray | None, step: np.ndarray) -> np.ndarray:
+        """The TV dual field after the primal step x -> x + step, nodal (Chan, Golub & Mulet):
+        Newton's correction of the field's equation ``m cell = d``, linearized at x, damped to
+        0.9 of the largest step that keeps |cell| <= 1 in every cell, and to at most 1.  A
+        None ``cell`` stands for d/m at x."""
+        diff, d, m = self.cells
+        if cell is None:
+            cell = d / m
+        dd = (diff @ step).reshape(d.shape)
+        dw = d / m - cell + (dd - cell * np.sum(d * dd, axis=0) / m) / m
+        # per cell, |cell + s dw| = 1 at s = c / (b + sqrt(b^2 + a c))
+        a = np.sum(dw * dw, axis=0)
+        b = np.sum(cell * dw, axis=0)
+        c = 1.0 - np.sum(cell * cell, axis=0)
+        den = b + np.sqrt(b * b + a * c)
+        moving = den > 0.0
+        s = min(1.0, 0.9 * np.min(c[moving] / den[moving], initial=np.inf))
+        return cell + s * dw
+
+
 def value(theta: Penalty, x: GridFn) -> float:
-    w, v = x.space.weights, x.values
-    total = theta.mu * float(v.dot(w * v))
-    if theta.a > 0.0:
-        total += theta.a * float(w.dot(np.sqrt(v * v + theta.eps)))
-    if theta.b > 0.0:
-        _diff, _d, m = _cells(x.space, v, theta.eps)
-        total += theta.b * math.prod(x.space.spacings) * float(m.sum())
-    return total
+    return Evaluation(theta, x).value
 
 
 def gradient(theta: Penalty, x: GridFn) -> GridFn:
-    """Gradient of the smoothed penalty in the dual representation.
-
-    The returned xi satisfies <xi, h> = d/dt value(x + t h)|_{t=0} with the
-    quadrature-weighted pairing.
-    """
-    w = x.space.weights
-    v = x.values
-    # Euclidean gradient w.r.t. nodal values, converted to dual form at the end
-    g = 2.0 * theta.mu * w * v
-    if theta.a > 0.0:
-        g = g + theta.a * w * v / np.sqrt(v * v + theta.eps)
-    if theta.b > 0.0:
-        diff, d, m = _cells(x.space, v, theta.eps)
-        g = g + theta.b * math.prod(x.space.spacings) * (diff.T @ (d / m).ravel())
-    return GridFn(x.space, g / w, DUAL)
-
-
-def pointwise_hessian(theta: Penalty, x: GridFn) -> np.ndarray:
-    """Euclidean Hessian of the mu and L1 terms w.r.t. nodal values, which is
-    diagonal: the vector of its diagonal.  Without TV (b = 0) it is the whole
-    penalty Hessian."""
-    w = x.space.weights
-    v = x.values
-    diag = 2.0 * theta.mu * w
-    if theta.a > 0.0:
-        s = v * v + theta.eps  # eps / s^1.5, written so that a large eps cannot overflow
-        diag = diag + theta.a * w * (theta.eps / s) / np.sqrt(s)
-    return diag
+    """Gradient of the smoothed penalty in the dual representation (`Evaluation.gradient`)."""
+    return GridFn(x.space, Evaluation(theta, x).gradient(), DUAL)
 
 
 @functools.lru_cache(maxsize=8)
@@ -99,42 +137,6 @@ def _tv_pattern(space: GridSpace):
     rows = np.arange(diff.shape[0]).reshape(k, -1)  # D's rows of each axis
     return weighted_product(diff[rows.repeat(k, axis=0).ravel()],
                             diff[np.tile(rows, (k, 1)).ravel()])
-
-
-def tv_hessian(theta: Penalty, x: GridFn, cell: np.ndarray | None = None) -> tuple:
-    """Euclidean Hessian of the TV term w.r.t. nodal values, ``b * area * D^T A D`` with the
-    per-cell block ``A = I/m - sym(cell d^T)/m^2``, as CSR and as its flat upper band: the
-    grid's maps (`_tv_pattern`) applied to A.  ``cell`` is the dual field of Chan, Golub &
-    Mulet (one row per axis, |cell| < 1); None means d/m, which makes this the exact Hessian."""
-    _diff, d, m = _cells(x.space, x.values, theta.eps)
-    cell = d / m if cell is None else cell
-    a = np.eye(len(d))[:, :, None] / m - (cell[:, None] * d + d[:, None] * cell) / (2 * m**2)
-    coef, n = theta.b * math.prod(x.space.spacings) * a.ravel(), x.space.size
-    indptr, indices, data_map, band_map = _tv_pattern(x.space)
-    return sp.csr_matrix((data_map @ coef, indices, indptr), (n, n)), band_map @ coef
-
-
-def tv_field_step(theta: Penalty, x: GridFn, cell: np.ndarray | None,
-                  step: GridFn) -> np.ndarray:
-    """The TV dual field after the primal step x -> x + step (Chan, Golub & Mulet).
-
-    Newton's correction of the field's equation ``m cell = d``, linearized at
-    x, is damped to 0.9 of the largest step that keeps |cell| <= 1 in every
-    cell, and to at most 1.  A None ``cell`` stands for d/m at x.
-    """
-    diff, d, m = _cells(x.space, x.values, theta.eps)
-    if cell is None:
-        cell = d / m
-    dd = (diff @ step.values).reshape(d.shape)
-    dw = d / m - cell + (dd - cell * np.sum(d * dd, axis=0) / m) / m
-    # per cell, |cell + s dw| = 1 at s = c / (b + sqrt(b^2 + a c))
-    a = np.sum(dw * dw, axis=0)
-    b = np.sum(cell * dw, axis=0)
-    c = 1.0 - np.sum(cell * cell, axis=0)
-    den = b + np.sqrt(b * b + a * c)
-    moving = den > 0.0
-    s = min(1.0, 0.9 * np.min(c[moving] / den[moving], initial=np.inf))
-    return cell + s * dw
 
 
 def bregman(theta: Penalty, xbar: GridFn, x: GridFn, xi: GridFn) -> float:

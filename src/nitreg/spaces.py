@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import blas
 
 PRIMAL = "primal"
 DUAL = "dual"
@@ -44,18 +45,18 @@ class GridSpace:
     exponent: float = 2.0
     weights: np.ndarray = field(init=False, repr=False, compare=False)
     size: int = field(init=False, repr=False, compare=False)
+    zero: np.ndarray = field(init=False, repr=False, compare=False)  # GridFn's finiteness probe
 
     def __post_init__(self):
         if not 1.0 < self.exponent < math.inf:
             raise ValueError(f"exponent must be > 1, got {self.exponent}")
         if min(self.dims) < 2:
             raise ValueError(f"every axis needs at least 2 nodes, got dims {self.dims}")
-        axis_w = [_trapezoid_weights(n) for n in self.dims]
-        w = axis_w[0]
-        for aw in axis_w[1:]:
-            w = np.multiply.outer(w, aw)
+        w = functools.reduce(np.multiply.outer, [_trapezoid_weights(n) for n in self.dims])
         object.__setattr__(self, "weights", w.ravel())
         object.__setattr__(self, "size", int(np.prod(self.dims)))
+        object.__setattr__(self, "zero", np.zeros(self.size))
+        self.zero.flags.writeable = False
 
     @classmethod
     def interval(cls, n: int, p: float = 2.0) -> "GridSpace":
@@ -114,11 +115,9 @@ class GridFn:
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
         if vals.shape != (self.space.size,):
-            raise ValueError(
-                f"values shape {vals.shape} does not match space size "
-                f"{self.space.size}"
-            )
-        if not np.isfinite(vals).all():
+            raise ValueError(f"values shape {vals.shape} does not match space size "
+                             f"{self.space.size}")
+        if not blas.ddot(vals, self.space.zero) == 0.0:  # inf * 0, nan * 0 are NaN; no warning
             raise ValueError("GridFn values must be finite")
         if self.variance not in (PRIMAL, DUAL):
             raise ValueError(f"unknown variance tag {self.variance!r}")
@@ -179,16 +178,29 @@ def duality_map(f: GridFn, r: float) -> GridFn:
         raise ValueError(f"gauge exponent r must be > 1, got {r}")
     if f.variance != PRIMAL:
         raise ValueError("duality_map takes a primal grid function")
-    return GridFn(f.space, duality_values(f.space, f.values, r), DUAL)
+    return GridFn(f.space, duality_values(f.space, f.values, r, norm(f)), DUAL)
 
 
-def duality_values(space: GridSpace, values: np.ndarray, r: float) -> np.ndarray:
-    """`duality_map` on nodal arrays: ``||f||^(r-p) |f|^(p-1) sign(f)``, and zeros at f = 0."""
+def duality_values(space: GridSpace, values: np.ndarray, r: float, nrm: float) -> np.ndarray:
+    """`duality_map` on nodal arrays, given nrm = ||f||: ``||f||^(r-p) |f|^(p-1) sign(f)``."""
     p = space.exponent
-    nrm = values_norm(space, values)
     if nrm == 0.0:
         return np.zeros(space.size)
     return nrm ** (r - p) * np.abs(values) ** (p - 1.0) * np.sign(values)
+
+
+class DualityDerivative:
+    """``J_r'(u) h = scale (h + rank1 <u, h> u)``, ``scale = ||u||^(r-2)``, ``rank1 = (r-2) /
+    ||u||^2`` given nrm = ||u||, on nodal arrays: `duality_map`'s derivative at u on a p = 2
+    space, symmetric positive definite for r > 1; for p != 2 a Gauss–Newton model."""
+
+    def __init__(self, space: GridSpace, u: np.ndarray, nrm: float, r: float):
+        self.scale = nrm ** (r - 2.0) if nrm > 0.0 else float(r == 2.0)
+        self.rank1 = (r - 2.0) / nrm**2 if nrm > 0.0 else 0.0
+        self.u, self.weighted = u, space.weights * u
+
+    def __call__(self, h: np.ndarray) -> np.ndarray:
+        return self.scale * (h + self.rank1 * self.weighted.dot(h) * self.u)
 
 
 def bregman_norm(fbar: GridFn, f: GridFn, r: float) -> float:

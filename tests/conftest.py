@@ -8,18 +8,19 @@ class PenaltyPreconditionedIntegralOp(IntegralOp):
     """Integral operator without a Newton inverse, so that its Newton–CG is
     preconditioned by the penalty Hessian alone."""
 
-    def newton_inverse(self, x, diag, scale, rank1, res):
+    def newton_inverse(self, diag, model):
         return None
 
 
 class CountingIntegralOp(IntegralOp):
-    """Integral operator that counts its applications."""
+    """Integral operator that counts its evaluations, each one `linearized` call: `apply`
+    makes one too."""
 
-    applies = 0
+    evaluations = 0
 
-    def apply(self, x):
-        self.applies += 1
-        return super().apply(x)
+    def linearized(self, x):
+        self.evaluations += 1
+        return super().linearized(x)
 
 
 def assert_band_of(band, dense):

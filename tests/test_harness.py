@@ -541,8 +541,8 @@ class TestCli:
         linearized = EllipticOp.linearized
 
         def negated(self, c):
-            deriv, adjoint = linearized(self, c)
-            return deriv, lambda w: -adjoint(w)
+            fc, deriv, adjoint = linearized(self, c)
+            return fc, deriv, lambda w: -adjoint(w)
 
         monkeypatch.setattr(EllipticOp, "linearized", negated)
         rc = cli.main(["check"])

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -25,13 +26,9 @@ class DiagOp(ForwardOp):
         self.range_space = space
         self.diag = np.asarray(diag, float)
 
-    def apply(self, x):
-        self._check_domain(x)
-        return GridFn(self.range_space, self.diag * x.values, PRIMAL)
-
     def linearized(self, x):
         self._check_domain(x)
-        return (lambda h: self.diag * h), (lambda w: self.diag * w)
+        return self.diag * x.values, (lambda h: self.diag * h), (lambda w: self.diag * w)
 
 
 class NaNAdjointOp(DiagOp):
@@ -44,13 +41,13 @@ class NaNAdjointOp(DiagOp):
         self.finite_calls = finite_calls
 
     def linearized(self, x):
-        deriv, adjoint = super().linearized(x)
+        fx, deriv, adjoint = super().linearized(x)
 
         def nan_adjoint(w):
             self.calls += 1
             return adjoint(w) if self.calls <= self.finite_calls else np.full_like(w, np.nan)
 
-        return deriv, nan_adjoint
+        return fx, deriv, nan_adjoint
 
 
 class CappedIntegralOp(IntegralOp):
@@ -62,11 +59,28 @@ class CappedIntegralOp(IntegralOp):
         self.cap = cap
         self.failures = 0
 
-    def apply(self, x):
+    def linearized(self, x):
         if x.values.max() > self.cap:
             self.failures += 1
             raise OperatorError("max(x) above the cap")
-        return super().apply(x)
+        return super().linearized(x)
+
+
+class OverflowingIntegralOp(IntegralOp):
+    """Integral operator whose F(x) is +inf, as if it overflowed, at the nodes where x
+    exceeds `cap`; counts those evaluations."""
+
+    def __init__(self, n, cap):
+        super().__init__(n)
+        self.cap = cap
+        self.overflows = 0
+
+    def linearized(self, x):
+        fx, deriv, adjoint = super().linearized(x)
+        if x.values.max() > self.cap:
+            self.overflows += 1
+            fx[x.values > self.cap] = np.inf
+        return fx, deriv, adjoint
 
 
 def spikes_l1_problem():
@@ -114,25 +128,23 @@ def count_factorizations(monkeypatch):
 
 
 def start(p):
-    """The residual and the gradient at x_prev, as nodal arrays, as a solve
-    begins; an operator that factors a system factors it at x_prev here."""
-    res = inner_cg.objective(p, p.x_prev)[1]
-    return res, inner_cg.grad_objective(p, p.x_prev, res, p.op.linearized(p.x_prev)[1])[0]
+    """The evaluated point x_prev and the gradient there, as a solve begins; an operator
+    that factors a system factors it at x_prev here."""
+    at = inner_cg.objective(p, p.x_prev)
+    return at, inner_cg.grad_objective(p, at)[0]
 
 
-def direction(p, res, g, rtol):
-    """`inner_cg._newton_direction` at x_prev, with the maps of `linearized` there."""
-    maps = p.op.linearized(p.x_prev)
-    return inner_cg._newton_direction(p, p.x_prev, maps, res, g, None, rtol,
-                                      is_linear_quadratic(p))
+def direction(p, at, g, rtol):
+    """`inner_cg._newton_direction` at the evaluated point `at`."""
+    return inner_cg._newton_direction(p, at, g, None, rtol, is_linear_quadratic(p))
 
 
 def value(p, x):
-    return inner_cg.objective(p, x)[0]
+    return inner_cg.objective(p, x).f
 
 
 def gradient(p, x):
-    g = inner_cg.grad_objective(p, x, inner_cg.objective(p, x)[1], p.op.linearized(x)[1])[0]
+    g = inner_cg.grad_objective(p, inner_cg.objective(p, x))[0]
     return GridFn(p.op.domain_space, g, DUAL)
 
 
@@ -180,10 +192,12 @@ class TestObjective:
             0.5 * norm(p.op.apply(x) - p.ydelta) ** 2
             + 0.3 * 2.0 * norm(x - p.x_prev) ** 2
         )
-        f, res, theta_x = inner_cg.objective(p, x)
-        assert f == pytest.approx(expected, rel=1e-12)
-        assert np.array_equal(res, (p.op.apply(x) - p.ydelta).values)
-        assert theta_x == penalties.value(p.theta, x)
+        at = inner_cg.objective(p, x)
+        assert at.x is x
+        assert at.f == pytest.approx(expected, rel=1e-12)
+        assert np.array_equal(at.res, (p.op.apply(x) - p.ydelta).values)
+        assert at.res_norm == norm(p.op.apply(x) - p.ydelta)
+        assert at.theta.value == penalties.value(p.theta, x)
 
     def test_objective_at_x_prev_is_pure_fit(self):
         p = quadratic_problem()
@@ -328,6 +342,18 @@ class TestMinimize:
         assert stats.converged
         assert x.values.max() <= op.cap
 
+    def test_non_finite_operator_value_at_trial_point_backtracks(self):
+        # F(x) = inf is a rejected trial, through the non-finite objective, with no warning
+        op = OverflowingIntegralOp(80, cap=0.2)
+        p = replace(spikes_l1_problem(), op=op)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x, _xi, stats = minimize(p)
+        assert op.overflows > 0
+        assert stats.backtracks >= op.overflows
+        assert stats.converged
+        assert x.values.max() <= op.cap
+
     def test_operator_failing_at_every_trial_flags_line_search(self):
         op = CappedIntegralOp(80, cap=0.1)
         p = replace(spikes_l1_problem(), op=op)
@@ -356,11 +382,12 @@ class TestMinimize:
         op = CountingIntegralOp(80)
         p = replace(spikes_l1_problem(), op=op)
         stats = minimize(p)[2]
-        assert op.applies == 1 + stats.iterations + stats.backtracks
+        assert op.evaluations == 1 + stats.iterations + stats.backtracks
 
     def test_linearizes_once_per_point(self, monkeypatch):
-        # at x_prev, then once per accepted step: the gradient's data term and
-        # CG's matvecs take F'(x) from the same maps
+        # at x_prev, then at each trial point, F(x) comes with F'(x): the accepted
+        # trial's maps serve the gradient's data term and the Newton step, and no
+        # point is linearized twice
         p = spikes_l1_problem()
         linearized, points = p.op.linearized, []
 
@@ -370,29 +397,33 @@ class TestMinimize:
 
         monkeypatch.setattr(p.op, "linearized", counted)
         stats = minimize(p)[2]
-        assert stats.converged and stats.iterations >= 2
-        assert len(points) == stats.iterations + 1
+        assert stats.converged and stats.iterations >= 2 and stats.backtracks >= 1
+        assert len(points) == 1 + stats.iterations + stats.backtracks
         assert points[0] is p.x_prev
+        assert len({id(x) for x in points}) == len(points)
+        assert len({x.values.tobytes() for x in points}) == len(points)
 
     def test_evaluates_theta_at_x_prev_once(self, monkeypatch):
         # Theta(x_prev) in the Bregman term is a constant of the subproblem
-        count = {"value": 0, "objective": 0}
-        value, objective = penalties.value, inner_cg.objective
+        count = {"evaluation": 0, "objective": 0}
+        evaluation, objective = penalties.Evaluation.__init__, inner_cg.objective
 
-        def counted_value(*args):
-            count["value"] += 1
-            return value(*args)
+        def counted_evaluation(*args):
+            count["evaluation"] += 1
+            return evaluation(*args)
 
         def counted_objective(*args):
             count["objective"] += 1
             return objective(*args)
 
-        monkeypatch.setattr(penalties, "value", counted_value)
+        p = spikes_l1_problem()
+        monkeypatch.setattr(penalties.Evaluation, "__init__", counted_evaluation)
         monkeypatch.setattr(inner_cg, "objective", counted_objective)
-        stats = minimize(spikes_l1_problem())[2]
+        stats = minimize(p)[2]
         assert stats.converged and count["objective"] >= 2
         # once in InnerProblem, then once per objective call away from x_prev
-        assert count["value"] == count["objective"]
+        assert count["evaluation"] == count["objective"] - 1
+        assert inner_cg.objective(p, p.x_prev).theta is p.theta_prev
 
     @pytest.mark.parametrize("finite_calls", [0, 1])
     def test_non_finite_adjoint_raises(self, finite_calls):
@@ -433,12 +464,14 @@ class TestMinimize:
         monkeypatch.setattr(inner_cg, "_cg", flagged_cg)
         # without a Newton inverse every direction runs CG; with IntegralOp's, none does
         for op, runs_cg in ((PenaltyPreconditionedIntegralOp(80), True), (IntegralOp(80), False)):
+            p = replace(spikes_l1_problem(), op=op)
             count.update(all=0, in_cg=0, cg=0)
-            stats = minimize(replace(spikes_l1_problem(), op=op))[2]
+            stats = minimize(p)[2]
             assert stats.converged and stats.iterations >= 1
             assert count["cg"] == (stats.iterations if runs_cg else 0)
             assert count["in_cg"] == 0
-            assert count["all"] <= 4 * (stats.iterations + stats.backtracks + 1)
+            # each trial point, the data term at x_prev and at each accepted point, and xi
+            assert count["all"] == stats.backtracks + 2 * stats.iterations + 2
 
     def test_deterministic(self):
         p = quadratic_problem(n=40)
@@ -482,8 +515,8 @@ def count_cg_work(monkeypatch, op):
         return counted_fn
 
     def counted_linearized(x):
-        deriv, adjoint = linearized(x)
-        return counted(deriv, "deriv"), counted(adjoint, "adjoint")
+        fx, deriv, adjoint = linearized(x)
+        return fx, counted(deriv, "deriv"), counted(adjoint, "adjoint")
 
     def counted_newton_inverse(*args):
         inverse = newton_inverse(*args)
@@ -512,7 +545,7 @@ def assert_solves_dense_newton_system(p, res, g, d, integral_matrices):
     rn2 = res @ (w * res)
     S = rn2 ** (p.r / 2 - 1) * (np.eye(w.size) + (p.r - 2) * np.outer(res, w * res) / rn2)
     newton = w[:, None] * (Astar @ S @ A) + p.alpha * np.diag(
-        penalties.pointwise_hessian(p.theta, p.x_prev))
+        p.theta_prev.pointwise_hessian())
     exact = np.linalg.solve(newton, -w * g)
     assert np.linalg.norm(d - exact) <= 1e-8 * np.linalg.norm(exact)
 
@@ -529,12 +562,12 @@ class TestPreconditioner:
         p = without_tv_problem(PenaltyPreconditionedIntegralOp(40), theta)
         calls = count_factorizations(monkeypatch)
         preconditioners = record_preconditioners(monkeypatch)
-        res, g = start(p)
-        d, _iterations = direction(p, res, g, 1e-12)
+        at, g = start(p)
+        d, _iterations = direction(p, at, g, 1e-12)
         assert calls == []
-        assert_solves_dense_newton_system(p, res, g, d, integral_matrices)
+        assert_solves_dense_newton_system(p, at.res, g, d, integral_matrices)
         v = np.random.default_rng(3).standard_normal(d.size)
-        diag = p.alpha * penalties.pointwise_hessian(p.theta, p.x_prev)
+        diag = p.alpha * p.theta_prev.pointwise_hessian()
         assert np.array_equal(preconditioners[0][0](v), v / diag)
         minimize(p, InnerSettings(max_iters=1))
         assert calls == []
@@ -546,10 +579,10 @@ class TestPreconditioner:
         # band on the n - 1 interior nodes per Newton direction
         p = without_tv_problem(IntegralOp(40), theta)
         calls = count_factorizations(monkeypatch)
-        res, g = start(p)
-        d, _iterations = direction(p, res, g, 1e-12)
+        at, g = start(p)
+        d, _iterations = direction(p, at, g, 1e-12)
         assert calls == [("dpbtrf", 39)]
-        assert_solves_dense_newton_system(p, res, g, d, integral_matrices)
+        assert_solves_dense_newton_system(p, at.res, g, d, integral_matrices)
         calls.clear()
         stats = minimize(p, InnerSettings(max_iters=3))[2]
         assert stats.iterations >= 1 and not stats.line_search_failed
@@ -560,11 +593,11 @@ class TestPreconditioner:
         # off the linear-quadratic route the exact inverse gives the direction: one
         # factor, one inverse apply, no CG iteration and no operator map
         p = replace(without_tv_problem(IntegralOp(40), Penalty(mu=1.0, a=0.5, eps=1e-3)), r=r)
-        res, g = start(p)
-        deriv, adjoint = p.op.linearized(p.x_prev)
+        at, g = start(p)
+        res, deriv, adjoint = at.res, at.deriv, at.adjoint
         calls = count_factorizations(monkeypatch)
         count = count_cg_work(monkeypatch, p.op)
-        d, iterations = direction(p, res, g, 0.5)
+        d, iterations = direction(p, at, g, 0.5)
         assert iterations == 0 and calls == [("dpbtrf", 39)]
         assert count == {"deriv": 0, "adjoint": 0, "precondition": 1}
         assert_solves_dense_newton_system(p, res, g, d, integral_matrices)
@@ -573,7 +606,7 @@ class TestPreconditioner:
         w, rw = p.x_prev.space.weights, p.ydelta.space.weights
         rn2, fd = res.dot(rw * res), deriv(d)
         jd = rn2 ** (r / 2 - 1) * (fd + (r - 2) * (rw * res).dot(fd) * res / rn2)
-        newton = w * adjoint(jd) + p.alpha * penalties.pointwise_hessian(p.theta, p.x_prev) * d
+        newton = w * adjoint(jd) + p.alpha * p.theta_prev.pointwise_hessian() * d
         assert np.linalg.norm(newton + w * g) <= 1e-11 * np.linalg.norm(w * g)
 
     def test_integral_newton_inverse_keeps_cg_short(self, monkeypatch):
@@ -601,9 +634,10 @@ class TestPreconditioner:
         # with no probe or set-up call around them; the direct step of an exact
         # Newton inverse is one inverse apply and no CG iteration
         p = problem()
-        res, g = start(p)
         count = count_cg_work(monkeypatch, p.op)
-        _d, iterations = direction(p, res, g, 1e-12)
+        at, g = start(p)
+        count.update(deriv=0, adjoint=0)  # the gradient's data term at x_prev
+        _d, iterations = direction(p, at, g, 1e-12)
         assert iterations == 0 if direct else iterations >= 1
         assert count["deriv"] == count["adjoint"] == iterations
         assert count["precondition"] == (1 if direct else iterations)
@@ -612,9 +646,9 @@ class TestPreconditioner:
         # the elliptic system at x_prev is factored by `start`; its interior
         # has fewer nodes than the grid
         p = tv_problem()
-        res, g = start(p)
+        at, g = start(p)
         calls = count_factorizations(monkeypatch)
-        direction(p, res, g, 0.5)
+        direction(p, at, g, 0.5)
         n = p.x_prev.space.size
         assert calls == [("dpbtrf", n)]
         calls.clear()
@@ -628,7 +662,7 @@ class TestPreconditioner:
         p = tv_problem()
         monkeypatch.setattr(lapack, "dpbtrf", lambda ab, **kwargs: (ab, 1))
         with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
-            inner_cg._penalty_hessian(p, p.x_prev, None, np.ones(p.x_prev.space.size))
+            inner_cg._penalty_hessian(p, p.theta_prev, None, np.ones(p.x_prev.space.size))
 
     @pytest.mark.parametrize("problem", [spikes_l1_problem, tv_problem], ids=["1d", "2d"])
     def test_tv_preconditioner_inverts_alpha_p(self, problem):
@@ -637,9 +671,10 @@ class TestPreconditioner:
         rng = np.random.default_rng(8)
         n = p.x_prev.space.size
         x = GridFn(p.x_prev.space, rng.uniform(0.0, 2.0, n))
-        diag = p.alpha * penalties.pointwise_hessian(p.theta, x)
-        apply_hess, precondition = inner_cg._penalty_hessian(p, x, None, diag)
-        dense = np.diag(diag) + p.alpha * penalties.tv_hessian(p.theta, x)[0].toarray()
+        theta = penalties.Evaluation(p.theta, x)
+        diag = p.alpha * theta.pointwise_hessian()
+        apply_hess, precondition = inner_cg._penalty_hessian(p, theta, None, diag)
+        dense = np.diag(diag) + p.alpha * theta.tv_hessian()[0].toarray()
         v = rng.standard_normal(n)
         assert np.linalg.norm(apply_hess(v) - dense @ v) <= 1e-12 * np.linalg.norm(dense @ v)
         exact = np.linalg.solve(dense, v)
@@ -718,9 +753,9 @@ def record_forcing_terms(monkeypatch):
     calls = []
     newton_direction = inner_cg._newton_direction
 
-    def recorded(p, x, maps, res, g, cell, rtol, exact):
-        calls.append((rtol, spaces.values_norm(x.space, g, DUAL)))
-        return newton_direction(p, x, maps, res, g, cell, rtol, exact)
+    def recorded(p, at, g, cell, rtol, exact):
+        calls.append((rtol, spaces.values_norm(at.x.space, g, DUAL)))
+        return newton_direction(p, at, g, cell, rtol, exact)
 
     monkeypatch.setattr(inner_cg, "_newton_direction", recorded)
     return calls

@@ -28,10 +28,11 @@ def adjoint_gap(op, x, rng):
     return abs(lhs - rhs), scale
 
 
-def assert_linearization(op, x, closures, rng):
-    """The closures of `op.linearized(x)` give `deriv` and `adjoint` at x bit
-    for bit, and satisfy <F'(x)h, w> = <h, F'(x)* w> to rounding."""
-    deriv, adjoint = closures
+def assert_linearization(op, x, linearization, rng):
+    """`op.linearized(x)` gives `apply`, `deriv` and `adjoint` at x bit for bit, and its
+    maps satisfy <F'(x)h, w> = <h, F'(x)* w> to rounding."""
+    fx, deriv, adjoint = linearization
+    assert np.array_equal(fx, op.apply(x).values)
     h = random_fn(op.domain_space, rng)
     w = random_fn(op.range_space, rng, DUAL)
     fh = GridFn(op.range_space, deriv(h.values))
@@ -149,10 +150,14 @@ class TestIntegralOp:
             rn = norm(GridFn(space, res))
             scale = rn ** (r - 2.0) if rn > 0.0 else float(r == 2.0)
             rank1 = (r - 2.0) / rn**2 if rn > 0.0 else 0.0
+            model = spaces.DualityDerivative(space, res, rn, r)
+            assert (model.scale, model.rank1) == (scale, rank1)
             A, Astar = integral_matrices(n)
             jr = scale * (np.eye(space.size) + rank1 * np.outer(res, w * res))
+            h = rng.standard_normal(space.size)
+            assert np.linalg.norm(model(h) - jr @ h) <= 1e-13 * np.linalg.norm(jr @ h)
             newton = w[:, None] * (Astar @ jr @ A) + np.diag(diag)
-            inverse = op.newton_inverse(x, diag, scale, rank1, res)
+            inverse = op.newton_inverse(diag, model)
             for _ in range(3):
                 v = rng.standard_normal(space.size)
                 exact = np.linalg.solve(newton, v)
@@ -164,22 +169,26 @@ class TestIntegralOp:
         space = op.domain_space
         calls = record_lapack(monkeypatch, "dpbtrf", "dpbtrs")
         res = np.random.default_rng(5).standard_normal(space.size)
-        inverse = op.newton_inverse(spaces.zeros(space), space.weights, 1.0, 0.0, res)
+        model = spaces.DualityDerivative(space, res, norm(GridFn(space, res)), 2.0)
+        assert (model.scale, model.rank1) == (1.0, 0.0)
+        inverse = op.newton_inverse(space.weights, model)
         assert calls == ["dpbtrf"]
         inverse(res)
         assert calls == ["dpbtrf", "dpbtrs"]
 
     def test_solves_the_tridiagonal_system_by_pttrs(self, monkeypatch):
-        # F, F'(x) and F'(x)* each make one tridiagonal LDL^T solve, no banded one
+        # F, F'(x) and F'(x)* each make one tridiagonal LDL^T solve, no banded one; `apply`
+        # is one evaluation of F, and so is `linearized`, which gives F(x) with the maps
         op = IntegralOp(40)
         rng = np.random.default_rng(6)
         x, v = random_fn(op.domain_space, rng), rng.standard_normal(op.domain_space.size)
         calls = record_lapack(monkeypatch, "dpbtrs", "dpttrs")
         op.apply(x)
-        deriv, adjoint = op.linearized(x)
+        assert calls == ["dpttrs"]
+        _fx, deriv, adjoint = op.linearized(x)
         deriv(v)
         adjoint(v)
-        assert calls == ["dpttrs"] * 3
+        assert calls == ["dpttrs"] * 4
 
     def test_memory_is_linear_in_n(self):
         # a dense 4001x4001 kernel alone would take 128 MB
@@ -293,7 +302,8 @@ class TestEllipticOp:
         # its Newton–CG keeps the penalty Hessian as preconditioner
         op, c = make_elliptic()
         n = op.domain_space.size
-        assert op.newton_inverse(c, np.ones(n), 1.0, 0.0, np.zeros(n)) is None
+        model = spaces.DualityDerivative(op.range_space, np.zeros(n), 0.0, 2.0)
+        assert op.newton_inverse(np.ones(n), model) is None
 
     def test_harmonic_exact_solution(self):
         # u = x + y is discretely harmonic, so the 5-point scheme reproduces

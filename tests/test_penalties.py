@@ -211,8 +211,10 @@ class TestHessian:
         h = 1e-7  # the truncation error dominates down to here
         fd = space.weights * (penalties.gradient(theta, x + h * d)
                               - penalties.gradient(theta, x - h * d)).values / (2 * h)
-        hd = (penalties.pointwise_hessian(theta, x) * d.values
-              + penalties.tv_hessian(theta, x)[0] @ d.values)
+        at = penalties.Evaluation(theta, x)
+        hd = at.pointwise_hessian() * d.values
+        if theta.b > 0.0:
+            hd = hd + at.tv_hessian()[0] @ d.values
         assert np.linalg.norm(hd - fd) <= 1e-7 * np.linalg.norm(fd)
 
     @pytest.mark.parametrize("space", [GridSpace.interval(60), GridSpace.rectangle(9, 7)],
@@ -231,7 +233,7 @@ class TestHessian:
         a = np.block([[np.diag(float(i == j) / m - (cell[i] * d[j] + cell[j] * d[i]) / (2 * m**2))
                        for j in range(k)] for i in range(k)])
         dense = theta.b * np.prod(space.spacings) * diff.T @ a @ diff
-        matrix, band = penalties.tv_hessian(theta, x, cell)
+        matrix, band = penalties.Evaluation(theta, x).tv_hessian(cell)
         assert np.linalg.norm(matrix.toarray() - dense) <= 1e-13 * np.linalg.norm(dense)
         assert_band_of(band.reshape((-1, space.size), order="F"), dense)
 
@@ -240,4 +242,15 @@ class TestHessian:
         theta = Penalty(mu=1.0, a=1.0, eps=1e300)
         for space in (GridSpace.interval(60), GridSpace.rectangle(9, 7)):
             x = GridFn(space, np.linspace(-1.0, 1.0, space.size))
-            assert np.all(np.isfinite(penalties.pointwise_hessian(theta, x)))
+            assert np.all(np.isfinite(penalties.Evaluation(theta, x).pointwise_hessian()))
+
+    @pytest.mark.parametrize("theta", PENALTY_CASES, ids=PENALTY_IDS)
+    def test_gradient_finite_where_the_value_is(self, theta):
+        # `inner_cg` reads grad Theta at a point of finite objective unchecked; up to
+        # |x| = 1e150 the value stays finite, and so must every entry of the gradient
+        for space in (GridSpace.interval(60), GridSpace.rectangle(9, 7)):
+            for scale in (1.0, 1e50, 1e100, 1e150):
+                x = GridFn(space, scale * np.cos(7.0 * np.arange(space.size)))
+                at = penalties.Evaluation(theta, x)
+                assert np.isfinite(at.value)
+                assert np.all(np.isfinite(at.gradient()))

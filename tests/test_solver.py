@@ -5,7 +5,7 @@ import pytest
 from conftest import CountingIntegralOp, PenaltyPreconditionedIntegralOp
 from scipy.optimize import minimize
 
-from nitreg import harness, inner_cg, penalties, solver, spaces
+from nitreg import harness, inner_cg, operators, penalties, solver, spaces
 from nitreg.inner_cg import InnerProblem, InnerSettings
 from nitreg.operators import IntegralOp
 from nitreg.penalties import Penalty
@@ -34,8 +34,8 @@ class NegatedAdjointOp(IntegralOp):
     """Integral operator with a wrong-signed adjoint map in its linearization."""
 
     def linearized(self, x):
-        deriv, adjoint = super().linearized(x)
-        return deriv, lambda w: -1.0 * adjoint(w)
+        fx, deriv, adjoint = super().linearized(x)
+        return fx, deriv, lambda w: -1.0 * adjoint(w)
 
 
 def spikes_start(op):
@@ -211,9 +211,9 @@ class TestStep:
         # the initial point, then one trial point per accepted step or backtrack
         op = CountingIntegralOp(80)
         theta, ydelta, prev = spikes_start(op)
-        op.applies = 0
+        op.evaluations = 0
         stats = step(op, theta, ydelta, 0.05, prev).inner_stats
-        assert op.applies == 1 + stats.iterations + stats.backtracks
+        assert op.evaluations == 1 + stats.iterations + stats.backtracks
 
     def test_dual_gap_small_at_optimality(self):
         # a linear-quadratic subproblem is one Newton step with CG at rtol
@@ -229,27 +229,73 @@ class TestStep:
 class TestRun:
     @pytest.mark.parametrize("penalty", ["l2_l1", "tv"])
     def test_evaluates_the_penalty_once_per_point(self, monkeypatch, penalty):
-        # Theta and grad Theta once at x_0, then only inside the objective and
-        # its gradient; Theta(x_prev) of each subproblem stands in for the
-        # objective at x_prev, and the outer step evaluates neither
+        # each outer step evaluates F (one `linearized` call) and Theta (one
+        # `penalties.Evaluation`, with TV one `_cells`) at x_prev and at each trial point of
+        # its inner solve, and nowhere else: the accepted trial's evaluation serves its
+        # gradient and Newton step.  Outside the steps only x_0 is evaluated, F once and
+        # Theta for its value and its gradient
         cfg, op, ydelta = small_paper_run(penalty)
-        calls = dict.fromkeys(["value", "gradient", "objective", "grad_objective"], 0)
+        count = dict.fromkeys(["linearized", "evaluation", "cells"], 0)
 
-        def counted(module, name):
-            function = getattr(module, name)
+        def counted(owner, name, key):
+            function = getattr(owner, name)
 
             def wrapper(*args):
-                calls[name] += 1
+                count[key] += 1
                 return function(*args)
-            monkeypatch.setattr(module, name, wrapper)
+            monkeypatch.setattr(owner, name, wrapper)
 
-        for module, name in ((penalties, "value"), (penalties, "gradient"),
-                             (inner_cg, "objective"), (inner_cg, "grad_objective")):
-            counted(module, name)
+        counted(op, "linearized", "linearized")
+        counted(penalties.Evaluation, "__init__", "evaluation")
+        counted(penalties, "_cells", "cells")
+        steps = []
+
+        def recorded(*args):
+            before = dict(count)
+            state = step(*args)
+            stats = state.inner_stats
+            # a solve that ends on a step that no longer lowers f evaluated that trial too
+            untaken = not (stats.converged or stats.line_search_failed
+                           or stats.iterations == cfg.inner.max_iters)
+            trials = stats.iterations + stats.backtracks + untaken
+            steps.append(({k: count[k] - before[k] for k in count}, trials))
+            return state
+
+        monkeypatch.setattr(solver, "step", recorded)
         report = harness.solve(cfg, op, ydelta)
         assert report.terminated_by == "discrepancy" and report.n_delta > 1
-        assert calls["value"] == calls["objective"] + 1
-        assert calls["gradient"] == calls["grad_objective"] + 1
+        assert len(steps) == len(report.states) - 1
+        tv = penalty == "tv"
+        for counts, trials in steps:
+            assert trials >= 1
+            assert counts == {"linearized": 1 + trials, "evaluation": 1 + trials,
+                              "cells": (1 + trials) * tv}
+        outside = {"linearized": 1, "evaluation": 2, "cells": 2 * tv}
+        assert count == {k: outside[k] + sum(c[k] for c, _trials in steps) for k in count}
+
+    def test_elliptic_subproblems_start_on_the_cached_factor(self, monkeypatch):
+        # EllipticOp keeps the factor of the last point it evaluated, and each subproblem
+        # starts at x_prev, the last accepted trial: so a quadratic solve factors once at
+        # x_0 and once per trial point, never at a subproblem's start
+        cfg = harness.example52_config(
+            "quadratic", overrides={("problem", "nx"): 10, ("problem", "ny"): 10})
+        op, _c_dagger, y = harness.make_problem(cfg)
+        ydelta = harness.add_noise(y, cfg.noise.delta, cfg.noise.seed)
+        calls = []
+        for module in (operators, inner_cg):
+            factor = module.banded_cholesky
+
+            def counted(*args, factor=factor):
+                calls.append(args[1].size)
+                return factor(*args)
+            monkeypatch.setattr(module, "banded_cholesky", counted)
+        report = harness.solve(cfg, op, ydelta)
+        assert report.terminated_by == "discrepancy" and report.n_delta > 1
+        stats = [s.inner_stats for s in report.states[1:]]
+        assert all(s.converged for s in stats)
+        trials = sum(s.iterations + s.backtracks for s in stats)
+        assert trials >= len(stats)
+        assert len(calls) == trials + 1
 
     def test_discrepancy_terminates(self):
         op, x_dagger, y, ydelta = small_problem()

@@ -63,6 +63,23 @@ class TestGridFn:
         with pytest.raises(ValueError):
             GridFn(interval, vals)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("where", [0, 200, -1], ids=["first", "middle", "last"])
+    def test_rejects_each_non_finite_value_at_each_node(self, interval, bad, where):
+        vals = np.random.default_rng(6).standard_normal(interval.size)
+        vals[where] = bad
+        with pytest.raises(ValueError, match="^GridFn values must be finite$"):
+            GridFn(interval, vals)
+
+    @pytest.mark.parametrize("extreme", [1.7976931348623157e308, -1.7976931348623157e308,
+                                         5e-324, -5e-324, 2.2250738585072014e-308, -0.0],
+                             ids=["max", "-max", "subnormal", "-subnormal", "tiny", "-0"])
+    def test_accepts_every_finite_value(self, interval, extreme):
+        # the finiteness test is one dot with zeros: finite * 0 is +-0, never NaN
+        vals = np.full(interval.size, extreme)
+        vals[::3] = -extreme
+        assert np.array_equal(GridFn(interval, vals).values, vals)
+
     def test_mixed_variance_arithmetic_rejected(self, interval):
         x = spaces.zeros(interval)
         xi = spaces.zeros(interval, spaces.DUAL)
