@@ -12,7 +12,7 @@ from nitreg.harness import add_noise, example52_config, make_problem, spikes_1d
 from nitreg.inner_cg import InnerProblem, InnerSettings, is_linear_quadratic, minimize
 from nitreg.operators import EllipticOp, ForwardOp, IntegralOp, OperatorError
 from nitreg.penalties import Penalty
-from nitreg.spaces import DUAL, PRIMAL, GridFn, GridSpace, norm
+from nitreg.spaces import DUAL, GridFn, GridSpace, norm
 
 
 class DiagOp(ForwardOp):
