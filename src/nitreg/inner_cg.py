@@ -229,7 +229,8 @@ def minimize(p: InnerProblem,
                 trial = objective(p, GridFn(space, cur.x.values + t * d, PRIMAL))
             except OperatorError:
                 trial = None  # F is not defined there
-            if trial and math.isfinite(trial.f) and trial.f <= cur.f + ARMIJO * t * slope:
+            if trial is not None and math.isfinite(trial.f) and (
+                    trial.f <= cur.f + ARMIJO * t * slope):
                 break
             t *= BACKTRACK
             stats.backtracks += 1
