@@ -290,7 +290,9 @@ def summary(report: RunReport, theta: Penalty, x_dagger: GridFn) -> dict:
 
 
 def health(report: RunReport) -> tuple[bool, str]:
-    """Whether a run stopped by its rule with every inner solve converged, and how it ended."""
+    """Whether a run stopped by its rule with every inner solve converged, and how it ended.
+    The paper's regularization property assumes that each x_n minimizes its subproblem, so
+    a step whose inner solve did not converge makes the run unhealthy."""
     converged = [s.inner_stats.converged for s in report.states[1:]]
     return (report.terminated_by in ("discrepancy", "rule41") and all(converged),
             f"terminated_by={report.terminated_by} n_delta={report.n_delta} "

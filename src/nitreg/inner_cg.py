@@ -8,18 +8,18 @@ product.  P is a diagonal, held as one vector (`penalties.Evaluation.pointwise_h
 with TV (b > 0) the TV term, as CSR for the matvec and as its upper band (`tv_hessian`).
 Without TV, where the operator has an exact inverse of the Newton matrix
 (`ForwardOp.newton_inverse`; `IntegralOp` factors a pentadiagonal band), the direction is
-that inverse applied to -W g, with no CG.  Otherwise CG solves the system, preconditioned
-with TV by alpha P, that band plus the diagonal, factored by banded Cholesky (LAPACK
-``pbtrf``), and without TV by alpha P, a division.  CG stops at the Eisenstat–Walker
-relative residual ``min(0.5, sqrt(||g|| / max(1, ||g_0||)))``, safeguarded from below by
-``0.5 tol / ||g||``: a direction is solved no more tightly than the inner stop
-``||g|| <= tol`` can use (Eisenstat & Walker, SIAM J. Sci. Comput. 17 (1996)
+that inverse applied to -W g, with no CG: CG's first iterate from it is the same direction
+rescaled by 1 to rounding, and its matvec could only confirm it.  Otherwise CG solves the
+system, preconditioned with TV by alpha P, that band plus the diagonal, factored by banded
+Cholesky (LAPACK ``pbtrf``), and without TV by alpha P, a division.  CG stops at the
+Eisenstat–Walker relative residual ``min(0.5, sqrt(||g|| / max(1, ||g_0||)))``,
+safeguarded from below by ``0.5 tol / ||g||``: a direction is solved no more tightly than
+the inner stop ``||g|| <= tol`` can use (Eisenstat & Walker, SIAM J. Sci. Comput. 17 (1996)
 16–32; Kelley, Iterative Methods for Linear and Nonlinear Equations, SIAM
 1995, ch. 6).  When the subproblem is linear-quadratic (F linear, a = b = 0,
 r = p = 2), CG runs, preconditioned by the exact inverse if there is one, to 1e-13,
 so that one Newton step solves it.  For TV, P uses the dual field of Chan, Golub &
-Mulet, updated after each accepted step.  CG is this module's own loop, `_cg`, scipy's
-``cg`` update for update without its set-up around each direction's few iterations.
+Mulet, updated after each accepted step.  CG is this module's own loop, `_cg`.
 
 Each point is evaluated once (`objective`): one `ForwardOp.linearized` call gives F(x) and
 the maps of F'(x), one `penalties.Evaluation` gives Theta(x) and what its gradient and
@@ -177,7 +177,10 @@ def _newton_direction(p: InnerProblem, at: Point, g: np.ndarray, cell: np.ndarra
 def _cg(matvec, precondition, b: np.ndarray, rtol: float) -> tuple[np.ndarray, int]:
     """Preconditioned CG for ``A x = b`` from x = 0, and its iteration count: the
     updates, order, names and stops (``||r|| < rtol ||b||``, 10 n iterations) of scipy
-    1.17's ``cg``, and a stop at the first non-finite ``alpha``, with that step taken."""
+    1.17's ``cg``, and a stop at the first non-finite ``alpha``, with that step taken.
+    scipy's ``cg`` over `LinearOperator`s gives the same iterates, but its set-up on every
+    call (the operators and ``make_system``) costs more than the few iterations of a Newton
+    direction: it is slower on each paper run that runs CG (every one but ex. 5.1 l2_l1)."""
     x, r, bnorm = np.zeros_like(b), b.copy(), math.sqrt(b.dot(b))
     if bnorm == 0.0:
         return x, 0

@@ -23,7 +23,8 @@ def banded_cholesky(band: np.ndarray, diag: np.ndarray):
     band: A's upper band, flattened column by column (or F-ordered 2-D), row ``kd + i - j`` of
     column j holding entry (i, j), i <= j, kd the half-bandwidth, with diag added to the main
     diagonal (row kd).  An empty A gives the identity.  Raises `np.linalg.LinAlgError` if A is
-    not positive definite."""
+    not positive definite.  Every banded factorization goes through here, the one reader of
+    the band layout."""
     if diag.size == 0:
         return lambda b: b
     band = band.reshape((-1, diag.size), order="F")
@@ -78,11 +79,6 @@ class ForwardOp(abc.ABC):
         exact to rounding returns None, which means CG preconditioned by the penalty Hessian."""
         return None
 
-    def deriv(self, x: GridFn, h: GridFn) -> GridFn:
-        """Directional derivative F'(x)h."""
-        self._check_domain(h)
-        return GridFn(self.range_space, self.linearized(x)[1](h.values), PRIMAL)
-
     def adjoint(self, x: GridFn, w: GridFn) -> GridFn:
         """Adjoint F'(x)* w w.r.t. the quadrature pairings."""
         if w.space != self.range_space or w.variance != DUAL:
@@ -99,8 +95,8 @@ class IntegralOp(ForwardOp):
     kernel 40*min(s,t)*(1-max(s,t)) is the Green's function of -u'' = 40 x,
     u(0) = u(1) = 0. The kernel vanishes on the boundary and every interior
     weight is h, so the rule is exactly the 3-point solve of that problem, in
-    O(n) by one tridiagonal LDL^T factor (LAPACK ``pttrf``, solved by ``pttrs``); it is
-    self-adjoint in the weighted pairing.
+    O(n) by one tridiagonal LDL^T factor (LAPACK ``pttrf``, solved by ``pttrs``), with no
+    n×n kernel stored; it is self-adjoint in the weighted pairing.
     On the interior nodes F' = A^-1, A = tridiag(-1, 2, -1) / (40 h^2), so the Newton
     matrix ``A^-1 (h S + A D A) A^-1`` there is inverted by one pentadiagonal banded
     Cholesky factor, with Sherman–Morrison for S's rank-one term; on the boundary it is D."""
@@ -183,6 +179,9 @@ class EllipticOp(ForwardOp):
     Iterative Methods for Sparse Linear Systems, 2nd ed., 2003, ch. 3). F is
     defined only where d_r + c_r > 0 and S is positive definite (as for c >= 0);
     elsewhere `OperatorError` is raised, which `inner_cg` takes as a rejected trial.
+    It has no Newton inverse, so its Newton–CG is preconditioned by the penalty Hessian.
+    On a grid with no interior node (``EllipticOp(1, ny)`` or ``EllipticOp(nx, 1)``) the
+    state is g and both derivative maps are zero; experiment configs require nx, ny >= 2.
     """
 
     def __init__(self, nx: int, ny: int, f=None, g=None, p: float = 2.0):

@@ -95,7 +95,10 @@ def step(
     xi_n = xi_{n-1} - (1/alpha_n) F'(x_n)* J_r(F(x_n) - ydelta).
 
     The subproblem is minimized by Newton–CG warm-started at x_{n-1}, which
-    returns xi_n, Theta(x_n) and the dual gap from its last evaluations at x_n."""
+    returns xi_n, Theta(x_n) and the dual gap from its last evaluations at x_n:
+    xi_n - grad Theta(x_n) = -g_n / alpha_n for the subproblem gradient g_n that the
+    inner solve stops on, so the dual gap is the number its stopping test bounds, and the
+    step evaluates neither the penalty nor its gradient."""
     problem = InnerProblem(op, ydelta, theta, alpha_n, prev.x, prev.xi, r)
     x_n, xi_n, stats = inner_cg.minimize(problem, settings)
     return NitState(
@@ -140,6 +143,8 @@ def run(
     threshold falls back to `atol_zero`.  A run ends as `inner_failure` when an inner
     solve fails its line search without moving x, and as `stagnation` when no later
     step can move x; these and `max_outer` return the iterate of smallest residual.
+    `stagnation` ends a run whose threshold the residual cannot reach, such as exact data:
+    running on would only grow xi_n like 1/alpha_n, until its norm overflows.
     """
     if not 0.0 <= delta < math.inf:
         raise ValueError("delta must be >= 0 and finite")

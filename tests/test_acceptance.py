@@ -109,14 +109,16 @@ def test_02_adjoint_consistency(capsys):
     op52, c_dag, _y = make_problem(cfg)
     for op, x in ((op51, spaces.zeros(op51.domain_space)), (op52, c_dag)):
         rng = np.random.default_rng(42)
+        deriv = op.linearized(x)[1]
         for _ in range(20):
             h = GridFn(op.domain_space, rng.standard_normal(op.domain_space.size))
             w = GridFn(
                 op.range_space, rng.standard_normal(op.range_space.size), spaces.DUAL
             )
-            lhs = pairing(w, op.deriv(x, h))
+            fh = GridFn(op.range_space, deriv(h.values))
+            lhs = pairing(w, fh)
             rhs = pairing(op.adjoint(x, w), h)
-            scale = norm(w) * norm(op.deriv(x, h)) + 1e-300
+            scale = norm(w) * norm(fh) + 1e-300
             ok &= abs(lhs - rhs) <= 1e-8 * scale
     _verdict(capsys, 2, "adjoint consistency at 1e-8 on both operators", ok)
 
@@ -125,6 +127,7 @@ def test_03_elliptic_taylor_order(capsys):
     cfg = example52_config("quadratic")
     op, c_dag, _y = make_problem(cfg)
     rng = np.random.default_rng(7)
+    deriv = op.linearized(c_dag)[1]
     ok = True
     for _ in range(5):
         h = GridFn(op.domain_space, rng.standard_normal(op.domain_space.size))
@@ -132,7 +135,7 @@ def test_03_elliptic_taylor_order(capsys):
         errs = []
         for t in (1e-2, 1e-3):
             pert = op.apply(c_dag + t * h)
-            lin = op.apply(c_dag) + t * op.deriv(c_dag, h)
+            lin = op.apply(c_dag) + t * GridFn(op.range_space, deriv(h.values))
             errs.append(norm(pert - lin))
         slope = np.log(errs[0] / errs[1]) / np.log(10.0)
         ok &= slope >= 1.9

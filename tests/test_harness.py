@@ -1,5 +1,7 @@
 import configparser
 import csv
+import importlib
+import pkgutil
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -7,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import nitreg
 from nitreg import cli, harness, spaces
 from nitreg.harness import (
     ConfigError,
@@ -121,6 +124,27 @@ class TestConfigParsing:
         exec(compile(block, str(README), "exec"), {})
         n_delta, residual = capsys.readouterr().out.split()
         assert int(n_delta) > 0 and float(residual) <= 1.02 * 5e-4
+
+    def test_readme_names_only_what_exists(self):
+        # every backticked dotted name that starts with a nitreg module or an exported name
+        # resolves, and README stays a short user's guide
+        text = README.read_text()
+        modules = {m.name for m in pkgutil.iter_modules(nitreg.__path__)}
+        checked = []
+        for name in re.findall(r"`([A-Za-z_][\w.]*\.\w+)`", text):
+            head, *attributes = name.removeprefix("nitreg.").split(".")
+            if head in modules:
+                obj = importlib.import_module(f"nitreg.{head}")
+            elif head in nitreg.__all__:
+                obj = getattr(nitreg, head)
+            else:
+                continue
+            for attribute in attributes:
+                assert hasattr(obj, attribute), f"README names {name}, which does not exist"
+                obj = getattr(obj, attribute)
+            checked.append(name)
+        assert "harness.health" in checked
+        assert len(text.splitlines()) <= 200
 
     def test_factory_methods_round_trip(self, config_file):
         cfg = load_config(config_file)

@@ -18,26 +18,31 @@ def random_fn(space, rng, variance=spaces.PRIMAL):
     return GridFn(space, rng.standard_normal(space.size), variance)
 
 
+def derivative(op, x, h):
+    """F'(x)h as a grid function, by the map of `op.linearized(x)`."""
+    return GridFn(op.range_space, op.linearized(x)[1](h.values))
+
+
 def adjoint_gap(op, x, rng):
     """|<w, F'(x)h> - <F'(x)*w, h>| and the scale it is measured against."""
     h = random_fn(op.domain_space, rng)
     w = random_fn(op.range_space, rng, DUAL)
-    lhs = pairing(w, op.deriv(x, h))
+    fh = derivative(op, x, h)
+    lhs = pairing(w, fh)
     rhs = pairing(op.adjoint(x, w), h)
-    scale = norm(w) * norm(op.deriv(x, h)) + 1e-300
+    scale = norm(w) * norm(fh) + 1e-300
     return abs(lhs - rhs), scale
 
 
 def assert_linearization(op, x, linearization, rng):
-    """`op.linearized(x)` gives `apply`, `deriv` and `adjoint` at x bit for bit, and its
-    maps satisfy <F'(x)h, w> = <h, F'(x)* w> to rounding."""
+    """`op.linearized(x)` gives `apply` and `adjoint` at x bit for bit, and its maps satisfy
+    <F'(x)h, w> = <h, F'(x)* w> to rounding."""
     fx, deriv, adjoint = linearization
     assert np.array_equal(fx, op.apply(x).values)
     h = random_fn(op.domain_space, rng)
     w = random_fn(op.range_space, rng, DUAL)
     fh = GridFn(op.range_space, deriv(h.values))
     fw = GridFn(op.domain_space, adjoint(w.values), DUAL)
-    assert np.array_equal(fh.values, op.deriv(x, h).values)
     assert np.array_equal(fw.values, op.adjoint(x, w).values)
     gap = abs(pairing(w, fh) - pairing(fw, h))
     assert gap <= 1e-13 * (norm(w) * norm(fh) + 1e-300)
@@ -63,7 +68,7 @@ def taylor_slope(op, x, h, steps=(1e-2, 1e-3, 1e-4)):
     errs = []
     for t in steps:
         pert = op.apply(x + t * h)
-        lin = op.apply(x) + t * op.deriv(x, h)
+        lin = op.apply(x) + t * derivative(op, x, h)
         errs.append(norm(pert - lin))
     logs_t = np.log(steps)
     logs_e = np.log(errs)
@@ -101,7 +106,7 @@ class TestIntegralOp:
         op = IntegralOp(60)
         rng = np.random.default_rng(0)
         x, h = random_fn(op.domain_space, rng), random_fn(op.domain_space, rng)
-        assert np.array_equal(op.deriv(x, h).values, op.apply(h).values)
+        assert np.array_equal(derivative(op, x, h).values, op.apply(h).values)
 
     @pytest.mark.parametrize("n", [1, 2, 80, 400])
     def test_linearized_matches_deriv_and_adjoint(self, n):
@@ -442,7 +447,7 @@ class TestEllipticOp:
         h, dual = random_fn(space, rng), random_fn(space, rng, DUAL)
         v = np.zeros(space.size)
         v[inner] = np.linalg.solve(matrix, -h.values[inner] * u[inner])
-        assert close(op.deriv(c, h).values, v)
+        assert close(derivative(op, c, h).values, v)
 
         z = np.zeros(space.size)
         z[inner] = -u[inner] * np.linalg.solve(matrix.T, (w * dual.values)[inner]) / w[inner]
@@ -495,7 +500,7 @@ class TestEllipticOp:
         rng = np.random.default_rng(11)
         for x in (c, c + 0.1 * random_fn(op.domain_space, rng)):
             op.apply(x)
-            op.deriv(x, random_fn(op.domain_space, rng))
+            derivative(op, x, random_fn(op.domain_space, rng))
             op.adjoint(x, random_fn(op.range_space, rng, DUAL))
         m = (nx - 1) * (ny - 1)
         assert columns == [(m + 1) // 2] * 2
@@ -567,7 +572,7 @@ def estimate_eta(
         den = norm(fxb - fx)
         if den < 1e-14:
             continue
-        num = norm(fxb - fx - op.deriv(x, xb - x))
+        num = norm(fxb - fx - derivative(op, x, xb - x))
         best = max(best, num / den)
     return best
 
