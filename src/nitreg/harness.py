@@ -12,7 +12,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from . import penalties, solver
+from . import solver
 from .inner_cg import InnerProblem, InnerSettings
 from .operators import EllipticOp, ForwardOp, IntegralOp, OperatorError
 from .penalties import Penalty
@@ -286,7 +286,7 @@ def summary(report: RunReport, theta: Penalty, x_dagger: GridFn) -> dict:
     final = report.states[report.n_delta]
     return dict(zip(RESULT_KEYS, (
         report.n_delta, report.terminated_by, final.residual, norm(final.x - x_dagger),
-        final.theta_value, penalties.bregman(theta, x_dagger, final.x, final.xi))))
+        final.theta_value, solver.diagnostics_bregman(report, theta, x_dagger)[report.n_delta])))
 
 
 def health(report: RunReport) -> tuple[bool, str]:

@@ -19,7 +19,8 @@ the inner stop ``||g|| <= tol`` can use (Eisenstat & Walker, SIAM J. Sci. Comput
 1995, ch. 6).  When the subproblem is linear-quadratic (F linear, a = b = 0,
 r = p = 2), CG runs, preconditioned by the exact inverse if there is one, to 1e-13,
 so that one Newton step solves it.  For TV, P uses the dual field of Chan, Golub &
-Mulet, updated after each accepted step.  CG is this module's own loop, `_cg`.
+Mulet, d/m at x_prev, then updated after each accepted step.  CG is this module's own
+loop, `_cg`.
 
 Each point is evaluated once (`objective`): one `ForwardOp.linearized` call gives F(x) and
 the maps of F'(x), one `penalties.Evaluation` gives Theta(x) and what its gradient and
@@ -95,9 +96,7 @@ class InnerStats:
     converged: bool = False
     line_search_failed: bool = False
     grad_norm: float = np.nan  # ||g||_* = alpha ||xi - grad Theta(x)||_* at the returned x
-    initial_grad_norm: float = np.nan
     backtracks: int = 0
-    objective: float = np.nan
     residual: float = np.nan  # ||F(x) - y|| at the returned x
     theta: float = np.nan  # Theta(x) at the returned x
 
@@ -157,9 +156,9 @@ def _penalty_hessian(p: InnerProblem, theta: penalties.Evaluation, cell: np.ndar
 def _newton_direction(p: InnerProblem, at: Point, g: np.ndarray, cell: np.ndarray | None,
                       rtol: float, exact: bool) -> tuple[np.ndarray, int]:
     """The solution of ``(W F'* J_r'(res) F' + alpha P) d = -W g`` at an evaluated point, J_r'
-    its `spaces.DualityDerivative` model, and CG's iterations: `ForwardOp.newton_inverse`'s
-    value, or CG preconditioned by it on a linear-quadratic subproblem (`exact`), or else by
-    alpha P.  For p != 2 the matrix is a Gauss–Newton model; the line search keeps descent."""
+    its `spaces.DualityDerivative` model, by the route of the module docstring (`exact` on a
+    linear-quadratic subproblem), and CG's iterations; ``cell`` is the TV dual field, None
+    without TV.  For p != 2 the matrix is a Gauss–Newton model; the line search keeps descent."""
     w = at.x.space.weights
     model = DualityDerivative(p.ydelta.space, at.res, at.res_norm, p.r)
     diag = p.alpha * at.theta.pointwise_hessian()
@@ -212,11 +211,11 @@ def minimize(p: InnerProblem,
     space, stats = p.x_prev.space, InnerStats()
     cur = objective(p, p.x_prev)
     g, adj = grad_objective(p, cur)
-    gn = stats.initial_grad_norm = values_norm(space, g, DUAL)
+    gn = values_norm(space, g, DUAL)
     g0 = max(1.0, gn)
     tol = s.grad_tol_rel * g0
     exact = is_linear_quadratic(p)
-    cell = None  # TV dual field; None is d/m at x
+    cell = cur.theta.cells[1] / cur.theta.cells[2] if p.theta.b > 0.0 else None  # TV field
 
     for k in range(s.max_iters):
         if gn <= tol:
@@ -248,6 +247,6 @@ def minimize(p: InnerProblem,
         g, adj = grad_objective(p, cur)
         gn = values_norm(space, g, DUAL)
         stats.iterations = k + 1
-    stats.converged, stats.grad_norm, stats.objective = gn <= tol, gn, cur.f
+    stats.converged, stats.grad_norm = gn <= tol, gn
     stats.residual, stats.theta = cur.res_norm, cur.theta.value
     return cur.x, GridFn(space, p.xi_prev.values - (1.0 / p.alpha) * adj, DUAL), stats

@@ -73,10 +73,8 @@ class ForwardOp(abc.ABC):
 
     def newton_inverse(self, diag: np.ndarray, model: DualityDerivative):
         """The inverse, on nodal arrays, of `inner_cg`'s Newton matrix ``W F'(x)* S F'(x) +
-        diag(diag)`` at x, W the weights and S = model, the ``J_r'`` model at x's residual.
-        `inner_cg` takes its value at -W g as the Newton direction, unchecked, or on a
-        linear-quadratic subproblem as CG's preconditioner; so an operator whose inverse is not
-        exact to rounding returns None, which means CG preconditioned by the penalty Hessian."""
+        diag(diag)`` at x, W the weights and S = model, the ``J_r'`` model at x's residual:
+        exact to rounding, as `inner_cg` uses it unchecked, or None."""
         return None
 
     def adjoint(self, x: GridFn, w: GridFn) -> GridFn:
@@ -97,9 +95,10 @@ class IntegralOp(ForwardOp):
     weight is h, so the rule is exactly the 3-point solve of that problem, in
     O(n) by one tridiagonal LDL^T factor (LAPACK ``pttrf``, solved by ``pttrs``), with no
     n×n kernel stored; it is self-adjoint in the weighted pairing.
-    On the interior nodes F' = A^-1, A = tridiag(-1, 2, -1) / (40 h^2), so the Newton
-    matrix ``A^-1 (h S + A D A) A^-1`` there is inverted by one pentadiagonal banded
-    Cholesky factor, with Sherman–Morrison for S's rank-one term; on the boundary it is D."""
+    On the interior nodes F' = A^-1, A = tridiag(-1, 2, -1) / (40 h^2), so `newton_inverse`
+    is exact: the Newton matrix ``A^-1 (h S + A D A) A^-1`` there is inverted by one
+    pentadiagonal banded Cholesky factor, with Sherman–Morrison for S's rank-one term; on the
+    boundary it is D."""
 
     is_linear = True
 
@@ -149,7 +148,7 @@ class IntegralOp(ForwardOp):
 @functools.lru_cache(maxsize=8)
 def _red_black(space: GridSpace):
     """`EllipticOp`'s grid-only parts: the interior nodes, black ((i + j) even) then red;
-    -Lap's rows there, their interior block and its diagonal; its black-red block E, and E^T;
+    -Lap's rows there and the diagonal of their interior block; its black-red block E, and E^T;
     and the map, column k for red node k, from w to the band of -E diag(w) E^T, flattened
     (`weighted_product`)."""
     nodes = np.arange(space.size).reshape(space.dims)[1:-1, 1:-1]
@@ -160,7 +159,7 @@ def _red_black(space: GridSpace):
     lap = rows[:, inner].tocsc()
     coupling = lap[:nb, nb:]
     band_map = weighted_product(-coupling.T, coupling.T)[3]
-    return inner, rows, lap, lap.diagonal(), coupling.tocsr(), coupling.T.tocsr(), band_map
+    return inner, rows, lap.diagonal(), coupling.tocsr(), coupling.T.tocsr(), band_map
 
 
 class EllipticOp(ForwardOp):
@@ -179,7 +178,7 @@ class EllipticOp(ForwardOp):
     Iterative Methods for Sparse Linear Systems, 2nd ed., 2003, ch. 3). F is
     defined only where d_r + c_r > 0 and S is positive definite (as for c >= 0);
     elsewhere `OperatorError` is raised, which `inner_cg` takes as a rejected trial.
-    It has no Newton inverse, so its Newton–CG is preconditioned by the penalty Hessian.
+    Its `newton_inverse` is None.
     On a grid with no interior node (``EllipticOp(1, ny)`` or ``EllipticOp(nx, 1)``) the
     state is g and both derivative maps are zero; experiment configs require nx, ny >= 2.
     """
@@ -189,7 +188,7 @@ class EllipticOp(ForwardOp):
         self.domain_space = self.range_space = space
         f = np.zeros(space.size) if f is None else np.asarray(f, float).reshape(space.size)
         self.g = np.zeros(space.size) if g is None else np.asarray(g, float).reshape(space.size)
-        (self._inner, rows, self._laplacian, self._diagonal, self._coupling, self._coupling_t,
+        (self._inner, rows, self._diagonal, self._coupling, self._coupling_t,
          self._band_map) = _red_black(space)
         self._rhs0 = f[self._inner] - rows @ self._embed(0.0, self.g)
         self._zero, self._w_int = np.zeros(space.size), space.weights[self._inner]

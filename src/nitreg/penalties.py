@@ -87,27 +87,22 @@ class Evaluation:
             diag = diag + theta.a * w * (theta.eps / self.s) / self.m
         return diag
 
-    def tv_hessian(self, cell: np.ndarray | None = None) -> tuple:
+    def tv_hessian(self, cell: np.ndarray) -> tuple:
         """Euclidean Hessian of the TV term w.r.t. nodal values, ``b * area * D^T A D`` with
         the per-cell block ``A = I/m - sym(cell d^T)/m^2``, as CSR and as its flat upper band:
         the grid's maps (`_tv_pattern`) applied to A.  ``cell`` is the dual field of Chan,
-        Golub & Mulet (one row per axis, |cell| < 1); None means d/m, which makes this the
-        exact Hessian."""
+        Golub & Mulet (one row per axis, |cell| < 1); at d/m this is the exact Hessian."""
         (_diff, d, m), space = self.cells, self.x.space
-        cell = d / m if cell is None else cell
         a = np.eye(len(d))[:, :, None] / m - (cell[:, None] * d + d[:, None] * cell) / (2 * m**2)
         coef, n = self.theta.b * math.prod(space.spacings) * a.ravel(), space.size
         indptr, indices, data_map, band_map = _tv_pattern(space)
         return sp.csr_matrix((data_map @ coef, indices, indptr), (n, n)), band_map @ coef
 
-    def tv_field_step(self, cell: np.ndarray | None, step: np.ndarray) -> np.ndarray:
+    def tv_field_step(self, cell: np.ndarray, step: np.ndarray) -> np.ndarray:
         """The TV dual field after the primal step x -> x + step, nodal (Chan, Golub & Mulet):
         Newton's correction of the field's equation ``m cell = d``, linearized at x, damped to
-        0.9 of the largest step that keeps |cell| <= 1 in every cell, and to at most 1.  A
-        None ``cell`` stands for d/m at x."""
+        0.9 of the largest step that keeps |cell| <= 1 in every cell, and to at most 1."""
         diff, d, m = self.cells
-        if cell is None:
-            cell = d / m
         dd = (diff @ step).reshape(d.shape)
         dw = d / m - cell + (dd - cell * np.sum(d * dd, axis=0) / m) / m
         # per cell, |cell + s dw| = 1 at s = c / (b + sqrt(b^2 + a c))

@@ -13,7 +13,7 @@ from . import inner_cg, penalties
 from .inner_cg import InnerProblem, InnerSettings, InnerStats
 from .operators import ForwardOp
 from .penalties import Penalty
-from .spaces import GridFn, norm, zeros
+from .spaces import DUAL, GridFn, norm, pairing, zeros
 
 
 @dataclass(frozen=True)
@@ -116,10 +116,10 @@ def step(
 def _initial_state(op, theta, ydelta):
     """x_0 = 0 and xi_0 = grad Theta(x_0), so the dual gap starts at zero."""
     x0 = zeros(op.domain_space)
+    at = penalties.Evaluation(theta, x0)
     return NitState(
-        n=0, x=x0, xi=penalties.gradient(theta, x0),
-        residual=norm(op.apply(x0) - ydelta), dual_gap=0.0,
-        theta_value=penalties.value(theta, x0),
+        n=0, x=x0, xi=GridFn(x0.space, at.gradient(), DUAL),
+        residual=norm(op.apply(x0) - ydelta), dual_gap=0.0, theta_value=at.value,
     )
 
 
@@ -141,7 +141,7 @@ def run(
     residual first drops strictly below tau*delta and the previous iterate is
     returned (index 0 if already below at the start).  For delta = 0 the
     threshold falls back to `atol_zero`.  A run ends as `inner_failure` when an inner
-    solve fails its line search without moving x, and as `stagnation` when no later
+    solve fails its line search before its first step, and as `stagnation` when no later
     step can move x; these and `max_outer` return the iterate of smallest residual.
     `stagnation` ends a run whose threshold the residual cannot reach, such as exact data:
     running on would only grow xi_n like 1/alpha_n, until its norm overflows.
@@ -165,7 +165,7 @@ def run(
             if crossed(cur.residual, threshold):
                 terminated_by, n_delta = stop.kind, (n - 1 if rule41 else n)
                 break
-            if cur.inner_stats.line_search_failed and np.array_equal(cur.x.values, prev.x.values):
+            if cur.inner_stats.line_search_failed and cur.inner_stats.iterations == 0:
                 terminated_by = "inner_failure"
                 break
             # No Newton step from x_{n-1}.  While x stays, later subproblem gradients lie
@@ -190,7 +190,8 @@ def run(
 
 
 def diagnostics_bregman(report: RunReport, theta: Penalty, x_ref: GridFn) -> np.ndarray:
-    """Series D_{xi_n} Theta(x_ref, x_n) along the stored trajectory."""
-    return np.array(
-        [penalties.bregman(theta, x_ref, s.x, s.xi) for s in report.states]
-    )
+    """Series D_{xi_n} Theta(x_ref, x_n) = Theta(x_ref) - Theta(x_n) - <xi_n, x_ref - x_n>
+    along the stored trajectory, with Theta(x_ref) evaluated once and Theta(x_n) each state's
+    `theta_value`."""
+    ref = penalties.Evaluation(theta, x_ref).value
+    return np.array([ref - s.theta_value - pairing(s.xi, x_ref - s.x) for s in report.states])

@@ -3,6 +3,7 @@ import csv
 import importlib
 import pkgutil
 import re
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -362,6 +363,20 @@ class TestBuiltinConfigs:
             example51_config("l2_tv")
         with pytest.raises(ConfigError):
             example52_config("l1")
+
+    @pytest.mark.parametrize("example", ["example51", "example52"])
+    def test_exact_data_stagnates_on_every_route(self, example):
+        # delta = 0 on the `nitreg check` grids: no residual reaches atol_zero, so each
+        # paper run ends when no step moves x, every inner solve converged, and returns the
+        # iterate of smallest residual, with no warning on the way
+        for cfg in harness.paper_configs(example, {**cli.CHECK_GRID, ("noise", "delta"): 0.0}):
+            op, _x_dagger, y = make_problem(cfg)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                report = harness.solve(cfg, op, y)
+            assert report.terminated_by == "stagnation", cfg.output.name
+            assert all(s.inner_stats.converged for s in report.states[1:]), cfg.output.name
+            assert report.n_delta == np.argmin(report.residuals), cfg.output.name
 
 
 class TestCli:

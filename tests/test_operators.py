@@ -465,7 +465,9 @@ class TestEllipticOp:
     @pytest.mark.parametrize("nx, ny", [(2, 2), (9, 7), (40, 40)])
     def test_laplacian_is_the_five_point_stencil(self, nx, ny):
         # -Lap is D^T D of TV's forward differences; its interior rows must be
-        # the 5-point stencil, built here from sp.kron as the reference
+        # the 5-point stencil, built here from sp.kron as the reference.  The solve
+        # reads their interior block as its diagonal and its black-red block E: the
+        # black-black and red-red blocks must be diagonal
         space = spaces.GridSpace.rectangle(nx, ny)
         tx, ty = (sp.diags([-1.0, 2.0, -1.0], (-1, 0, 1), shape=(n, n)) / h**2
                   for n, h in zip(space.dims, space.spacings))
@@ -477,9 +479,14 @@ class TestEllipticOp:
         assert np.array_equal(np.sort(inner), interior)
         rows = five_point.tocsr()[inner]
 
-        system, want = op._laplacian, rows[:, inner]
-        assert abs(system - want).max() <= 1e-12 * abs(want).max()
-        assert abs(system - system.T).max() == 0.0
+        want, nb = rows[:, inner].toarray(), op._coupling.shape[0]
+        scale = abs(want).max()
+        for block in (want[:nb, :nb], want[nb:, nb:]):
+            assert np.count_nonzero(block - np.diag(np.diag(block))) == 0
+        coupling = op._coupling.toarray()
+        for got, block in ((op._diagonal, np.diag(want)), (coupling, want[:nb, nb:])):
+            assert np.abs(got - block).max(initial=0.0) <= 1e-12 * scale
+        assert np.array_equal(op._coupling_t.toarray(), coupling.T)
         g[inner] = 0.0  # the boundary columns lift g
         lift = -(rows @ g)
         assert np.linalg.norm(op._rhs0 - lift) <= 1e-12 * np.linalg.norm(lift)

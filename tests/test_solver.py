@@ -232,8 +232,8 @@ class TestRun:
         # each outer step evaluates F (one `linearized` call) and Theta (one
         # `penalties.Evaluation`, with TV one `_cells`) at x_prev and at each trial point of
         # its inner solve, and nowhere else: the accepted trial's evaluation serves its
-        # gradient and Newton step.  Outside the steps only x_0 is evaluated, F once and
-        # Theta for its value and its gradient
+        # gradient and Newton step.  Outside the steps only x_0 is evaluated, F and Theta
+        # once each: one evaluation gives Theta's value and gradient
         cfg, op, ydelta = small_paper_run(penalty)
         count = dict.fromkeys(["linearized", "evaluation", "cells"], 0)
 
@@ -270,8 +270,30 @@ class TestRun:
             assert trials >= 1
             assert counts == {"linearized": 1 + trials, "evaluation": 1 + trials,
                               "cells": (1 + trials) * tv}
-        outside = {"linearized": 1, "evaluation": 2, "cells": 2 * tv}
+        outside = {"linearized": 1, "evaluation": 1, "cells": tv}
         assert count == {k: outside[k] + sum(c[k] for c, _trials in steps) for k in count}
+
+    @pytest.mark.parametrize("penalty", ["l2_l1", "tv"])
+    def test_bregman_series_evaluates_theta_once(self, monkeypatch, tmp_path, penalty):
+        # the iteration CSV's D_{xi_n} Theta(x_ref, x_n) evaluates Theta at x_ref alone and
+        # reads Theta(x_n) from each state, and equals the definition bit for bit
+        cfg, op, ydelta = small_paper_run(penalty)
+        _op, x_ref, _y = harness.make_problem(cfg)
+        report = harness.solve(cfg, op, ydelta)
+        evaluations = []
+        evaluation = penalties.Evaluation.__init__
+
+        def counted(self, theta, x):
+            evaluations.append(x)
+            evaluation(self, theta, x)
+        monkeypatch.setattr(penalties.Evaluation, "__init__", counted)
+        harness.write_iteration_csv(tmp_path / "iterations.csv", report, cfg.theta, x_ref)
+        assert len(evaluations) == 1 and evaluations[0] is x_ref
+        monkeypatch.undo()
+        series = diagnostics_bregman(report, cfg.theta, x_ref)
+        assert len(series) == len(report.states) > 2
+        for s, d in zip(report.states, series):
+            assert d == penalties.bregman(cfg.theta, x_ref, s.x, s.xi)
 
     def test_elliptic_subproblems_start_on_the_cached_factor(self, monkeypatch):
         # EllipticOp keeps the factor of the last point it evaluated, and each subproblem
